@@ -35,6 +35,8 @@ Row Run(const catalog::Catalog& cat,
   for (int rep = 0; rep < kRepeats; ++rep) {
     core::RaqoPlannerOptions options;
     options.algorithm = algo;
+    // Figure 12 measures the paper's Algorithm 1, not the exact default.
+    options.evaluator.search = core::ResourceSearch::kHillClimb;
     core::RaqoPlanner planner(&cat, models,
                               resource::ClusterConditions::PaperDefault(),
                               resource::PricingModel(), options);

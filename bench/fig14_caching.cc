@@ -33,6 +33,8 @@ Row Run(const catalog::Catalog& cat,
   for (int rep = 0; rep < kRepeats; ++rep) {
     core::RaqoPlannerOptions options;
     options.algorithm = core::PlannerAlgorithm::kFastRandomized;
+    // Figure 14 measures caching on top of the paper's Algorithm 1.
+    options.evaluator.search = core::ResourceSearch::kHillClimb;
     options.evaluator.use_cache = use_cache;
     options.evaluator.cache_mode = mode;
     options.evaluator.cache_threshold_gb = threshold;

@@ -28,6 +28,8 @@ core::RaqoPlannerOptions Options(bool raqo, bool cache) {
   // evaluation costs 99 operator costings.
   options.randomized.iterations = 5;
   options.randomized.moves_per_iteration = 24;
+  // Figure 15 times the paper's Algorithm 1, not the exact default.
+  options.evaluator.search = core::ResourceSearch::kHillClimb;
   options.evaluator.use_cache = cache;
   options.evaluator.cache_mode = core::CacheLookupMode::kNearestNeighbor;
   options.evaluator.cache_threshold_gb = 0.01;

@@ -27,79 +27,10 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   std::future<void> future = packaged.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    QueuedTask queued;
-    queued.own = std::move(packaged);
-    queue_.push_back(std::move(queued));
+    queue_.push_back(std::move(packaged));
   }
   cv_.notify_one();
   return future;
-}
-
-void ThreadPool::RunParallelChunks(ParallelForJob* job) {
-  // Work stealing: claim the next chunk off the shared cursor until the
-  // range is drained. A participant that lands on a slow chunk simply
-  // claims fewer chunks; fast ones soak up the rest. The relaxed
-  // fetch_add is fine — chunk ranges are disjoint by construction and
-  // the latch below publishes every chunk's writes.
-  while (true) {
-    const int64_t begin =
-        job->next.fetch_add(job->chunk, std::memory_order_relaxed);
-    if (begin >= job->n) break;
-    const int64_t end = std::min(begin + job->chunk, job->n);
-    try {
-      (*job->body)(begin, end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(job->mu);
-      if (!job->error) job->error = std::current_exception();
-    }
-  }
-  // The acq_rel decrement publishes every chunk's writes to the caller's
-  // acquire read (RMWs extend the release sequence). It must happen
-  // *under* the latch mutex: the caller destroys the stack-allocated job
-  // the moment its predicate sees zero, so zero may only become visible
-  // after this thread's last touch of the job — the unlock below.
-  std::lock_guard<std::mutex> lock(job->mu);
-  if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    job->done_cv.notify_one();
-  }
-}
-
-void ThreadPool::ParallelFor(
-    int64_t n, const std::function<void(int64_t, int64_t)>& body) {
-  if (n <= 0) return;
-  const int64_t participants =
-      std::min<int64_t>(n, static_cast<int64_t>(workers_.size()) + 1);
-  if (participants <= 1) {
-    body(0, n);
-    return;
-  }
-  ParallelForJob job;
-  job.body = &body;
-  job.n = n;
-  // ~8 claims per participant: fine enough that one slow chunk cannot
-  // stall the call behind it, coarse enough that the cursor's cache line
-  // is not the new bottleneck.
-  job.chunk = std::max<int64_t>(1, n / (participants * 8));
-  // Every participant — the queued records and the caller — decrements
-  // the latch once in RunParallelChunks, so seed it with the full count.
-  job.remaining.store(participants, std::memory_order_relaxed);
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int64_t c = 1; c < participants; ++c) {
-      QueuedTask queued;
-      queued.job = &job;
-      queue_.push_back(std::move(queued));
-    }
-  }
-  cv_.notify_all();
-
-  RunParallelChunks(&job);
-  std::unique_lock<std::mutex> lock(job.mu);
-  job.done_cv.wait(lock, [&job] {
-    return job.remaining.load(std::memory_order_acquire) <= 0;
-  });
-  if (job.error) std::rethrow_exception(job.error);
 }
 
 int ThreadPool::DefaultThreads() {
@@ -109,7 +40,7 @@ int ThreadPool::DefaultThreads() {
 
 void ThreadPool::WorkerLoop() {
   while (true) {
-    QueuedTask task;
+    std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -117,11 +48,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (task.job != nullptr) {
-      RunParallelChunks(task.job);
-    } else {
-      task.own();
-    }
+    task();
   }
 }
 

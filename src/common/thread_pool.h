@@ -1,11 +1,8 @@
 #ifndef RAQO_COMMON_THREAD_POOL_H_
 #define RAQO_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -16,16 +13,13 @@ namespace raqo {
 
 /// A fixed-size worker pool for the concurrent planning service. Tasks
 /// are plain closures executed FIFO by `num_threads` long-lived workers;
-/// Submit returns a future so callers can join on individual tasks, and
-/// ParallelFor covers the common "partition [0, n) into contiguous
-/// chunks" pattern used by the parallel resource planner and the
-/// concurrent workload runner.
+/// Submit returns a future so callers can join on individual tasks. The
+/// concurrent workload runner runs its planner workers here and the
+/// server its request workers: each task plans whole queries, so this is
+/// the only level at which planning runs in parallel.
 ///
-/// The pool itself is thread-safe: any thread may Submit, and any number
-/// of threads may run ParallelFor concurrently (each call's chunks
-/// interleave on the workers; each caller blocks only on its own
-/// completion latch). Task closures must synchronize their own shared
-/// state.
+/// The pool itself is thread-safe: any thread may Submit. Task closures
+/// must synchronize their own shared state.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (clamped to at least 1).
@@ -43,66 +37,16 @@ class ThreadPool {
   /// propagate through the future).
   std::future<void> Submit(std::function<void()> task);
 
-  /// Runs body(begin, end) over contiguous chunks of [0, n), blocking
-  /// until the whole range completes. The calling thread participates,
-  /// so a single-threaded pool degrades to a plain loop.
-  ///
-  /// Chunks are *claimed dynamically* (work stealing): participants bump
-  /// a shared atomic cursor and take the next chunk of roughly
-  /// n / (participants * 8) indices, so a participant stuck on a slow
-  /// chunk — one band of pruned-out grid rows costing nothing next to a
-  /// band holding the surviving block, a worker preempted by the OS —
-  /// no longer stretches the whole call the way one static
-  /// range-per-worker did. Late-arriving participants that find the
-  /// cursor exhausted simply leave; the range still completes because
-  /// the caller itself drains the cursor.
-  ///
-  /// Dispatch is deliberately cheap: the participant records are queued
-  /// under one lock acquisition as thin job pointers — no per-chunk
-  /// std::function, packaged_task, or future shared state — and
-  /// completion is signalled through a stack-allocated latch. The first
-  /// exception a chunk throws is rethrown on the calling thread after
-  /// the whole range has been processed (a failed chunk never aborts the
-  /// others).
-  void ParallelFor(int64_t n,
-                   const std::function<void(int64_t, int64_t)>& body);
-
   /// A sensible worker count for this machine: hardware concurrency,
   /// with a floor of 1 when it cannot be determined.
   static int DefaultThreads();
 
  private:
-  /// Shared state of one ParallelFor call, living on the caller's stack
-  /// for the duration of the call. `next` is the work-stealing cursor
-  /// participants claim chunks from; `remaining` counts participants
-  /// still running — the one finishing last signals `done_cv`.
-  struct ParallelForJob {
-    const std::function<void(int64_t, int64_t)>* body = nullptr;
-    int64_t n = 0;
-    int64_t chunk = 1;
-    std::atomic<int64_t> next{0};
-    std::atomic<int64_t> remaining{0};
-    std::mutex mu;
-    std::condition_variable done_cv;
-    std::exception_ptr error;  // first chunk failure, under `mu`
-  };
-
-  /// One queue slot: either an owned Submit closure or a borrowed
-  /// ParallelFor participant record (job != nullptr).
-  struct QueuedTask {
-    std::packaged_task<void()> own;
-    ParallelForJob* job = nullptr;
-  };
-
-  /// Claims and runs chunks until the job's cursor is exhausted, then
-  /// drops the participant latch.
-  static void RunParallelChunks(ParallelForJob* job);
-
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<QueuedTask> queue_;
+  std::deque<std::packaged_task<void()>> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

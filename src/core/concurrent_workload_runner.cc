@@ -36,17 +36,6 @@ ConcurrentWorkloadRunner::ConcurrentWorkloadRunner(
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
   }
-  // One search pool for all planners: without it, every evaluator with
-  // the parallel brute-force search would spawn a private pool —
-  // num_threads * parallel_search_threads threads for grids that only
-  // ever need parallel_search_threads of them.
-  if (planner_options_.evaluator.search ==
-          ResourceSearch::kParallelBruteForce &&
-      planner_options_.evaluator.search_pool == nullptr) {
-    search_pool_ = std::make_unique<ThreadPool>(
-        std::max(1, planner_options_.evaluator.parallel_search_threads));
-    planner_options_.evaluator.search_pool = search_pool_.get();
-  }
   planners_.reserve(static_cast<size_t>(options_.num_threads));
   for (int w = 0; w < options_.num_threads; ++w) {
     planners_.push_back(std::make_unique<RaqoPlanner>(

@@ -49,10 +49,10 @@ class ConcurrentWorkloadRunner {
   /// `catalog` must outlive the runner. When `share_cache` is set and
   /// the evaluator options enable caching, the shared cache is created
   /// here and persists across Run calls (across-query semantics). The
-  /// worker pool, the per-worker planners, and (for the parallel
-  /// brute-force search) one resource-search pool shared by every
-  /// planner are all built here too and reused by every Run — repeated
-  /// Run calls spawn no threads and rebuild no planners.
+  /// worker pool and the per-worker planners are built here too and
+  /// reused by every Run — repeated Run calls spawn no threads and
+  /// rebuild no planners. The workers are the runner's only threads:
+  /// each query's resource searches run on the worker planning it.
   ConcurrentWorkloadRunner(
       const catalog::Catalog* catalog, cost::JoinCostModels models,
       resource::ClusterConditions cluster,
@@ -88,13 +88,6 @@ class ConcurrentWorkloadRunner {
   /// Persistent worker pool running workers 1..N-1 of every Run (absent
   /// with a single worker; the calling thread is always worker 0).
   std::unique_ptr<ThreadPool> pool_;
-  /// One resource-search pool shared by every planner's parallel
-  /// brute-force search (absent for the other strategies, or when the
-  /// caller injected its own via the evaluator options). Distinct from
-  /// `pool_` on purpose: planner workers block in ParallelFor, which
-  /// must never run on the pool the caller occupies. Declared before
-  /// `planners_` so the planners (which borrow it) are destroyed first.
-  std::unique_ptr<ThreadPool> search_pool_;
   /// One private planner per worker, reused across Run calls.
   std::vector<std::unique_ptr<RaqoPlanner>> planners_;
 };

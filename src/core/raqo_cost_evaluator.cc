@@ -31,56 +31,33 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
       planner_ = std::make_unique<AcceleratedHillClimbResourcePlanner>();
       resource_span_name_ = "planner.resource.hillclimb";
       break;
-    case ResourceSearch::kParallelBruteForce: {
-      // Borrow the injected pool when there is one: evaluators pooled by
-      // the runner or the server must all share one search pool, or N
-      // planner workers times M search threads pile up.
-      auto parallel =
-          options_.search_pool != nullptr
-              ? std::make_unique<ParallelBruteForceResourcePlanner>(
-                    options_.search_pool)
-              : std::make_unique<ParallelBruteForceResourcePlanner>(
-                    options_.parallel_search_threads);
-      parallel->set_min_parallel_cells(options_.min_parallel_grid_cells);
-      planner_ = std::move(parallel);
-      resource_span_name_ = "planner.resource.grid";
-      break;
-    }
-    case ResourceSearch::kSwitchAwareGrid: {
-      // Borrows the injected pool only: the paper-default grid sits far
-      // below the parallel threshold, so the common case is sequential
-      // anyway, and pruning makes big grids cheap before parallelism
-      // would (inject a pool + lower min_parallel_grid_cells to fan out).
-      auto switch_aware = std::make_unique<SwitchAwareGridResourcePlanner>(
-          options_.search_pool);
-      switch_aware->set_min_parallel_cells(options_.min_parallel_grid_cells);
-      switch_aware->set_block_cells(options_.switch_block_cells);
-      planner_ = std::move(switch_aware);
+    case ResourceSearch::kSwitchAwareGrid:
+      planner_ = std::make_unique<SwitchAwareGridResourcePlanner>();
       resource_span_name_ = "planner.resource.grid";
       switch_aware_ = true;
-      // Validate the monotonicity declaration of each model once, at
-      // load: a rejected model plans exhaustively (no bound oracle) and
-      // the rejection is counted, never silently pruned unsoundly.
-      const plan::JoinImpl impls[2] = {plan::JoinImpl::kSortMergeJoin,
-                                       plan::JoinImpl::kBroadcastHashJoin};
-      for (int i = 0; i < 2; ++i) {
-        Result<cost::ResourceBoundOracle> oracle =
-            cost::ResourceBoundOracle::Create(models_.ForImpl(impls[i]));
-        if (oracle.ok()) {
-          oracles_[i] = *std::move(oracle);
-        } else if (obs::MetricsOn()) {
-          static obs::Counter* rejected = obs::DefaultMetrics().GetCounter(
-              "planner.resource.monotonicity_rejected");
-          rejected->Add(1);
-        }
-      }
       break;
-    }
   }
   if (options_.use_cache) {
     cache_ = std::make_unique<ResourcePlanCache>(
         options_.cache_mode, options_.cache_threshold_gb,
         options_.cache_index, options_.cache_shards);
+  }
+}
+
+void RaqoCostEvaluator::BuildBoundOracles() {
+  oracles_built_ = true;
+  const plan::JoinImpl impls[2] = {plan::JoinImpl::kSortMergeJoin,
+                                   plan::JoinImpl::kBroadcastHashJoin};
+  for (int i = 0; i < 2; ++i) {
+    Result<cost::ResourceBoundOracle> oracle =
+        cost::ResourceBoundOracle::Create(models_.ForImpl(impls[i]));
+    if (oracle.ok()) {
+      oracles_[i] = *std::move(oracle);
+    } else if (obs::MetricsOn()) {
+      static obs::Counter* rejected = obs::DefaultMetrics().GetCounter(
+          "planner.resource.monotonicity_rejected");
+      rejected->Add(1);
+    }
   }
 }
 
@@ -248,6 +225,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
       context.impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1;
   ResourceSearchHints hints;
   if (switch_aware_) {
+    if (!oracles_built_) BuildBoundOracles();
     hints.warm_start = last_best_[model_idx];
     const double tw = options_.time_weight;
     if (oracles_[model_idx].has_value() && tw >= 0.0 && tw <= 1.0 &&

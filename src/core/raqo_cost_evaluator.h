@@ -16,45 +16,29 @@
 namespace raqo::core {
 
 /// Resource-search strategies of cost-based RAQO (Section VI-B), plus
-/// the accelerated-stride extension for very large clusters and a
-/// pool-backed brute force that splits the grid across worker threads.
+/// the accelerated-stride extension for very large clusters. Every
+/// strategy runs on the calling thread: planning parallelizes across
+/// queries and requests, never within one search.
 enum class ResourceSearch {
+  /// The exhaustive sweep: the reference kSwitchAwareGrid is tested
+  /// against and Figure 13's baseline.
   kBruteForce,
+  /// Algorithm 1's hill climb (heuristic; chosen explicitly).
   kHillClimb,
   kAcceleratedHillClimb,
-  kParallelBruteForce,
-  /// The switch-point-aware incremental grid search: bit-identical to
-  /// kBruteForce but warm-started from the previous search's optimum
-  /// and dominance-pruned through sound cost-model lower bounds
-  /// (SwitchAwareGridResourcePlanner, docs/PERF.md). Models whose
-  /// feature set fails monotonicity validation fall back to the plain
-  /// exhaustive sweep and bump planner.resource.monotonicity_rejected.
+  /// The default: the switch-point-aware incremental grid search,
+  /// bit-identical to kBruteForce but warm-started from the previous
+  /// search's optimum and dominance-pruned through sound cost-model
+  /// lower bounds (SwitchAwareGridResourcePlanner, docs/PERF.md).
+  /// Models whose feature set fails monotonicity validation fall back
+  /// to the plain exhaustive sweep and bump
+  /// planner.resource.monotonicity_rejected.
   kSwitchAwareGrid,
 };
 
 /// Configuration of the RAQO cost evaluator.
 struct RaqoEvaluatorOptions {
-  ResourceSearch search = ResourceSearch::kHillClimb;
-  /// Worker threads of the kParallelBruteForce search (ignored by the
-  /// other strategies). Only consulted when no `search_pool` is
-  /// injected: it sizes the evaluator-owned fallback pool.
-  int parallel_search_threads = 4;
-
-  /// Externally owned pool the kParallelBruteForce search runs on (must
-  /// outlive the evaluator). The concurrent runner and the planning
-  /// server inject one pool shared by all their planners; without it,
-  /// every evaluator would spawn a private pool — N planner workers
-  /// times M search threads — and pay pool construction per planner.
-  /// nullptr falls back to an evaluator-owned pool of
-  /// `parallel_search_threads` workers.
-  ThreadPool* search_pool = nullptr;
-
-  /// Grids smaller than this many cells are scanned sequentially by the
-  /// kParallelBruteForce search (see
-  /// ParallelBruteForceResourcePlanner::kDefaultMinParallelCells); the
-  /// result is bit-identical either way. 0 forces the parallel path.
-  int64_t min_parallel_grid_cells =
-      ParallelBruteForceResourcePlanner::kDefaultMinParallelCells;
+  ResourceSearch search = ResourceSearch::kSwitchAwareGrid;
 
   /// Write-behind batching of inserts into a *shared* exact-mode cache:
   /// computed plans are staged privately and flushed to the shared
@@ -81,11 +65,6 @@ struct RaqoEvaluatorOptions {
   /// single-threaded layout. Shared caches (ShareCache) bring their own
   /// sharding.
   size_t cache_shards = 0;
-
-  /// Cells per dominance-pruning block of the kSwitchAwareGrid search
-  /// (ignored by the other strategies).
-  int64_t switch_block_cells =
-      SwitchAwareGridResourcePlanner::kDefaultBlockCells;
 
   /// Objective weight for resource planning: 1.0 plans resources for pure
   /// execution time, 0.0 for pure monetary cost.
@@ -159,8 +138,9 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   void BeginQuery();
 
   /// True when the switch-aware search prunes with a validated bound
-  /// oracle for the given join implementation (false for the other
-  /// strategies and for monotonicity-rejected models).
+  /// oracle for the given join implementation. The oracles are built at
+  /// the evaluator's first resource search, so this is false before it,
+  /// for the other strategies, and for monotonicity-rejected models.
   bool has_bound_oracle(plan::JoinImpl impl) const {
     return oracles_[impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1]
         .has_value();
@@ -189,6 +169,11 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
            options_.shared_insert_batch > 0;
   }
 
+  /// Validates both models' monotonicity declarations and builds their
+  /// bound oracles; a rejected model is counted and keeps no oracle, so
+  /// its searches run exhaustively.
+  void BuildBoundOracles();
+
   cost::JoinCostModels models_;
   resource::ClusterConditions cluster_;
   resource::PricingModel pricing_;
@@ -215,10 +200,13 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// oracle per model (nullopt after monotonicity rejection => that
   /// model's searches run exhaustively) and the previous search's
   /// optimum as the next warm start (cleared by BeginQuery and cluster
-  /// updates).
+  /// updates). The oracles are built at the first search rather than at
+  /// construction: the server builds an evaluator per request, and a
+  /// request answered wholly from the cache should not pay for them.
   std::array<std::optional<cost::ResourceBoundOracle>, 2> oracles_;
   std::array<std::optional<resource::ResourceConfig>, 2> last_best_;
   bool switch_aware_ = false;
+  bool oracles_built_ = false;
 };
 
 }  // namespace raqo::core

@@ -1,11 +1,8 @@
 #include "core/resource_planner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
-#include <vector>
 
 namespace raqo::core {
 
@@ -35,118 +32,6 @@ Result<ResourcePlanResult> BruteForceResourcePlanner::PlanResources(
     return true;
   });
   best.configs_explored = explored;
-  if (best.cost == kInf) {
-    return Status::FailedPrecondition(
-        "no feasible resource configuration in the cluster grid");
-  }
-  return best;
-}
-
-ParallelBruteForceResourcePlanner::ParallelBruteForceResourcePlanner(
-    int num_threads)
-    : owned_pool_(std::make_unique<ThreadPool>(num_threads)) {
-  pool_ = owned_pool_.get();
-}
-
-ParallelBruteForceResourcePlanner::ParallelBruteForceResourcePlanner(
-    ThreadPool* pool)
-    : pool_(pool) {}
-
-namespace {
-
-/// Per-band reduction state of the parallel scan.
-struct BandBest {
-  resource::ResourceConfig config;
-  double cost = kInf;
-  int64_t explored = 0;
-  /// Row-major rank of the winning cell, for the deterministic
-  /// earliest-wins tie-break the sequential scan applies implicitly.
-  int64_t rank = 0;
-};
-
-/// Scans container-size rows [row_begin, row_end) of the grid with the
-/// exact enumeration arithmetic of the sequential brute force, so costs
-/// (and their floating-point quirks) match cell for cell no matter how
-/// the rows are banded — or whether they are banded at all.
-BandBest ScanBand(const ResourceCostFn& cost,
-                  const resource::ClusterConditions& cluster,
-                  int64_t row_begin, int64_t row_end, int64_t nc_points) {
-  const resource::ResourceConfig& min = cluster.min();
-  const resource::ResourceConfig& step = cluster.step();
-  BandBest local;
-  for (int64_t i = row_begin; i < row_end; ++i) {
-    const double cs = min.dim(resource::kContainerSizeGb) +
-                      static_cast<double>(i) *
-                          step.dim(resource::kContainerSizeGb);
-    for (int64_t j = 0; j < nc_points; ++j) {
-      const double nc = min.dim(resource::kNumContainers) +
-                        static_cast<double>(j) *
-                            step.dim(resource::kNumContainers);
-      const resource::ResourceConfig config(cs, nc);
-      ++local.explored;
-      const double c = Sanitize(cost(config));
-      if (c < local.cost) {
-        local.cost = c;
-        local.config = config;
-        local.rank = i * nc_points + j;
-      }
-    }
-  }
-  return local;
-}
-
-}  // namespace
-
-Result<ResourcePlanResult> ParallelBruteForceResourcePlanner::PlanResources(
-    const ResourceCostFn& cost,
-    const resource::ClusterConditions& cluster) const {
-  const int64_t cs_points =
-      cluster.GridPoints(resource::kContainerSizeGb);
-  const int64_t nc_points = cluster.GridPoints(resource::kNumContainers);
-
-  // Small grids drown in fan-out/join dispatch: scan them inline on the
-  // calling thread instead (TotalGridSize saturates, so absurd grids
-  // always take the parallel path). Bit-identical by construction —
-  // one band covering every row is the sequential scan.
-  if (pool_ == nullptr || pool_->size() <= 1 ||
-      cluster.TotalGridSize() < min_parallel_cells_) {
-    const BandBest all = ScanBand(cost, cluster, 0, cs_points, nc_points);
-    if (all.cost == kInf) {
-      return Status::FailedPrecondition(
-          "no feasible resource configuration in the cluster grid");
-    }
-    ResourcePlanResult best;
-    best.cost = all.cost;
-    best.config = all.config;
-    best.configs_explored = all.explored;
-    return best;
-  }
-
-  // One band of container-size rows per chunk; ParallelFor sizes the
-  // chunks to the pool.
-  std::mutex merge_mu;
-  std::vector<BandBest> bands;
-  std::atomic<int64_t> explored_total{0};
-  pool_->ParallelFor(cs_points, [&](int64_t row_begin, int64_t row_end) {
-    BandBest local = ScanBand(cost, cluster, row_begin, row_end, nc_points);
-    explored_total.fetch_add(local.explored, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(merge_mu);
-    bands.push_back(local);
-  });
-
-  ResourcePlanResult best;
-  best.cost = kInf;
-  int64_t best_rank = 0;
-  for (const BandBest& band : bands) {
-    if (band.cost < best.cost ||
-        (band.cost == best.cost && band.cost < kInf &&
-         band.rank < best_rank)) {
-      best.cost = band.cost;
-      best.config = band.config;
-      best_rank = band.rank;
-    }
-  }
-  best.configs_explored = explored_total.load(std::memory_order_relaxed);
   if (best.cost == kInf) {
     return Status::FailedPrecondition(
         "no feasible resource configuration in the cluster grid");
@@ -190,8 +75,7 @@ bool Prunable(double lower_bound, const Incumbent& inc,
          (lower_bound >= inc.cost && block_first_rank > inc.rank);
 }
 
-/// Geometry of one grid sweep, shared by the sequential and banded
-/// paths so cell arithmetic is identical everywhere.
+/// Geometry of one grid sweep: cell coordinates and row-major ranks.
 struct GridGeometry {
   double cs_min, cs_step, nc_min, nc_step;
   int64_t cs_points, nc_points;
@@ -216,40 +100,26 @@ struct GridGeometry {
   int64_t RankOf(int64_t i, int64_t j) const { return i * nc_points + j; }
 };
 
-/// Per-band sweep state and counters.
+/// Work counters of one sweep.
 struct SweepStats {
   int64_t explored = 0;
   int64_t pruned = 0;
   int64_t bound_probes = 0;
 };
 
-/// Sweeps rows [row_begin, row_end) in rank order with two-level
-/// branch-and-bound (row box first, then blocks of `block_cells`),
-/// updating `inc` and `stats`. `shared_best`, when non-null, is a
-/// monotonically decreasing cross-band upper bound on the global
-/// optimum; it strengthens only the *strict* prune rule (the rank rule
-/// needs the incumbent's rank, which other bands cannot supply).
+/// Sweeps every row in rank order with two-level branch-and-bound (row
+/// box first, then blocks of `block_cells`), updating `inc` and `stats`.
 void SweepRows(const ResourceCostFn& cost, const GridGeometry& g,
                const ResourceBoxBoundFn& bound, int64_t block_cells,
-               int64_t row_begin, int64_t row_end, Incumbent* inc,
-               SweepStats* stats, std::atomic<double>* shared_best) {
-  for (int64_t i = row_begin; i < row_end; ++i) {
+               Incumbent* inc, SweepStats* stats) {
+  for (int64_t i = 0; i < g.cs_points; ++i) {
     const double cs = g.CsAt(i);
-    // Strict prune threshold: anything > this cannot win. Stale reads
-    // of shared_best are safe — the value only decreases, so a stale
-    // (higher) value merely prunes less.
-    const double global_cost =
-        shared_best != nullptr
-            ? std::min(inc->cost,
-                       shared_best->load(std::memory_order_relaxed))
-            : inc->cost;
-    if (bound && (global_cost < kInf || inc->rank < g.RankOf(i, 0))) {
+    if (bound && (inc->cost < kInf || inc->rank < g.RankOf(i, 0))) {
       ++stats->bound_probes;
       const double row_lb =
           bound(resource::ResourceConfig(cs, g.NcAt(0)),
                 resource::ResourceConfig(cs, g.NcAt(g.nc_points - 1)));
-      if (row_lb > global_cost ||
-          Prunable(row_lb, *inc, g.RankOf(i, 0))) {
+      if (Prunable(row_lb, *inc, g.RankOf(i, 0))) {
         stats->pruned += g.nc_points;
         continue;
       }
@@ -258,22 +128,15 @@ void SweepRows(const ResourceCostFn& cost, const GridGeometry& g,
       const int64_t j1 = std::min(j0 + block_cells, g.nc_points);
       // Block-level probe, skipped when the row is a single block (the
       // row probe above already covered it).
-      if (bound && (j0 > 0 || j1 < g.nc_points)) {
-        const double block_global =
-            shared_best != nullptr
-                ? std::min(inc->cost,
-                           shared_best->load(std::memory_order_relaxed))
-                : inc->cost;
-        if (block_global < kInf || inc->rank < g.RankOf(i, j0)) {
-          ++stats->bound_probes;
-          const double block_lb =
-              bound(resource::ResourceConfig(cs, g.NcAt(j0)),
-                    resource::ResourceConfig(cs, g.NcAt(j1 - 1)));
-          if (block_lb > block_global ||
-              Prunable(block_lb, *inc, g.RankOf(i, j0))) {
-            stats->pruned += j1 - j0;
-            continue;
-          }
+      if (bound && (j0 > 0 || j1 < g.nc_points) &&
+          (inc->cost < kInf || inc->rank < g.RankOf(i, j0))) {
+        ++stats->bound_probes;
+        const double block_lb =
+            bound(resource::ResourceConfig(cs, g.NcAt(j0)),
+                  resource::ResourceConfig(cs, g.NcAt(j1 - 1)));
+        if (Prunable(block_lb, *inc, g.RankOf(i, j0))) {
+          stats->pruned += j1 - j0;
+          continue;
         }
       }
       for (int64_t j = j0; j < j1; ++j) {
@@ -281,14 +144,6 @@ void SweepRows(const ResourceCostFn& cost, const GridGeometry& g,
         ++stats->explored;
         const double c = Sanitize(cost(config));
         inc->Offer(config, c, g.RankOf(i, j));
-      }
-    }
-    if (shared_best != nullptr && inc->cost < kInf) {
-      // Publish improvements: lower shared_best to the band's best.
-      double seen = shared_best->load(std::memory_order_relaxed);
-      while (inc->cost < seen &&
-             !shared_best->compare_exchange_weak(
-                 seen, inc->cost, std::memory_order_relaxed)) {
       }
     }
   }
@@ -333,53 +188,7 @@ SwitchAwareGridResourcePlanner::PlanResourcesWithHints(
     }
   }
 
-  const bool parallel = pool_ != nullptr && pool_->size() > 1 &&
-                        cluster.TotalGridSize() >= min_parallel_cells_;
-  if (!parallel) {
-    SweepRows(cost, g, hints.box_lower_bound, block_cells_, 0, g.cs_points,
-              &inc, &stats, nullptr);
-  } else {
-    // Banded sweep: each ParallelFor chunk keeps a local incumbent (the
-    // rank rule is only valid against cells of earlier rank *within the
-    // band*, which a local incumbent guarantees) and shares evaluated
-    // costs through `shared_best` for cross-band strict pruning. Bands
-    // merge by (cost, rank), identical to the parallel brute force, so
-    // the banding — and the work-stealing chunk claim underneath — never
-    // shows in the result.
-    std::atomic<double> shared_best{inc.cost};
-    std::mutex merge_mu;
-    std::vector<BandBest> bands;
-    std::atomic<int64_t> explored_total{stats.explored};
-    std::atomic<int64_t> pruned_total{0};
-    std::atomic<int64_t> probes_total{0};
-    const ResourceBoxBoundFn& bound = hints.box_lower_bound;
-    const int64_t block_cells = block_cells_;
-    pool_->ParallelFor(g.cs_points, [&](int64_t row_begin, int64_t row_end) {
-      Incumbent local;
-      SweepStats local_stats;
-      SweepRows(cost, g, bound, block_cells, row_begin, row_end, &local,
-                &local_stats, &shared_best);
-      explored_total.fetch_add(local_stats.explored,
-                               std::memory_order_relaxed);
-      pruned_total.fetch_add(local_stats.pruned, std::memory_order_relaxed);
-      probes_total.fetch_add(local_stats.bound_probes,
-                             std::memory_order_relaxed);
-      if (local.cost < kInf) {
-        BandBest band;
-        band.config = local.config;
-        band.cost = local.cost;
-        band.rank = local.rank;
-        std::lock_guard<std::mutex> lock(merge_mu);
-        bands.push_back(band);
-      }
-    });
-    for (const BandBest& band : bands) {
-      inc.Offer(band.config, band.cost, band.rank);
-    }
-    stats.explored = explored_total.load(std::memory_order_relaxed);
-    stats.pruned = pruned_total.load(std::memory_order_relaxed);
-    stats.bound_probes = probes_total.load(std::memory_order_relaxed);
-  }
+  SweepRows(cost, g, hints.box_lower_bound, block_cells_, &inc, &stats);
 
   if (inc.cost == kInf) {
     return Status::FailedPrecondition(

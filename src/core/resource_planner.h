@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "resource/cluster_conditions.h"
 #include "resource/resource_config.h"
 
@@ -89,6 +87,9 @@ class ResourcePlanner {
 
 /// Exhaustive search over every configuration in the grid
 /// (Section VI-B.1). Optimal but expensive: cost is rp * rc evaluations.
+/// The switch-aware search returns the same answer far cheaper; this one
+/// stays as the reference it is tested against and as Figure 13's
+/// baseline.
 class BruteForceResourcePlanner : public ResourcePlanner {
  public:
   Result<ResourcePlanResult> PlanResources(
@@ -121,59 +122,10 @@ class HillClimbResourcePlanner : public ResourcePlanner {
   bool has_start_ = false;
 };
 
-/// Brute force with the rp x rc grid partitioned across a thread pool:
-/// each worker scans a contiguous band of container-size rows and keeps
-/// its local optimum; bands are merged in row-major order, so the result
-/// (config, cost, and tie-breaking) is bit-identical to
-/// BruteForceResourcePlanner while the wall clock shrinks with the
-/// worker count. The supplied cost function is invoked concurrently and
-/// must therefore be thread-safe (the learned-model objectives are: they
-/// only read immutable model weights).
-///
-/// Grids below `min_parallel_cells` (and any grid when the pool is
-/// absent or has a single worker) are scanned sequentially on the
-/// calling thread with the very same enumeration arithmetic, so the
-/// cold small-grid path can never be slower than
-/// BruteForceResourcePlanner — fan-out/join dispatch only happens where
-/// there is enough work to amortize it. The result is bit-identical
-/// either way.
-class ParallelBruteForceResourcePlanner : public ResourcePlanner {
- public:
-  /// Grids smaller than this many cells are scanned sequentially. The
-  /// paper-default 10x100 grid sits far below it on purpose: at ~1000
-  /// cheap model evaluations, fan-out costs more than it buys.
-  static constexpr int64_t kDefaultMinParallelCells = 2048;
-
-  /// Owns a private pool of `num_threads` workers. Prefer the borrowing
-  /// constructor wherever a pool already exists — per-planner pools
-  /// multiply into N x M threads when planners are themselves pooled.
-  explicit ParallelBruteForceResourcePlanner(int num_threads);
-
-  /// Borrows `pool` (must outlive the planner; nullptr degrades to the
-  /// sequential scan). Do not call PlanResources from tasks already
-  /// running on that pool.
-  explicit ParallelBruteForceResourcePlanner(ThreadPool* pool);
-
-  Result<ResourcePlanResult> PlanResources(
-      const ResourceCostFn& cost,
-      const resource::ClusterConditions& cluster) const override;
-  const char* name() const override { return "parallel-brute-force"; }
-
-  /// Adjusts the sequential-fallback threshold (cells). 0 forces the
-  /// parallel path for every grid (tests use this to exercise it).
-  void set_min_parallel_cells(int64_t cells) { min_parallel_cells_ = cells; }
-  int64_t min_parallel_cells() const { return min_parallel_cells_; }
-
- private:
-  ThreadPool* pool_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  int64_t min_parallel_cells_ = kDefaultMinParallelCells;
-};
-
 /// The switch-point-aware incremental grid search: exhaustive-equivalent
 /// (bit-identical winner, cost, and tie-break to
 /// BruteForceResourcePlanner) but typically evaluating a small fraction
-/// of the grid. Three mechanisms compose:
+/// of the grid. Two mechanisms compose:
 ///
 ///   1. *Warm start / join-plan reuse*: the previous search's optimum is
 ///      re-costed first and seeds the incumbent. The paper's Fig. 4/9
@@ -185,11 +137,6 @@ class ParallelBruteForceResourcePlanner : public ResourcePlanner {
 ///      when a sound lower bound (hints.box_lower_bound, built from the
 ///      validated-monotone cost model) shows it cannot beat — or
 ///      cannot earlier-rank-tie — the incumbent.
-///   3. On grids of at least `min_parallel_cells` with a pool attached,
-///      rows fan out over ParallelFor; bands prune against their local
-///      incumbent plus a shared atomic best-cost (strict rule only —
-///      stale reads prune less, never wrong), and band results merge by
-///      (cost, rank) exactly like the parallel brute force.
 ///
 /// The tie-break is load-bearing: the cost model clamps predictions at a
 /// floor, so large equal-cost plateaus are common and "first cell in
@@ -199,19 +146,13 @@ class ParallelBruteForceResourcePlanner : public ResourcePlanner {
 /// the incumbent's cell. Soundness argument: docs/PERF.md.
 ///
 /// Without hints this degrades to the plain exhaustive scan (still
-/// bit-identical). The cost function must be thread-safe when a pool is
-/// attached.
+/// bit-identical).
 class SwitchAwareGridResourcePlanner : public ResourcePlanner {
  public:
   /// Cells per pruning block within a row. Small enough that one
   /// surviving block costs little to scan, large enough that bound
   /// probes (~4 model evaluations each) amortize.
   static constexpr int64_t kDefaultBlockCells = 16;
-
-  /// `pool` may be nullptr (sequential always); borrowed, must outlive
-  /// the planner.
-  explicit SwitchAwareGridResourcePlanner(ThreadPool* pool = nullptr)
-      : pool_(pool) {}
 
   Result<ResourcePlanResult> PlanResources(
       const ResourceCostFn& cost,
@@ -224,17 +165,13 @@ class SwitchAwareGridResourcePlanner : public ResourcePlanner {
 
   const char* name() const override { return "switch-aware-grid"; }
 
-  /// Grids below this many cells are swept on the calling thread even
-  /// when a pool is attached (same default as the parallel brute force).
-  void set_min_parallel_cells(int64_t cells) { min_parallel_cells_ = cells; }
+  /// Overrides kDefaultBlockCells (clamped to at least 1). The result
+  /// is bit-identical for every block size; only the work changes.
   void set_block_cells(int64_t cells) {
     block_cells_ = cells < 1 ? 1 : cells;
   }
 
  private:
-  ThreadPool* pool_;
-  int64_t min_parallel_cells_ =
-      ParallelBruteForceResourcePlanner::kDefaultMinParallelCells;
   int64_t block_cells_ = kDefaultBlockCells;
 };
 

@@ -88,7 +88,9 @@ struct PlanRequest {
 
   /// Planner knobs; empty/unset fields keep the server defaults.
   std::string algorithm;  ///< "", "selinger", or "randomized"
-  std::string search;     ///< "", "grid", "hillclimb", "accelerated", "parallel"
+  /// "", "grid" (the exact switch-aware search), "hillclimb", or
+  /// "accelerated".
+  std::string search;
   bool has_use_cache = false;
   bool use_cache = false;
   bool has_time_weight = false;

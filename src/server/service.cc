@@ -27,17 +27,14 @@ Status ApplyKnobs(const PlanRequest& request,
                                    "' (selinger | randomized)");
   }
   if (request.search == "grid") {
-    options->evaluator.search = core::ResourceSearch::kBruteForce;
+    options->evaluator.search = core::ResourceSearch::kSwitchAwareGrid;
   } else if (request.search == "hillclimb") {
     options->evaluator.search = core::ResourceSearch::kHillClimb;
   } else if (request.search == "accelerated") {
     options->evaluator.search = core::ResourceSearch::kAcceleratedHillClimb;
-  } else if (request.search == "parallel") {
-    options->evaluator.search = core::ResourceSearch::kParallelBruteForce;
   } else if (!request.search.empty()) {
-    return Status::InvalidArgument(
-        "unknown search knob '" + request.search +
-        "' (grid | hillclimb | accelerated | parallel)");
+    return Status::InvalidArgument("unknown search knob '" + request.search +
+                                   "' (grid | hillclimb | accelerated)");
   }
   if (request.has_use_cache) {
     options->evaluator.use_cache = request.use_cache;
@@ -46,7 +43,11 @@ Status ApplyKnobs(const PlanRequest& request,
     if (request.time_weight < 0.0 || request.time_weight > 1.0) {
       return Status::InvalidArgument("time_weight must be in [0, 1]");
     }
+    // One objective end to end: resources and join order are both
+    // chosen for the requested time/money mix.
     options->evaluator.time_weight = request.time_weight;
+    options->selinger.time_weight = request.time_weight;
+    options->randomized.time_weight = request.time_weight;
   }
   return Status::OK();
 }
@@ -73,14 +74,6 @@ PlanningService::PlanningService(const catalog::Catalog* catalog,
         options_.planner.evaluator.cache_index,
         std::max<size_t>(1, options_.cache_shards));
   }
-}
-
-ThreadPool* PlanningService::SearchPool() const {
-  std::call_once(search_pool_once_, [this] {
-    search_pool_ = std::make_unique<ThreadPool>(std::max(
-        1, options_.planner.evaluator.parallel_search_threads));
-  });
-  return search_pool_.get();
 }
 
 PlanResponse PlanningService::Handle(const PlanRequest& request) const {
@@ -142,14 +135,6 @@ PlanResponse PlanningService::Handle(const PlanRequest& request) const {
   if (Status knobs = ApplyKnobs(request, &planner_options); !knobs.ok()) {
     return FromStatus(knobs, request.id);
   }
-  if (planner_options.evaluator.search ==
-          core::ResourceSearch::kParallelBruteForce &&
-      planner_options.evaluator.search_pool == nullptr) {
-    // All "parallel" requests share the service's search pool instead of
-    // spawning (and joining) a private one per request.
-    planner_options.evaluator.search_pool = SearchPool();
-  }
-
   core::RaqoPlanner planner(catalog, models_, cluster_, pricing_,
                             planner_options);
   if (shared_cache_ != nullptr && planner_options.evaluator.use_cache) {

@@ -2,11 +2,9 @@
 #define RAQO_SERVER_SERVICE_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "core/plan_cache.h"
 #include "core/raqo_planner.h"
 #include "server/protocol.h"
@@ -67,22 +65,12 @@ class PlanningService {
   /// cache_load: inserts a peer's chunk into the shared cache.
   PlanResponse HandleCacheLoad(const PlanRequest& request) const;
 
-  /// The service-wide resource-search pool, built lazily by the first
-  /// request whose search resolves to kParallelBruteForce (Handle is
-  /// const and concurrent, hence call_once). Every request-scoped
-  /// planner borrows this one pool: without it, each "parallel" request
-  /// would spawn and join a private pool — per request, on top of the
-  /// server's reactor threads.
-  ThreadPool* SearchPool() const;
-
   const catalog::Catalog* catalog_;
   cost::JoinCostModels models_;
   resource::ClusterConditions cluster_;
   resource::PricingModel pricing_;
   PlanningServiceOptions options_;
   std::shared_ptr<core::ResourcePlanCache> shared_cache_;
-  mutable std::once_flag search_pool_once_;
-  mutable std::unique_ptr<ThreadPool> search_pool_;
 };
 
 }  // namespace raqo::server

@@ -1,6 +1,6 @@
 // Concurrency invariants of the planning service layer: the thread
-// pool, the sharded thread-safe resource-plan cache, the parallel
-// brute-force resource planner, and the concurrent workload runner.
+// pool, the sharded thread-safe resource-plan cache, and the concurrent
+// workload runner.
 // Every property here must hold under any thread interleaving; run the
 // suite under -DRAQO_SANITIZE=thread to let TSan check the data-race
 // side of that claim (see docs/CONCURRENCY.md).
@@ -11,9 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
-#include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +25,6 @@
 #include "common/thread_pool.h"
 #include "core/concurrent_workload_runner.h"
 #include "core/plan_cache.h"
-#include "core/resource_planner.h"
 #include "core/workload_runner.h"
 #include "sim/profile_runner.h"
 
@@ -61,27 +57,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> visits(1000);
-  pool.ParallelFor(1000, [&](int64_t begin, int64_t end) {
-    ASSERT_LE(begin, end);
-    for (int64_t i = begin; i < end; ++i) {
-      visits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  // Degenerate sizes.
-  pool.ParallelFor(0, [](int64_t, int64_t) { FAIL(); });
-  std::atomic<int> ones{0};
-  pool.ParallelFor(1, [&](int64_t begin, int64_t end) {
-    EXPECT_EQ(begin, 0);
-    EXPECT_EQ(end, 1);
-    ones.fetch_add(1);
-  });
-  EXPECT_EQ(ones.load(), 1);
-}
-
 TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
   std::atomic<int> counter{0};
   {
@@ -91,42 +66,6 @@ TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
     }
   }  // destructor joins after draining the queue
   EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelForRethrowsTheFirstChunkFailure) {
-  ThreadPool pool(3);
-  // Every other chunk still runs; the caller sees one of the failures
-  // rethrown (the first to be recorded) instead of a hang or a crash.
-  std::atomic<int64_t> covered{0};
-  EXPECT_THROW(
-      pool.ParallelFor(100,
-                       [&](int64_t begin, int64_t end) {
-                         covered.fetch_add(end - begin);
-                         if (begin == 0) throw std::runtime_error("chunk 0");
-                       }),
-      std::runtime_error);
-  EXPECT_EQ(covered.load(), 100);
-  // The pool survives a throwing job and keeps serving.
-  std::atomic<int> after{0};
-  pool.ParallelFor(10, [&](int64_t begin, int64_t end) {
-    after.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(after.load(), 10);
-}
-
-TEST(ThreadPoolTest, ParallelForReusesThePoolAcrossManySmallJobs) {
-  // The completion-latch fan-out must stay correct under rapid reuse:
-  // many back-to-back ParallelFor calls on one pool, each fully covering
-  // its range exactly once.
-  ThreadPool pool(4);
-  for (int round = 0; round < 200; ++round) {
-    std::atomic<int64_t> sum{0};
-    const int64_t n = 1 + (round % 17);
-    pool.ParallelFor(n, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) sum.fetch_add(i + 1);
-    });
-    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -311,185 +250,6 @@ TEST(ConcurrentCacheTest, ExactModeGuardsTheFullDataCharacteristic) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel brute force (satellite property (b)): identical optimum and
-// an exact rp * rc exploration count.
-
-TEST(ParallelBruteForceTest, MatchesSequentialBruteForceExactly) {
-  Rng rng(1234);
-  for (int trial = 0; trial < 20; ++trial) {
-    const double max_cs = rng.Uniform(2.0, 16.0);
-    const double max_nc = static_cast<double>(rng.UniformInt(2, 300));
-    const double step_cs = rng.Uniform(0.5, 2.0);
-    const double step_nc = static_cast<double>(rng.UniformInt(1, 5));
-    const resource::ClusterConditions cluster =
-        *resource::ClusterConditions::Create(
-            resource::ResourceConfig(1.0, 1.0),
-            resource::ResourceConfig(max_cs, max_nc),
-            resource::ResourceConfig(step_cs, step_nc));
-    // A deterministic objective with a non-trivial landscape.
-    const double a = rng.Uniform(1.0, max_cs);
-    const double b = rng.Uniform(1.0, max_nc);
-    auto objective = [a, b](const resource::ResourceConfig& c) {
-      return std::fabs(c.container_size_gb() - a) * 3.0 +
-             std::fabs(c.num_containers() - b) * 0.25 +
-             std::sin(c.container_size_gb() * c.num_containers());
-    };
-    const auto sequential =
-        core::BruteForceResourcePlanner().PlanResources(objective, cluster);
-    for (int threads : {1, 2, 4, 8}) {
-      core::ParallelBruteForceResourcePlanner parallel(threads);
-      const auto result = parallel.PlanResources(objective, cluster);
-      ASSERT_TRUE(result.ok());
-      ASSERT_TRUE(sequential.ok());
-      EXPECT_EQ(result->cost, sequential->cost);
-      EXPECT_EQ(result->config, sequential->config);
-      EXPECT_EQ(result->configs_explored, cluster.TotalGridSize());
-      EXPECT_EQ(result->configs_explored, sequential->configs_explored);
-    }
-  }
-}
-
-TEST(ParallelBruteForceTest, TieBreaksLikeTheSequentialScan) {
-  // A flat objective makes every cell optimal; the sequential scan keeps
-  // the first cell in row-major order, and the parallel merge must too.
-  const resource::ClusterConditions cluster =
-      resource::ClusterConditions::WithMax(8.0, 40.0);
-  auto flat = [](const resource::ResourceConfig&) { return 7.0; };
-  const auto sequential =
-      core::BruteForceResourcePlanner().PlanResources(flat, cluster);
-  core::ParallelBruteForceResourcePlanner parallel(4);
-  const auto result = parallel.PlanResources(flat, cluster);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->config, sequential->config);
-}
-
-TEST(ParallelBruteForceTest, ReportsInfeasibleGrids) {
-  const resource::ClusterConditions cluster =
-      resource::ClusterConditions::WithMax(4.0, 10.0);
-  auto infeasible = [](const resource::ResourceConfig&) {
-    return std::numeric_limits<double>::infinity();
-  };
-  core::ParallelBruteForceResourcePlanner parallel(4);
-  const auto result = parallel.PlanResources(infeasible, cluster);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsFailedPrecondition());
-}
-
-TEST(ParallelBruteForceTest, WorksAsEvaluatorSearchStrategy) {
-  // End-to-end: the kParallelBruteForce search inside RaqoPlanner picks
-  // the same joint plan as sequential brute force.
-  catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
-  const std::vector<TableId> tables =
-      *catalog::TpchQueryTables(cat, TpchQuery::kQ3);
-  core::RaqoPlannerOptions seq_options;
-  seq_options.evaluator.search = core::ResourceSearch::kBruteForce;
-  core::RaqoPlannerOptions par_options;
-  par_options.evaluator.search = core::ResourceSearch::kParallelBruteForce;
-  par_options.evaluator.parallel_search_threads = 4;
-  core::RaqoPlanner sequential(&cat, Models(),
-                               resource::ClusterConditions::PaperDefault(),
-                               resource::PricingModel(), seq_options);
-  core::RaqoPlanner parallel(&cat, Models(),
-                             resource::ClusterConditions::PaperDefault(),
-                             resource::PricingModel(), par_options);
-  const Result<core::JointPlan> a = sequential.Plan(tables);
-  const Result<core::JointPlan> b = parallel.Plan(tables);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->cost.seconds, b->cost.seconds);
-  EXPECT_EQ(a->cost.dollars, b->cost.dollars);
-  EXPECT_TRUE(a->plan->StructurallyEquals(*b->plan));
-  EXPECT_EQ(a->stats.resource_configs_explored,
-            b->stats.resource_configs_explored);
-}
-
-TEST(ParallelBruteForceTest, SmallGridsScanInlineOnTheCallingThread) {
-  // The paper-default 10x100 grid sits below min_parallel_cells: the
-  // planner must scan it on the calling thread without touching the
-  // pool, so the cold path never pays fan-out/join dispatch for ~1000
-  // cheap model evaluations.
-  const resource::ClusterConditions cluster =
-      resource::ClusterConditions::PaperDefault();
-  ASSERT_LT(cluster.TotalGridSize(),
-            core::ParallelBruteForceResourcePlanner::kDefaultMinParallelCells);
-  core::ParallelBruteForceResourcePlanner parallel(4);
-  std::mutex mu;
-  std::set<std::thread::id> evaluator_threads;
-  auto objective = [&](const resource::ResourceConfig& c) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      evaluator_threads.insert(std::this_thread::get_id());
-    }
-    return c.container_size_gb() + c.num_containers();
-  };
-  const auto result = parallel.PlanResources(objective, cluster);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->configs_explored, cluster.TotalGridSize());
-  EXPECT_EQ(evaluator_threads.size(), 1u);
-  EXPECT_EQ(*evaluator_threads.begin(), std::this_thread::get_id());
-}
-
-TEST(ParallelBruteForceTest, ForcedParallelPathMatchesSequentialOnSmallGrids) {
-  // min_parallel_cells = 0 pushes even tiny grids through the pooled
-  // fan-out (this is also what keeps the parallel path under TSan
-  // coverage no matter the grid sizes other tests happen to draw).
-  Rng rng(77);
-  for (int trial = 0; trial < 8; ++trial) {
-    const resource::ClusterConditions cluster =
-        *resource::ClusterConditions::Create(
-            resource::ResourceConfig(1.0, 1.0),
-            resource::ResourceConfig(rng.Uniform(2.0, 10.0),
-                                     static_cast<double>(
-                                         rng.UniformInt(2, 50))),
-            resource::ResourceConfig(1.0, 1.0));
-    const double a = rng.Uniform(1.0, 10.0);
-    auto objective = [a](const resource::ResourceConfig& c) {
-      return std::fabs(c.container_size_gb() - a) +
-             0.01 * c.num_containers();
-    };
-    const auto sequential =
-        core::BruteForceResourcePlanner().PlanResources(objective, cluster);
-    core::ParallelBruteForceResourcePlanner parallel(4);
-    parallel.set_min_parallel_cells(0);
-    const auto result = parallel.PlanResources(objective, cluster);
-    ASSERT_TRUE(result.ok());
-    ASSERT_TRUE(sequential.ok());
-    EXPECT_EQ(result->cost, sequential->cost);
-    EXPECT_EQ(result->config, sequential->config);
-    EXPECT_EQ(result->configs_explored, sequential->configs_explored);
-  }
-}
-
-TEST(ParallelBruteForceTest, BorrowedPoolIsSharedAcrossPlanners) {
-  // Many planners borrowing one pool must all produce the sequential
-  // optimum — the pool-sharing shape the runner and the server use.
-  ThreadPool pool(4);
-  const resource::ClusterConditions cluster =
-      resource::ClusterConditions::WithMax(8.0, 400.0);
-  auto objective = [](const resource::ResourceConfig& c) {
-    return std::fabs(c.container_size_gb() - 5.0) * 2.0 +
-           std::fabs(c.num_containers() - 123.0) * 0.5;
-  };
-  const auto sequential =
-      core::BruteForceResourcePlanner().PlanResources(objective, cluster);
-  ASSERT_TRUE(sequential.ok());
-  for (int i = 0; i < 4; ++i) {
-    core::ParallelBruteForceResourcePlanner planner(&pool);
-    planner.set_min_parallel_cells(0);
-    const auto result = planner.PlanResources(objective, cluster);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->cost, sequential->cost);
-    EXPECT_EQ(result->config, sequential->config);
-  }
-  // A null borrowed pool degrades to the sequential scan.
-  core::ParallelBruteForceResourcePlanner unpooled(nullptr);
-  unpooled.set_min_parallel_cells(0);
-  const auto result = unpooled.PlanResources(objective, cluster);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->config, sequential->config);
-}
-
-// ---------------------------------------------------------------------
 // Concurrent workload runner (satellite property (a)): report equals
 // the sequential runner's, merged in submission order.
 
@@ -566,10 +326,12 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
   schema.seed = 11;
   catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
   // Heavy repetition so the shared cache actually gets hit across
-  // workers.
+  // workers: the run must last long enough for the pool's workers to
+  // join even on a loaded host, or the calling thread (worker 0) can
+  // plan every query itself and only ever hit its private staging memo.
   std::vector<core::WorkloadQuery> workload = RandomWorkload(cat, 8, 21);
   const size_t unique = workload.size();
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 12; ++rep) {
     for (size_t i = 0; i < unique; ++i) {
       core::WorkloadQuery copy = workload[i];
       copy.label += "-rep" + std::to_string(rep);
@@ -827,9 +589,8 @@ TEST(WriteBehindCacheTest, BatchedAndWriteThroughPlansAndCachesMatch) {
 }
 
 // ---------------------------------------------------------------------
-// Thread accounting: the shared-pool architecture must not multiply
-// planner workers by search threads (the N x M oversubscription this
-// layer once had), and repeated Run calls must not spawn anything.
+// Thread accounting: the runner's worker pool is its only source of
+// threads, and repeated Run calls must not spawn anything.
 
 #ifdef __linux__
 int CountProcessThreads() {
@@ -842,7 +603,7 @@ int CountProcessThreads() {
   return count;
 }
 
-TEST(ThreadAccountingTest, RunnerSharesOneSearchPoolAcrossWorkers) {
+TEST(ThreadAccountingTest, RunnerCreatesOnlyItsWorkerPool) {
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
   std::vector<core::WorkloadQuery> workload = {
       {"Q3", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
@@ -851,9 +612,6 @@ TEST(ThreadAccountingTest, RunnerSharesOneSearchPoolAcrossWorkers) {
       {"Q3-again", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
   };
   core::RaqoPlannerOptions planner_options = ServiceOptions(true);
-  planner_options.evaluator.search =
-      core::ResourceSearch::kParallelBruteForce;
-  planner_options.evaluator.parallel_search_threads = 4;
   core::ConcurrentRunnerOptions concurrency;
   concurrency.num_threads = 4;
 
@@ -862,15 +620,15 @@ TEST(ThreadAccountingTest, RunnerSharesOneSearchPoolAcrossWorkers) {
       &cat, Models(), resource::ClusterConditions::PaperDefault(),
       resource::PricingModel(), planner_options, concurrency);
   const int after_ctor = CountProcessThreads();
-  // Exactly one worker pool (num_threads - 1: the caller is worker 0)
-  // plus one shared search pool — NOT num_threads * search_threads.
-  EXPECT_EQ(after_ctor - before, (4 - 1) + 4);
+  // Exactly one worker pool (num_threads - 1: the caller is worker 0);
+  // resource searches run on the workers, so there is no search pool.
+  EXPECT_EQ(after_ctor - before, 4 - 1);
 
   const Result<core::WorkloadReport> first = service.Run(workload);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(CountProcessThreads(), after_ctor) << "Run spawned threads";
 
-  // Reuse: a second Run on the same planners and pools returns the same
+  // Reuse: a second Run on the same planners and pool returns the same
   // plans (the shared exact cache may serve more hits, which must not
   // change any plan).
   const Result<core::WorkloadReport> second = service.Run(workload);
@@ -890,20 +648,6 @@ TEST(ThreadAccountingTest, RunnerSharesOneSearchPoolAcrossWorkers) {
                 first->queries[i].join_resources[j]);
     }
   }
-}
-
-TEST(ThreadAccountingTest, SequentialPlannersStillOwnPrivatePools) {
-  // Without an injected pool the evaluator falls back to an owned pool —
-  // the single-planner ergonomics are unchanged.
-  catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
-  core::RaqoPlannerOptions options;
-  options.evaluator.search = core::ResourceSearch::kParallelBruteForce;
-  options.evaluator.parallel_search_threads = 3;
-  const int before = CountProcessThreads();
-  core::RaqoPlanner planner(&cat, Models(),
-                            resource::ClusterConditions::PaperDefault(),
-                            resource::PricingModel(), options);
-  EXPECT_EQ(CountProcessThreads() - before, 3);
 }
 #endif  // __linux__
 

@@ -158,8 +158,11 @@ TEST_F(EndToEndTest, ResourcePlannedJoinNearGridOptimum) {
   // the simulator's true optimum over the whole grid: the chosen
   // configuration must be close in *simulated* time (the cost model is
   // only an approximation of the simulator).
+  core::RaqoEvaluatorOptions hill_climb;
+  hill_climb.search = core::ResourceSearch::kHillClimb;
   core::RaqoCostEvaluator eval(models_,
-                               resource::ClusterConditions::PaperDefault());
+                               resource::ClusterConditions::PaperDefault(),
+                               resource::PricingModel(), hill_climb);
   optimizer::JoinContext ctx;
   ctx.impl = plan::JoinImpl::kSortMergeJoin;
   ctx.left_bytes = catalog::GbToBytes(5.0);

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "catalog/random_schema.h"
+#include "catalog/tpch.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/concurrent_workload_runner.h"
@@ -239,6 +243,110 @@ TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
       EXPECT_EQ(par->queries[i].join_resources[j],
                 seq->queries[i].join_resources[j]);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Metamorphic properties of the default, exact resource search: over
+// the four TPC-H queries and 34 random 10-table schemas per seed, the
+// optimal joint cost must not depend on the order the tables are listed
+// in, must never rise when the resource grid grows, and must be
+// reproduced bit-for-bit by planning resources for the chosen plan.
+
+struct MetamorphicCase {
+  std::string label;
+  std::shared_ptr<const catalog::Catalog> catalog;
+  std::vector<TableId> tables;
+};
+
+std::vector<MetamorphicCase> MetamorphicCases(uint64_t seed) {
+  std::vector<MetamorphicCase> cases;
+  auto tpch = std::make_shared<const catalog::Catalog>(
+      catalog::BuildTpchCatalog(100.0));
+  for (catalog::TpchQuery query :
+       {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
+        catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
+    cases.push_back({catalog::TpchQueryName(query), tpch,
+                     *catalog::TpchQueryTables(*tpch, query)});
+  }
+  Rng rng(seed * 7 + 1);
+  for (int trial = 0; trial < 34; ++trial) {
+    catalog::RandomSchemaOptions schema;
+    schema.num_tables = 10;
+    schema.seed = seed * 1000 + static_cast<uint64_t>(trial);
+    auto cat = std::make_shared<const catalog::Catalog>(
+        *catalog::BuildRandomCatalog(schema));
+    std::vector<TableId> tables = *catalog::RandomQueryTables(
+        *cat, static_cast<int>(rng.UniformInt(2, 8)), schema.seed * 31 + 1);
+    cases.push_back({"random schema " + std::to_string(schema.seed),
+                     std::move(cat), std::move(tables)});
+  }
+  return cases;
+}
+
+const cost::JoinCostModels& HiveModels() {
+  static const cost::JoinCostModels* models = new cost::JoinCostModels(
+      *sim::TrainModelsFromSimulator(sim::EngineProfile::Hive()));
+  return *models;
+}
+
+TEST_P(SeededPropertyTest, TableOrderNeverChangesOptimalCost) {
+  Rng rng(GetParam() + 3);
+  for (const MetamorphicCase& c : MetamorphicCases(GetParam())) {
+    core::RaqoPlanner planner(c.catalog.get(), HiveModels(),
+                              resource::ClusterConditions::PaperDefault());
+    const Result<core::JointPlan> listed = planner.Plan(c.tables);
+    ASSERT_TRUE(listed.ok()) << c.label << ": " << listed.status().ToString();
+    std::vector<TableId> permuted = c.tables;
+    for (size_t i = permuted.size(); i > 1; --i) {
+      std::swap(permuted[i - 1],
+                permuted[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(i) - 1))]);
+    }
+    const Result<core::JointPlan> shuffled = planner.Plan(permuted);
+    ASSERT_TRUE(shuffled.ok()) << c.label;
+    EXPECT_EQ(shuffled->cost.seconds, listed->cost.seconds) << c.label;
+    EXPECT_EQ(shuffled->cost.dollars, listed->cost.dollars) << c.label;
+  }
+}
+
+TEST_P(SeededPropertyTest, LargerGridNeverRaisesOptimalCost) {
+  Rng rng(GetParam() + 5);
+  for (const MetamorphicCase& c : MetamorphicCases(GetParam())) {
+    // Unit minima and steps on both grids; only the maxima grow.
+    const double cs = static_cast<double>(rng.UniformInt(2, 10));
+    const double nc = static_cast<double>(rng.UniformInt(10, 100));
+    const resource::ClusterConditions grid =
+        resource::ClusterConditions::WithMax(cs, nc);
+    const resource::ClusterConditions superset =
+        resource::ClusterConditions::WithMax(
+            cs + static_cast<double>(rng.UniformInt(0, 6)),
+            nc + static_cast<double>(rng.UniformInt(1, 100)));
+    core::RaqoPlanner small(c.catalog.get(), HiveModels(), grid);
+    core::RaqoPlanner large(c.catalog.get(), HiveModels(), superset);
+    const Result<core::JointPlan> on_small = small.Plan(c.tables);
+    const Result<core::JointPlan> on_large = large.Plan(c.tables);
+    ASSERT_TRUE(on_small.ok()) << c.label << ": "
+                               << on_small.status().ToString();
+    ASSERT_TRUE(on_large.ok()) << c.label;
+    EXPECT_LE(on_large->cost.seconds, on_small->cost.seconds)
+        << c.label << " on " << grid.ToString() << " vs "
+        << superset.ToString();
+  }
+}
+
+TEST_P(SeededPropertyTest, ReplanningResourcesReproducesOptimalCost) {
+  for (const MetamorphicCase& c : MetamorphicCases(GetParam())) {
+    core::RaqoPlanner planner(c.catalog.get(), HiveModels(),
+                              resource::ClusterConditions::PaperDefault());
+    const Result<core::JointPlan> joint = planner.Plan(c.tables);
+    ASSERT_TRUE(joint.ok()) << c.label << ": " << joint.status().ToString();
+    const Result<core::JointPlan> replanned =
+        planner.PlanResourcesForPlan(*joint->plan);
+    ASSERT_TRUE(replanned.ok()) << c.label << ": "
+                                << replanned.status().ToString();
+    EXPECT_EQ(replanned->cost.seconds, joint->cost.seconds) << c.label;
+    EXPECT_EQ(replanned->cost.dollars, joint->cost.dollars) << c.label;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "catalog/tpch.h"
 #include "core/raqo_cost_evaluator.h"
 #include "core/raqo_planner.h"
@@ -40,10 +42,17 @@ TEST(RaqoEvaluatorTest, PlansResourcesPerOperator) {
   EXPECT_GT(eval.resource_configs_explored(), 1);
 }
 
+RaqoEvaluatorOptions HillClimbOptions() {
+  RaqoEvaluatorOptions options;
+  options.search = ResourceSearch::kHillClimb;
+  return options;
+}
+
 TEST(RaqoEvaluatorTest, HillClimbCheaperThanFixedDefault) {
   // Resource-planned SMJ must be no worse than the same operator under an
   // arbitrary fixed configuration — that is the point of RAQO.
-  RaqoCostEvaluator raqo(SimModels(), ClusterConditions::PaperDefault());
+  RaqoCostEvaluator raqo(SimModels(), ClusterConditions::PaperDefault(),
+                         resource::PricingModel(), HillClimbOptions());
   optimizer::FixedResourceEvaluator fixed(SimModels(),
                                           ResourceConfig(2, 10));
   auto planned = raqo.CostJoin(Ctx(plan::JoinImpl::kSortMergeJoin, 3, 30));
@@ -58,7 +67,8 @@ TEST(RaqoEvaluatorTest, BruteForceMatchesOrBeatsHillClimb) {
   brute_options.search = ResourceSearch::kBruteForce;
   RaqoCostEvaluator brute(SimModels(), ClusterConditions::PaperDefault(),
                           resource::PricingModel(), brute_options);
-  RaqoCostEvaluator hill(SimModels(), ClusterConditions::PaperDefault());
+  RaqoCostEvaluator hill(SimModels(), ClusterConditions::PaperDefault(),
+                         resource::PricingModel(), HillClimbOptions());
   const auto ctx = Ctx(plan::JoinImpl::kBroadcastHashJoin, 2, 40);
   auto b = brute.CostJoin(ctx);
   auto h = hill.CostJoin(ctx);
@@ -67,6 +77,37 @@ TEST(RaqoEvaluatorTest, BruteForceMatchesOrBeatsHillClimb) {
   EXPECT_LE(b->cost.seconds, h->cost.seconds + 1e-9);
   EXPECT_GT(brute.resource_configs_explored(),
             hill.resource_configs_explored());
+}
+
+TEST(RaqoEvaluatorTest, BoundOraclesWaitForTheFirstSearch) {
+  // The server builds an evaluator per request; one answered wholly
+  // from the shared cache must not pay for validating the bound oracles.
+  RaqoEvaluatorOptions options;
+  options.use_cache = true;
+  options.cache_mode = CacheLookupMode::kExact;
+  auto shared = std::make_shared<ResourcePlanCache>(
+      CacheLookupMode::kExact, 0.0, CacheIndexKind::kSortedArray, 1);
+  const auto ctx = Ctx(plan::JoinImpl::kSortMergeJoin, 3, 30);
+
+  RaqoCostEvaluator first(SimModels(), ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), options);
+  first.ShareCache(shared);
+  EXPECT_FALSE(first.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
+  auto computed = first.CostJoin(ctx);
+  ASSERT_TRUE(computed.ok());
+  EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
+  EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
+  first.FlushSharedCacheInserts();
+
+  RaqoCostEvaluator second(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+  second.ShareCache(shared);
+  auto hit = second.CostJoin(ctx);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->cost.seconds, computed->cost.seconds);
+  EXPECT_EQ(second.resource_configs_explored(), 0);
+  EXPECT_FALSE(second.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
+  EXPECT_FALSE(second.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
 }
 
 TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {

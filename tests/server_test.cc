@@ -300,6 +300,13 @@ TEST(PlanningServiceTest, ReportsUnknownTablesAndKnobs) {
   bad_weight.has_time_weight = true;
   bad_weight.time_weight = 1.5;
   EXPECT_EQ(service.Handle(bad_weight).status, "INVALID_ARGUMENT");
+
+  // Resource searches run on the request's worker; there is no parallel
+  // search to select.
+  PlanRequest parallel;
+  parallel.tables = {"orders", "lineitem"};
+  parallel.search = "parallel";
+  EXPECT_EQ(service.Handle(parallel).status, "INVALID_ARGUMENT");
 }
 
 TEST(PlanningServiceTest, OversizedSqlIsRejectedCleanly) {
@@ -311,51 +318,76 @@ TEST(PlanningServiceTest, OversizedSqlIsRejectedCleanly) {
   EXPECT_NE(response.error.find("exceeds"), std::string::npos);
 }
 
-#ifdef __linux__
-TEST(PlanningServiceTest, ParallelSearchRequestsShareOneServicePool) {
-  // The resource-search pool is built lazily by the first "parallel"
-  // request and shared by every later one: the thread count grows once
-  // by parallel_search_threads, then stays flat no matter how many
-  // parallel requests are handled — never a pool per request.
+TEST(PlanningServiceTest, GridKnobRunsTheExactSwitchAwareSearch) {
+  // "grid" must return brute force's exact answer from a fraction of
+  // its cell evaluations.
   PlanningService service = MakeService();
-  auto count_threads = [] {
-    int count = 0;
-    for (const auto& entry :
-         std::filesystem::directory_iterator("/proc/self/task")) {
-      (void)entry;
-      ++count;
-    }
-    return count;
-  };
+  const catalog::Catalog& catalog = TestCatalog();
   PlanRequest request;
   request.tables = {"orders", "lineitem", "customer"};
-  request.search = "parallel";
+  request.search = "grid";
+  request.has_use_cache = true;
+  request.use_cache = false;
+  const PlanResponse response = service.Handle(request);
+  ASSERT_TRUE(response.ok()) << response.status << ": " << response.error;
 
-  const int before = count_threads();
-  PlanResponse first = service.Handle(request);
-  ASSERT_TRUE(first.ok()) << first.status << ": " << first.error;
-  const int after_first = count_threads();
-  EXPECT_EQ(after_first - before,
-            service.options().planner.evaluator.parallel_search_threads);
-
-  for (int i = 0; i < 4; ++i) {
-    PlanResponse next = service.Handle(request);
-    ASSERT_TRUE(next.ok()) << next.status << ": " << next.error;
+  core::RaqoPlannerOptions brute_options = TestPlannerOptions();
+  brute_options.evaluator.use_cache = false;
+  brute_options.evaluator.search = core::ResourceSearch::kBruteForce;
+  core::RaqoPlanner brute(&catalog, Models(),
+                          resource::ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), brute_options);
+  std::vector<catalog::TableId> tables;
+  for (const std::string& name : request.tables) {
+    tables.push_back(*catalog.FindTable(name));
   }
-  EXPECT_EQ(count_threads(), after_first);
-
-  // And the answers match the default sequential grid search exactly.
-  PlanRequest grid = request;
-  grid.search = "grid";
-  PlanResponse sequential = service.Handle(grid);
-  PlanResponse parallel = service.Handle(request);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(sequential.plan, parallel.plan);
-  EXPECT_EQ(sequential.cost.seconds, parallel.cost.seconds);
-  EXPECT_EQ(sequential.cost.dollars, parallel.cost.dollars);
+  const Result<core::JointPlan> expected = brute.Plan(tables);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(response.plan, expected->plan->ToString(&catalog));
+  EXPECT_EQ(response.cost.seconds, expected->cost.seconds);
+  EXPECT_EQ(response.cost.dollars, expected->cost.dollars);
+  EXPECT_LT(response.stats.resource_configs_explored,
+            expected->stats.resource_configs_explored);
 }
-#endif  // __linux__
+
+TEST(PlanningServiceTest, TimeWeightKnobAlsoRanksJoinOrders) {
+  // time_weight must steer join ordering, not only each join's resource
+  // search: a request must get exactly the plan a direct planner returns
+  // with both weights set. Ranking join orders by time alone makes Q3,
+  // Q2 and All costlier in dollars.
+  PlanningService service = MakeService();
+  const catalog::Catalog& catalog = TestCatalog();
+  core::RaqoPlannerOptions direct_options = TestPlannerOptions();
+  direct_options.evaluator.use_cache = false;
+  direct_options.evaluator.time_weight = 0.0;
+  direct_options.selinger.time_weight = 0.0;
+  for (catalog::TpchQuery query :
+       {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
+        catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
+    const std::vector<catalog::TableId> tables =
+        *catalog::TpchQueryTables(catalog, query);
+    PlanRequest request;
+    for (catalog::TableId id : tables) {
+      request.tables.push_back(catalog.table(id).name);
+    }
+    request.has_use_cache = true;
+    request.use_cache = false;
+    request.has_time_weight = true;
+    request.time_weight = 0.0;
+    const PlanResponse response = service.Handle(request);
+    ASSERT_TRUE(response.ok()) << response.status << ": " << response.error;
+
+    core::RaqoPlanner direct(&catalog, Models(),
+                             resource::ClusterConditions::PaperDefault(),
+                             resource::PricingModel(), direct_options);
+    const Result<core::JointPlan> expected = direct.Plan(tables);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    const char* name = catalog::TpchQueryName(query);
+    EXPECT_EQ(response.plan, expected->plan->ToString(&catalog)) << name;
+    EXPECT_EQ(response.cost.seconds, expected->cost.seconds) << name;
+    EXPECT_EQ(response.cost.dollars, expected->cost.dollars) << name;
+  }
+}
 
 // ---------------------------------------------------------------------
 // End-to-end over loopback
@@ -1331,13 +1363,17 @@ TEST(PlanningServerTest, UndeliverableResponsesCountAsDroppedNotSent) {
 
   Result<net::UniqueFd> fd = net::ConnectTcp("127.0.0.1", ts.server->port());
   ASSERT_TRUE(fd.ok());
+  // One send for both frames: the server must read and admit both before
+  // the first completion closes the connection, or the second frame is
+  // never read and only one response is ever dropped.
+  std::string both;
   for (const char* id : {"drop-1", "drop-2"}) {
     PlanRequest request;
     request.id = id;
     request.tables = {"orders", "lineitem"};
-    ASSERT_TRUE(
-        server::WriteFrame(fd->get(), SerializePlanRequest(request)).ok());
+    both += server::EncodeFrame(SerializePlanRequest(request));
   }
+  ASSERT_TRUE(net::SendAll(fd->get(), both.data(), both.size()).ok());
 
   // The first completion exceeds the 1-byte cap: dropped, connection
   // closed. The second completes against a vanished connection: also
