@@ -1,9 +1,13 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
 // costs drive the planner-overhead figures, plus the ablation the paper
 // suggests between the two resource-plan cache index layouts (sorted
-// array vs CSB+-tree).
+// array vs CSB+-tree), on lookups and on inserts.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <type_traits>
+#include <vector>
 
 #include "catalog/tpch.h"
 #include "common/rng.h"
@@ -122,6 +126,50 @@ BENCHMARK(BM_PlanIndexLookup<core::SortedArrayIndex>)
     ->Arg(100)
     ->Arg(10000);
 BENCHMARK(BM_PlanIndexLookup<core::CsbTreeIndex>)->Arg(100)->Arg(10000);
+
+// One insert of a fresh random key into an index already holding
+// state.range(0) random keys: the sorted array shifts every entry above
+// the key (O(n)), the CSB+-tree rewrites at most a few node groups. The
+// run is capped at 100 inserts so the index never grows by more than a
+// tenth of its size.
+template <typename IndexT>
+void BM_PlanIndexInsert(benchmark::State& state) {
+  Rng rng(13);
+  std::vector<double> keys(static_cast<size_t>(state.range(0)));
+  for (double& key : keys) key = rng.Uniform(0, 100);
+  if constexpr (std::is_same_v<IndexT, core::SortedArrayIndex>) {
+    // The array's layout does not depend on insertion order; filling it
+    // in key order appends instead of costing O(n^2) moves.
+    std::sort(keys.begin(), keys.end());
+  }
+  IndexT index;
+  core::CachedResourcePlan p;
+  p.config = resource::ResourceConfig(4, 10);
+  p.cost = 1.0;
+  for (double key : keys) {
+    p.key_gb = key;
+    index.Insert(p);
+  }
+  for (auto _ : state) {
+    p.key_gb = rng.Uniform(0, 100);
+    benchmark::DoNotOptimize(index.Insert(p));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PlanIndexInsert<core::SortedArrayIndex>)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Iterations(100)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+BENCHMARK(BM_PlanIndexInsert<core::CsbTreeIndex>)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Iterations(100)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_CsbTreeInsert(benchmark::State& state) {
   Rng rng(11);

@@ -26,7 +26,7 @@ ConcurrentWorkloadRunner::ConcurrentWorkloadRunner(
       options_(runner_options) {
   RAQO_CHECK(catalog != nullptr);
   if (options_.num_threads < 1) options_.num_threads = 1;
-  if (options_.share_cache && planner_options_.evaluator.use_cache) {
+  if (planner_options_.evaluator.use_cache) {
     shared_cache_ = std::make_shared<ResourcePlanCache>(
         planner_options_.evaluator.cache_mode,
         planner_options_.evaluator.cache_threshold_gb,

@@ -14,19 +14,16 @@ namespace raqo::core {
 struct ConcurrentRunnerOptions {
   /// Worker threads; each gets a private RaqoPlanner.
   int num_threads = 4;
-  /// Share one thread-safe resource-plan cache across all workers (the
-  /// across-query caching scenario of Figure 15(b), served concurrently).
-  /// Only meaningful when the planner options enable caching; with it
-  /// off, every worker keeps the private cache its options describe.
-  bool share_cache = true;
-  /// Lock stripes of the shared cache.
+  /// Lock stripes of the resource-plan cache every worker shares when
+  /// the planner options enable caching (the across-query caching
+  /// scenario of Figure 15(b), served concurrently).
   size_t cache_shards = 8;
 };
 
 /// The concurrent counterpart of WorkloadRunner: a pool of N worker
 /// threads, each owning a private RaqoPlanner, pulling queries from the
-/// workload and optionally sharing one striped resource-plan cache — a
-/// miniature optimizer service handling many tenants at once.
+/// workload and, when caching is on, sharing one striped resource-plan
+/// cache — a miniature optimizer service handling many tenants at once.
 ///
 /// Reports are merged by submission order, so `Run` returns the same
 /// per-query sequence as the sequential runner regardless of which
@@ -46,9 +43,9 @@ struct ConcurrentRunnerOptions {
 class ConcurrentWorkloadRunner {
  public:
   /// Mirrors the RaqoPlanner constructor plus the concurrency knobs.
-  /// `catalog` must outlive the runner. When `share_cache` is set and
-  /// the evaluator options enable caching, the shared cache is created
-  /// here and persists across Run calls (across-query semantics). The
+  /// `catalog` must outlive the runner. When the evaluator options
+  /// enable caching, the shared cache is created here and persists
+  /// across Run calls (across-query semantics). The
   /// worker pool and the per-worker planners are built here too and
   /// reused by every Run — repeated Run calls spawn no threads and
   /// rebuild no planners. The workers are the runner's only threads:

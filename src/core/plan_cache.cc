@@ -119,15 +119,11 @@ std::unique_lock<std::mutex> ShardedResourcePlanIndex::LockShard(
   return lock;
 }
 
-size_t ShardedResourcePlanIndex::ShardIndexFor(double key) const {
-  // +0.0 and -0.0 hash alike, matching their key equality.
-  if (key == 0.0) key = 0.0;
-  return std::hash<double>{}(key) % shards_.size();
-}
-
 const ShardedResourcePlanIndex::Shard& ShardedResourcePlanIndex::ShardFor(
     double key) const {
-  return shards_[ShardIndexFor(key)];
+  // +0.0 and -0.0 hash alike, matching their key equality.
+  if (key == 0.0) key = 0.0;
+  return shards_[std::hash<double>{}(key) % shards_.size()];
 }
 
 ShardedResourcePlanIndex::Shard& ShardedResourcePlanIndex::ShardFor(
@@ -141,31 +137,6 @@ bool ShardedResourcePlanIndex::Insert(const CachedResourcePlan& plan) {
   shard.inserts.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock = LockShard(shard);
   return shard.index->Insert(plan);
-}
-
-size_t ShardedResourcePlanIndex::InsertBatch(
-    const std::vector<CachedResourcePlan>& plans) {
-  // Group by stripe first (no locks held), then drain each group under
-  // one acquisition of its stripe lock. Stripes are visited in index
-  // order and never two at once, so batched flushes cannot deadlock
-  // against each other or against per-entry inserters.
-  std::vector<std::vector<const CachedResourcePlan*>> by_shard(
-      shards_.size());
-  for (const CachedResourcePlan& plan : plans) {
-    by_shard[ShardIndexFor(plan.key_gb)].push_back(&plan);
-  }
-  size_t inserted = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    shard.inserts.fetch_add(static_cast<int64_t>(by_shard[s].size()),
-                            std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lock = LockShard(shard);
-    for (const CachedResourcePlan* plan : by_shard[s]) {
-      if (shard.index->Insert(*plan)) ++inserted;
-    }
-  }
-  return inserted;
 }
 
 std::optional<CachedResourcePlan> ShardedResourcePlanIndex::FindExact(
@@ -480,88 +451,6 @@ void ResourcePlanCache::Insert(const std::string& model_name,
           listener_.load(std::memory_order_acquire);
       listener != nullptr) {
     listener->OnInsert(model_name, plan);
-  }
-}
-
-void ResourcePlanCache::InsertBatch(
-    const std::vector<CacheEntryRecord>& entries) {
-  if (entries.empty()) return;
-  if (entries.size() == 1) {
-    Insert(entries[0].model, entries[0].plan);
-    return;
-  }
-
-  // Fold the storage keys up front (no locks held) and group by model;
-  // within a model, batch order is preserved so duplicate keys resolve
-  // to the last occurrence, exactly as repeated Insert calls would.
-  std::map<std::string, std::vector<CachedResourcePlan>> by_model;
-  for (const CacheEntryRecord& record : entries) {
-    CachedResourcePlan folded = record.plan;
-    folded.smaller_gb = record.plan.key_gb;
-    if (mode_ == CacheLookupMode::kExact) {
-      folded.key_gb =
-          ExactStorageKey(record.plan.key_gb, record.plan.larger_gb);
-    }
-    by_model[record.model].push_back(folded);
-  }
-
-  const auto insert_group =
-      [this](ResourcePlanIndex& index,
-             const std::vector<CachedResourcePlan>& plans) -> size_t {
-    if (shards_ > 0) {
-      // shards_ > 0 means every per-model index is sharded; the batch
-      // path takes each stripe lock once for the whole group.
-      return static_cast<ShardedResourcePlanIndex&>(index).InsertBatch(
-          plans);
-    }
-    size_t inserted = 0;
-    for (const CachedResourcePlan& plan : plans) {
-      if (index.Insert(plan)) ++inserted;
-    }
-    return inserted;
-  };
-
-  int64_t inserted = 0;
-  for (const auto& [model, plans] : by_model) {
-    bool done = false;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-      if (ResourcePlanIndex* index = FindIndex(model)) {
-        inserted += static_cast<int64_t>(insert_group(*index, plans));
-        done = true;
-      }
-    }
-    if (!done) {
-      std::unique_lock<std::shared_mutex> map_lock(map_mu_);
-      inserted += static_cast<int64_t>(insert_group(IndexFor(model), plans));
-    }
-  }
-
-  if (inserted > 0) {
-    const int64_t count =
-        entry_count_.fetch_add(inserted, std::memory_order_relaxed) +
-        inserted;
-    const int64_t delta = inserted * kApproxEntryBytes;
-    const int64_t bytes =
-        approx_bytes_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    if (obs::MetricsOn()) {
-      static obs::Gauge* entries_gauge =
-          obs::DefaultMetrics().GetGauge("cache.entries");
-      static obs::Gauge* bytes_gauge =
-          obs::DefaultMetrics().GetGauge("cache.bytes");
-      entries_gauge->Set(static_cast<double>(count));
-      bytes_gauge->Set(static_cast<double>(bytes));
-    }
-  }
-  // Per-entry listener callbacks in batch order, outside all locks —
-  // the persistence journal sees the identical record stream it would
-  // have seen from per-entry Insert calls.
-  if (CacheEventListener* listener =
-          listener_.load(std::memory_order_acquire);
-      listener != nullptr) {
-    for (const CacheEntryRecord& record : entries) {
-      listener->OnInsert(record.model, record.plan);
-    }
   }
 }
 

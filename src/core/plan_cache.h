@@ -131,15 +131,6 @@ class ShardedResourcePlanIndex : public ResourcePlanIndex {
   ShardedResourcePlanIndex(CacheIndexKind inner, size_t num_shards);
 
   bool Insert(const CachedResourcePlan& plan) override;
-
-  /// Inserts every plan, grouping by shard so each stripe lock is taken
-  /// at most once for the whole batch instead of once per entry — the
-  /// write-behind planners flush through this to keep shard-lock traffic
-  /// off the planning hot path. Returns the number of newly inserted
-  /// keys (overwrites excluded). Within a shard, insertion order follows
-  /// batch order, so duplicate keys resolve to the last occurrence just
-  /// like repeated Insert calls.
-  size_t InsertBatch(const std::vector<CachedResourcePlan>& plans);
   std::optional<CachedResourcePlan> FindExact(double key) const override;
   std::vector<CachedResourcePlan> FindNeighbors(
       double key, double threshold) const override;
@@ -169,7 +160,6 @@ class ShardedResourcePlanIndex : public ResourcePlanIndex {
   /// clock read.
   static std::unique_lock<std::mutex> LockShard(const Shard& shard);
 
-  size_t ShardIndexFor(double key) const;
   const Shard& ShardFor(double key) const;
   Shard& ShardFor(double key);
 
@@ -265,17 +255,10 @@ class ResourcePlanCache {
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb = std::nullopt);
 
-  /// Records the plan computed for (model, key).
+  /// Records the plan computed for (model, key). Writes go straight
+  /// through: the entry is visible to every Lookup, from any thread,
+  /// that starts after Insert returns.
   void Insert(const std::string& model_name, const CachedResourcePlan& plan);
-
-  /// Records a whole batch of entries, grouped by model (and, on a
-  /// sharded cache, by stripe) so locks are taken per group instead of
-  /// per entry. Semantically identical to calling Insert for each entry
-  /// in order: exact-mode key folding, entry accounting, and the
-  /// mutation listener (fired per entry, outside all locks, in batch
-  /// order) all behave the same. This is the flush path of the
-  /// write-behind insert buffer planner workers keep per thread.
-  void InsertBatch(const std::vector<CacheEntryRecord>& entries);
 
   /// Drops every entry (the paper clears the cache between queries unless
   /// evaluating across-query caching).

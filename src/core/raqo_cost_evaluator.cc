@@ -40,7 +40,7 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
   if (options_.use_cache) {
     cache_ = std::make_unique<ResourcePlanCache>(
         options_.cache_mode, options_.cache_threshold_gb,
-        options_.cache_index, options_.cache_shards);
+        options_.cache_index);
   }
 }
 
@@ -77,13 +77,7 @@ void RaqoCostEvaluator::BeginQuery() {
   last_best_[1].reset();
 }
 
-RaqoCostEvaluator::~RaqoCostEvaluator() { FlushSharedCacheInserts(); }
-
 void RaqoCostEvaluator::ClearCache() {
-  // Cluster-condition changes invalidate every plan, staged or not: drop
-  // the write-behind buffer instead of flushing stale entries onward.
-  pending_inserts_.clear();
-  staging_.reset();
   if (ResourcePlanCache* cache = active_cache()) cache->Clear();
 }
 
@@ -106,24 +100,6 @@ std::vector<ShardStats> RaqoCostEvaluator::cache_shard_stats() const {
   const ResourcePlanCache* cache = active_cache();
   return cache != nullptr ? cache->shard_stats()
                           : std::vector<ShardStats>{};
-}
-
-void RaqoCostEvaluator::ShareCache(std::shared_ptr<ResourcePlanCache> cache) {
-  // Plans staged against the outgoing cache belong to it; the staging
-  // memo is dropped too, since it may mirror entries the new cache never
-  // saw (exact-mode entries would still be *correct*, but a fresh memo
-  // keeps cache attribution simple).
-  FlushSharedCacheInserts();
-  staging_.reset();
-  shared_cache_ = std::move(cache);
-}
-
-void RaqoCostEvaluator::FlushSharedCacheInserts() {
-  if (pending_inserts_.empty()) return;
-  if (shared_cache_ != nullptr) {
-    shared_cache_->InsertBatch(pending_inserts_);
-  }
-  pending_inserts_.clear();
 }
 
 Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
@@ -171,31 +147,10 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   };
 
   // Cache lookup first (Section VI-C), keyed by the data characteristic.
-  // Under write-behind batching the private staging memo is consulted
-  // before the shared cache: exact-mode hits provably equal
-  // recomputation, so the answer is the same either way and repeated
-  // characteristics (the common case under Selinger's DP) never touch
-  // the shared cache's stripe locks.
   ResourcePlanCache* cache = active_cache();
-  const bool write_behind = batching_shared_inserts();
-  if (write_behind && staging_ == nullptr) {
-    staging_ = std::make_unique<ResourcePlanCache>(
-        CacheLookupMode::kExact, /*threshold_gb=*/0.0, options_.cache_index,
-        /*shards=*/0);
-  }
   if (cache != nullptr) {
-    std::optional<CachedResourcePlan> hit;
-    if (write_behind) {
-      hit = staging_->Lookup(model.name(), ss_gb, ls_gb);
-      if (!hit) {
-        hit = cache->Lookup(model.name(), ss_gb, ls_gb);
-        // Memoize shared hits privately so repeats stay lock-free.
-        if (hit) staging_->Insert(model.name(), *hit);
-      }
-    } else {
-      hit = cache->Lookup(model.name(), ss_gb, ls_gb);
-    }
-    if (hit) {
+    if (std::optional<CachedResourcePlan> hit =
+            cache->Lookup(model.name(), ss_gb, ls_gb)) {
       // Weighted-average hits can produce off-grid configurations; snap
       // back onto the allocatable grid.
       const resource::ResourceConfig config =
@@ -315,17 +270,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     entry.config = planned->config;
     entry.cost = planned->cost;
     entry.larger_gb = ls_gb;
-    if (write_behind) {
-      // Stage privately and defer the shared insert: the shard locks are
-      // then taken once per `shared_insert_batch` plans, not per plan.
-      staging_->Insert(model.name(), entry);
-      pending_inserts_.push_back(CacheEntryRecord{model.name(), entry});
-      if (pending_inserts_.size() >= options_.shared_insert_batch) {
-        FlushSharedCacheInserts();
-      }
-    } else {
-      cache->Insert(model.name(), entry);
-    }
+    cache->Insert(model.name(), entry);
   }
 
   cost::JoinFeatures features;

@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "core/plan_cache.h"
 #include "core/resource_planner.h"
@@ -40,19 +41,6 @@ enum class ResourceSearch {
 struct RaqoEvaluatorOptions {
   ResourceSearch search = ResourceSearch::kSwitchAwareGrid;
 
-  /// Write-behind batching of inserts into a *shared* exact-mode cache:
-  /// computed plans are staged privately and flushed to the shared
-  /// cache in batches of this many entries (and at the end of every
-  /// query), so shard locks are taken per batch instead of per insert.
-  /// Lookups consult the private staging cache first — repeated
-  /// data characteristics within a query (the common case under
-  /// Selinger's DP) stop touching shared locks entirely. Exact-mode
-  /// entries always reproduce what recomputation would return, so
-  /// results stay bit-identical to write-through; only hit/miss
-  /// *counters* of the shared cache shift. 0 disables batching
-  /// (write-through); similarity lookup modes always write through.
-  size_t shared_insert_batch = 32;
-
   /// Resource-plan caching (off by default, matching the paper's setup
   /// of clearing the cache before each query unless stated otherwise).
   bool use_cache = false;
@@ -61,10 +49,6 @@ struct RaqoEvaluatorOptions {
   /// size.
   double cache_threshold_gb = 0.01;
   CacheIndexKind cache_index = CacheIndexKind::kSortedArray;
-  /// Lock stripes of the evaluator-owned cache; 0 builds the
-  /// single-threaded layout. Shared caches (ShareCache) bring their own
-  /// sharding.
-  size_t cache_shards = 0;
 
   /// Objective weight for resource planning: 1.0 plans resources for pure
   /// execution time, 0.0 for pure monetary cost.
@@ -112,16 +96,18 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// threads (the concurrent planning service: N planners, one cache).
   /// The cache must be thread-safe (built with shards > 0) when more
   /// than one planner shares it. Passing nullptr reverts to the
-  /// evaluator-owned cache configured by the options. Pending batched
-  /// inserts are flushed to the previously shared cache first.
-  void ShareCache(std::shared_ptr<ResourcePlanCache> cache);
+  /// evaluator-owned cache configured by the options. Lookups and
+  /// inserts go straight to the attached cache, so a computed plan is
+  /// visible to every other planner as soon as it is inserted.
+  void ShareCache(std::shared_ptr<ResourcePlanCache> cache) {
+    shared_cache_ = std::move(cache);
+  }
 
-  /// Pushes any write-behind staged inserts to the shared cache (one
-  /// batched InsertBatch per call). RaqoPlanner calls this at the end
-  /// of every query so cross-worker reuse is at most one query stale;
-  /// the destructor and ShareCache flush too, so no computed plan is
-  /// ever lost. No-op without a shared cache or with batching off.
-  void FlushSharedCacheInserts();
+  /// Does nothing: inserts are write-through, so there is nothing to
+  /// flush. Kept only for planbench/, whose sources change only together
+  /// with the benchmark definition (BENCHMARK.json); delete it at the
+  /// next benchmark change.
+  void FlushSharedCacheInserts() {}
 
   /// True when the active cache is shared with other planners; per-query
   /// cache statistics are then workload-global, not per-planner, and the
@@ -146,8 +132,6 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
         .has_value();
   }
 
-  /// Flushes any pending write-behind inserts to the shared cache.
-  ~RaqoCostEvaluator() override;
 
  protected:
   Result<optimizer::OperatorCost> CostJoinImpl(
@@ -158,15 +142,6 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// attached, the owned one otherwise (may be null when caching is off).
   ResourcePlanCache* active_cache() const {
     return shared_cache_ != nullptr ? shared_cache_.get() : cache_.get();
-  }
-
-  /// True when inserts into the shared cache are write-behind batched:
-  /// requires a shared cache in exact lookup mode (the only mode whose
-  /// hits provably reproduce recomputation) and a non-zero batch size.
-  bool batching_shared_inserts() const {
-    return shared_cache_ != nullptr &&
-           shared_cache_->mode() == CacheLookupMode::kExact &&
-           options_.shared_insert_batch > 0;
   }
 
   /// Validates both models' monotonicity declarations and builds their
@@ -185,16 +160,6 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   std::unique_ptr<ResourcePlanner> planner_;
   std::unique_ptr<ResourcePlanCache> cache_;
   std::shared_ptr<ResourcePlanCache> shared_cache_;
-  /// Write-behind state, live only while batching_shared_inserts():
-  /// `staging_` is a private unsharded exact-mode cache consulted before
-  /// the shared one (and fed by both computed plans and shared hits, so
-  /// repeated lookups stay lock-free); `pending_inserts_` holds the
-  /// computed plans not yet flushed to the shared cache, in insertion
-  /// order. Exact-mode entries equal what recomputation would produce,
-  /// so staging entries can never go stale — only cluster-condition
-  /// changes invalidate them, and those clear everything.
-  std::unique_ptr<ResourcePlanCache> staging_;
-  std::vector<CacheEntryRecord> pending_inserts_;
   /// Switch-aware search state, unused by the other strategies. Indexed
   /// by join implementation (0 = SMJ, 1 = BHJ): a validated lower-bound
   /// oracle per model (nullopt after monotonicity rejection => that

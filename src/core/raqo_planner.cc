@@ -101,9 +101,6 @@ Result<JointPlan> RaqoPlanner::Plan(
     result->stats.cache_hits = evaluator_.cache_stats().hits;
     result->stats.cache_misses = evaluator_.cache_stats().misses;
   }
-  // Publish the query's write-behind staged plans so other planner
-  // workers sharing the cache can reuse them (at most one query stale).
-  evaluator_.FlushSharedCacheInserts();
   return result;
 }
 
@@ -140,7 +137,6 @@ Result<JointPlan> RaqoPlanner::PlanResourcesForPlan(
   out.stats.resource_configs_explored =
       evaluator_.resource_configs_explored();
   out.stats.wall_ms = watch.ElapsedMillis();
-  evaluator_.FlushSharedCacheInserts();
   return out;
 }
 

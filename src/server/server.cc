@@ -80,7 +80,7 @@ Status PlanningServer::Start() {
   // Durable cache: recover before the first socket is bound, so by the
   // time a client can connect the shared cache already holds its
   // pre-restart state (the warm hit rate is there from request one).
-  if (!options_.persist_dir.empty() && service_->has_shared_cache()) {
+  if (!options_.persist_dir.empty()) {
     persist::PersistOptions popts;
     popts.dir = options_.persist_dir;
     popts.fsync_policy = options_.persist_fsync;

@@ -65,15 +65,13 @@ PlanningService::PlanningService(const catalog::Catalog* catalog,
       pricing_(pricing),
       options_(std::move(options)) {
   RAQO_CHECK(catalog != nullptr);
-  if (options_.share_cache) {
-    // Built eagerly (not only when the base options cache) so a request
-    // flipping use_cache on still lands in one service-wide cache.
-    shared_cache_ = std::make_shared<core::ResourcePlanCache>(
-        options_.planner.evaluator.cache_mode,
-        options_.planner.evaluator.cache_threshold_gb,
-        options_.planner.evaluator.cache_index,
-        std::max<size_t>(1, options_.cache_shards));
-  }
+  // Built eagerly (not only when the base options cache) so a request
+  // flipping use_cache on still lands in one service-wide cache.
+  shared_cache_ = std::make_shared<core::ResourcePlanCache>(
+      options_.planner.evaluator.cache_mode,
+      options_.planner.evaluator.cache_threshold_gb,
+      options_.planner.evaluator.cache_index,
+      std::max<size_t>(1, options_.cache_shards));
 }
 
 PlanResponse PlanningService::Handle(const PlanRequest& request) const {
@@ -137,7 +135,13 @@ PlanResponse PlanningService::Handle(const PlanRequest& request) const {
   }
   core::RaqoPlanner planner(catalog, models_, cluster_, pricing_,
                             planner_options);
-  if (shared_cache_ != nullptr && planner_options.evaluator.use_cache) {
+  // Cache keys carry no objective, so only requests planning resources
+  // for the service's own objective may read or fill the shared cache;
+  // any other plans on the evaluator's private per-request cache.
+  const core::RaqoEvaluatorOptions& base = options_.planner.evaluator;
+  const core::RaqoEvaluatorOptions& effective = planner_options.evaluator;
+  if (effective.use_cache && effective.time_weight == base.time_weight &&
+      effective.search == base.search) {
     planner.evaluator().ShareCache(shared_cache_);
   }
 
@@ -167,23 +171,14 @@ PlanResponse PlanningService::Handle(const PlanRequest& request) const {
 }
 
 core::CacheStats PlanningService::shared_cache_stats() const {
-  return shared_cache_ != nullptr ? shared_cache_->stats()
-                                  : core::CacheStats{};
+  return shared_cache_->stats();
 }
 
 namespace {
 
-/// Shared validation of the two cache operations: a cache to serve from
-/// and a matching frame version. Returns true when `out` was filled
-/// with a rejection.
-bool RejectCacheOp(const PlanRequest& request,
-                   const core::ResourcePlanCache* cache,
-                   PlanResponse* out) {
-  if (cache == nullptr) {
-    *out = ErrorResponse(kWireFailedPrecondition,
-                         "server shares no plan cache", request.id);
-    return true;
-  }
+/// Shared validation of the two cache operations: the frame version
+/// must match. Returns true when `out` was filled with a rejection.
+bool RejectCacheOp(const PlanRequest& request, PlanResponse* out) {
   if (request.cache_version != kCacheWireVersion) {
     *out = ErrorResponse(
         kWireFailedPrecondition,
@@ -202,7 +197,7 @@ bool RejectCacheOp(const PlanRequest& request,
 PlanResponse PlanningService::HandleCacheDump(
     const PlanRequest& request) const {
   PlanResponse response;
-  if (RejectCacheOp(request, shared_cache_.get(), &response)) {
+  if (RejectCacheOp(request, &response)) {
     return response;
   }
   // O(cache) per chunk: the dump is rebuilt for every request so a
@@ -231,7 +226,7 @@ PlanResponse PlanningService::HandleCacheDump(
 PlanResponse PlanningService::HandleCacheLoad(
     const PlanRequest& request) const {
   PlanResponse response;
-  if (RejectCacheOp(request, shared_cache_.get(), &response)) {
+  if (RejectCacheOp(request, &response)) {
     return response;
   }
   // The parse layer already enforced the chunk cap; entries flow through

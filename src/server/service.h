@@ -15,12 +15,7 @@ namespace raqo::server {
 struct PlanningServiceOptions {
   /// Base planner configuration; per-request knobs override a copy.
   core::RaqoPlannerOptions planner;
-  /// Share one thread-safe resource-plan cache across all requests (the
-  /// across-query caching of Figure 15(b), served to remote clients).
-  /// Only effective when caching is on — via the base options or a
-  /// request knob.
-  bool share_cache = true;
-  /// Lock stripes of the shared cache.
+  /// Lock stripes of the resource-plan cache shared across requests.
   size_t cache_shards = 8;
 };
 
@@ -28,9 +23,16 @@ struct PlanningServiceOptions {
 /// against the catalog, runs the RAQO planner, and renders a
 /// PlanResponse. Handle() is const and thread-safe — any number of
 /// worker threads may call it concurrently; each call plans on a private
-/// RaqoPlanner attached to the service-wide shared cache, exactly the
-/// shape of the PR-1 concurrent runner (N planners, one sharded cache).
-/// With exact-mode caching (or caching off) responses are deterministic:
+/// RaqoPlanner, the shape of core::ConcurrentWorkloadRunner.
+///
+/// The service owns one thread-safe resource-plan cache for the across-
+/// query caching of Figure 15(b), served to remote clients. A caching
+/// request plans on it only when its resource objective is the
+/// service's: the same `time_weight` and `search` as the base options.
+/// Cache entries are keyed by data characteristics alone, so a request
+/// with another objective plans on a private per-request cache instead,
+/// and the shared cache only ever holds base-objective plans. With
+/// exact-mode caching (or caching off) responses are deterministic:
 /// bit-identical to a direct RaqoPlanner call with the same options.
 class PlanningService {
  public:
@@ -45,13 +47,11 @@ class PlanningService {
   /// in the response's status/error fields.
   PlanResponse Handle(const PlanRequest& request) const;
 
-  /// Cumulative hit/miss counters of the shared cache (zeros when no
-  /// cache is shared).
+  /// Cumulative hit/miss counters of the shared cache.
   core::CacheStats shared_cache_stats() const;
-  bool has_shared_cache() const { return shared_cache_ != nullptr; }
 
-  /// The service-wide shared cache (nullptr when share_cache is off).
-  /// The persistence layer attaches here; the pointee is thread-safe.
+  /// The service-wide shared cache, never null. The persistence layer
+  /// attaches here; the pointee is thread-safe.
   core::ResourcePlanCache* shared_cache() const {
     return shared_cache_.get();
   }

@@ -328,7 +328,7 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
   // Heavy repetition so the shared cache actually gets hit across
   // workers: the run must last long enough for the pool's workers to
   // join even on a loaded host, or the calling thread (worker 0) can
-  // plan every query itself and only ever hit its private staging memo.
+  // plan every query itself and only ever hit its own entries.
   std::vector<core::WorkloadQuery> workload = RandomWorkload(cat, 8, 21);
   const size_t unique = workload.size();
   for (int rep = 0; rep < 12; ++rep) {
@@ -348,7 +348,6 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
 
   core::ConcurrentRunnerOptions concurrency;
   concurrency.num_threads = 4;
-  concurrency.share_cache = true;
   concurrency.cache_shards = 8;
   core::ConcurrentWorkloadRunner service(
       &cat, Models(), resource::ClusterConditions::PaperDefault(),
@@ -444,148 +443,46 @@ TEST(ConcurrentWorkloadRunnerTest, ReportsLowestIndexErrorDeterministically) {
 }
 
 // ---------------------------------------------------------------------
-// Batched cache inserts: InsertBatch must be indistinguishable from the
-// same Insert calls in order, for every layout and lookup mode.
-
-class InsertBatchTest : public ::testing::TestWithParam<size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Shards, InsertBatchTest, ::testing::Values(0, 8));
-
-TEST_P(InsertBatchTest, MatchesSequentialInsertsIncludingDuplicates) {
-  const size_t shards = GetParam();
-  for (const core::CacheLookupMode mode :
-       {core::CacheLookupMode::kExact,
-        core::CacheLookupMode::kNearestNeighbor}) {
-    core::ResourcePlanCache one_by_one(mode, 0.5,
-                                       core::CacheIndexKind::kSortedArray,
-                                       shards);
-    core::ResourcePlanCache batched(mode, 0.5,
-                                    core::CacheIndexKind::kSortedArray,
-                                    shards);
-    Rng rng(42);
-    std::vector<core::CacheEntryRecord> records;
-    for (int i = 0; i < 200; ++i) {
-      core::CacheEntryRecord record;
-      record.model = rng.Bernoulli(0.5) ? "smj" : "bhj";
-      // A narrow key range forces duplicate (model, key, larger) triples,
-      // which must resolve to the last occurrence either way.
-      record.plan.key_gb = std::floor(rng.Uniform(0.0, 20.0));
-      record.plan.larger_gb = std::floor(rng.Uniform(0.0, 4.0)) * 10.0;
-      record.plan.cost = static_cast<double>(i);
-      record.plan.config = resource::ResourceConfig(
-          rng.Uniform(1.0, 10.0), rng.Uniform(1.0, 100.0));
-      records.push_back(record);
-    }
-    for (const core::CacheEntryRecord& record : records) {
-      one_by_one.Insert(record.model, record.plan);
-    }
-    batched.InsertBatch(records);
-
-    EXPECT_EQ(batched.size(), one_by_one.size());
-    EXPECT_EQ(batched.entry_count(), one_by_one.entry_count());
-    EXPECT_EQ(batched.approx_bytes(), one_by_one.approx_bytes());
-    const std::vector<core::CacheEntryRecord> a = one_by_one.DumpEntries();
-    const std::vector<core::CacheEntryRecord> b = batched.DumpEntries();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].model, b[i].model);
-      EXPECT_EQ(a[i].plan.key_gb, b[i].plan.key_gb);
-      EXPECT_EQ(a[i].plan.larger_gb, b[i].plan.larger_gb);
-      EXPECT_EQ(a[i].plan.smaller_gb, b[i].plan.smaller_gb);
-      EXPECT_EQ(a[i].plan.cost, b[i].plan.cost);
-      EXPECT_EQ(a[i].plan.config, b[i].plan.config);
-    }
-  }
-}
-
-TEST_P(InsertBatchTest, FiresTheListenerPerEntryInBatchOrder) {
-  class Recorder : public core::CacheEventListener {
-   public:
-    void OnInsert(const std::string& model,
-                  const core::CachedResourcePlan& plan) override {
-      events.emplace_back(model, plan.key_gb);
-    }
-    std::vector<std::pair<std::string, double>> events;
-  };
-  core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0,
-                                core::CacheIndexKind::kSortedArray,
-                                GetParam());
-  Recorder recorder;
-  cache.SetEventListener(&recorder);
-  std::vector<core::CacheEntryRecord> records;
-  for (int i = 0; i < 5; ++i) {
-    core::CacheEntryRecord record;
-    record.model = i % 2 == 0 ? "smj" : "bhj";
-    record.plan.key_gb = static_cast<double>(i);
-    records.push_back(record);
-  }
-  cache.InsertBatch(records);
-  cache.SetEventListener(nullptr);
-  ASSERT_EQ(recorder.events.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(recorder.events[i].first, records[i].model);
-    // The listener sees the caller's original key, not the folded one.
-    EXPECT_EQ(recorder.events[i].second, records[i].plan.key_gb);
-  }
-}
-
-// ---------------------------------------------------------------------
-// Write-behind shared-cache batching inside the evaluator: plans stay
-// bit-identical to write-through, and every staged plan is flushed by
-// the end of the query.
+// Write-through shared cache: a plan one planner computes is visible to
+// the next planner as soon as it is inserted, with no flush step.
 
 TEST(WriteBehindCacheTest, BatchedAndWriteThroughPlansAndCachesMatch) {
+  // A second planner sharing the cache re-plans the query entirely
+  // from the first planner's entries and gets the identical plan.
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
   const std::vector<TableId> tables =
       *catalog::TpchQueryTables(cat, TpchQuery::kQ3);
+  core::RaqoPlannerOptions options;
+  options.evaluator.use_cache = true;
+  options.evaluator.cache_mode = core::CacheLookupMode::kExact;
+  options.clear_cache_between_queries = false;
+  auto cache = std::make_shared<core::ResourcePlanCache>(
+      core::CacheLookupMode::kExact, 0.0, core::CacheIndexKind::kSortedArray,
+      /*shards=*/8);
 
-  auto shared_cache = [] {
-    return std::make_shared<core::ResourcePlanCache>(
-        core::CacheLookupMode::kExact, 0.0,
-        core::CacheIndexKind::kSortedArray, /*shards=*/8);
-  };
-  auto options_with_batch = [](size_t batch) {
-    core::RaqoPlannerOptions options;
-    options.evaluator.use_cache = true;
-    options.evaluator.cache_mode = core::CacheLookupMode::kExact;
-    options.evaluator.shared_insert_batch = batch;
-    options.clear_cache_between_queries = false;
-    return options;
-  };
+  core::RaqoPlanner first(&cat, Models(),
+                          resource::ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), options);
+  first.evaluator().ShareCache(cache);
+  const Result<core::JointPlan> computed = first.Plan(tables);
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  EXPECT_GT(computed->stats.resource_configs_explored, 0);
+  const std::vector<core::CacheEntryRecord> after_first =
+      cache->DumpEntries();
+  ASSERT_FALSE(after_first.empty());
 
-  // Write-through (batch 0) vs write-behind (tiny batch, forcing many
-  // mid-query flushes) vs write-behind (large batch, flushed only at the
-  // end of the query).
-  std::vector<core::JointPlan> plans;
-  std::vector<std::vector<core::CacheEntryRecord>> dumps;
-  for (const size_t batch : {size_t{0}, size_t{3}, size_t{1024}}) {
-    std::shared_ptr<core::ResourcePlanCache> cache = shared_cache();
-    core::RaqoPlanner planner(&cat, Models(),
-                              resource::ClusterConditions::PaperDefault(),
-                              resource::PricingModel(),
-                              options_with_batch(batch));
-    planner.evaluator().ShareCache(cache);
-    Result<core::JointPlan> plan = planner.Plan(tables);
-    ASSERT_TRUE(plan.ok()) << "batch " << batch;
-    // Everything staged was flushed by the end of Plan().
-    EXPECT_GT(cache->size(), 0u) << "batch " << batch;
-    plans.push_back(std::move(*plan));
-    dumps.push_back(cache->DumpEntries());
-  }
-  for (size_t i = 1; i < plans.size(); ++i) {
-    EXPECT_EQ(plans[i].cost.seconds, plans[0].cost.seconds);
-    EXPECT_EQ(plans[i].cost.dollars, plans[0].cost.dollars);
-    EXPECT_TRUE(plans[i].plan->StructurallyEquals(*plans[0].plan));
-    // The shared cache ends bit-identical no matter the batching.
-    ASSERT_EQ(dumps[i].size(), dumps[0].size());
-    for (size_t j = 0; j < dumps[i].size(); ++j) {
-      EXPECT_EQ(dumps[i][j].model, dumps[0][j].model);
-      EXPECT_EQ(dumps[i][j].plan.key_gb, dumps[0][j].plan.key_gb);
-      EXPECT_EQ(dumps[i][j].plan.larger_gb, dumps[0][j].plan.larger_gb);
-      EXPECT_EQ(dumps[i][j].plan.cost, dumps[0][j].plan.cost);
-      EXPECT_EQ(dumps[i][j].plan.config, dumps[0][j].plan.config);
-    }
-  }
+  core::RaqoPlanner second(&cat, Models(),
+                           resource::ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+  second.evaluator().ShareCache(cache);
+  const Result<core::JointPlan> reused = second.Plan(tables);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(reused->stats.resource_configs_explored, 0);
+  EXPECT_EQ(reused->cost.seconds, computed->cost.seconds);
+  EXPECT_EQ(reused->cost.dollars, computed->cost.dollars);
+  EXPECT_TRUE(reused->plan->StructurallyEquals(*computed->plan));
+  // Pure hits write nothing back.
+  EXPECT_EQ(cache->DumpEntries().size(), after_first.size());
 }
 
 // ---------------------------------------------------------------------

@@ -581,7 +581,6 @@ TEST(InstrumentedPipelineTest, ConcurrentInstrumentedRunProducesCoherentTelemetr
 
   core::ConcurrentRunnerOptions concurrency;
   concurrency.num_threads = 4;
-  concurrency.share_cache = true;
   concurrency.cache_shards = 4;
   core::ConcurrentWorkloadRunner service(
       &cat, Models(), resource::ClusterConditions::PaperDefault(),

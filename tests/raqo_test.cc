@@ -97,7 +97,6 @@ TEST(RaqoEvaluatorTest, BoundOraclesWaitForTheFirstSearch) {
   ASSERT_TRUE(computed.ok());
   EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
   EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
-  first.FlushSharedCacheInserts();
 
   RaqoCostEvaluator second(SimModels(), ClusterConditions::PaperDefault(),
                            resource::PricingModel(), options);

@@ -25,6 +25,7 @@
 #include "core/plan_cache.h"
 #include "core/raqo_planner.h"
 #include "persist/cache_persist.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan_node.h"
 #include "server/client.h"
@@ -354,7 +355,9 @@ TEST(PlanningServiceTest, TimeWeightKnobAlsoRanksJoinOrders) {
   // time_weight must steer join ordering, not only each join's resource
   // search: a request must get exactly the plan a direct planner returns
   // with both weights set. Ranking join orders by time alone makes Q3,
-  // Q2 and All costlier in dollars.
+  // Q2 and All costlier in dollars. Each query is first planned at the
+  // default weight, which warms the shared cache with time-optimal
+  // resources; the weight-0 request must neither read nor fill it.
   PlanningService service = MakeService();
   const catalog::Catalog& catalog = TestCatalog();
   core::RaqoPlannerOptions direct_options = TestPlannerOptions();
@@ -366,27 +369,105 @@ TEST(PlanningServiceTest, TimeWeightKnobAlsoRanksJoinOrders) {
         catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
     const std::vector<catalog::TableId> tables =
         *catalog::TpchQueryTables(catalog, query);
-    PlanRequest request;
+    const char* name = catalog::TpchQueryName(query);
+    PlanRequest warm;
     for (catalog::TableId id : tables) {
-      request.tables.push_back(catalog.table(id).name);
+      warm.tables.push_back(catalog.table(id).name);
     }
-    request.has_use_cache = true;
-    request.use_cache = false;
-    request.has_time_weight = true;
-    request.time_weight = 0.0;
-    const PlanResponse response = service.Handle(request);
-    ASSERT_TRUE(response.ok()) << response.status << ": " << response.error;
+    ASSERT_TRUE(service.Handle(warm).ok()) << name;
+    const int64_t warmed = service.shared_cache()->entry_count();
+    ASSERT_GT(warmed, 0) << name;
 
     core::RaqoPlanner direct(&catalog, Models(),
                              resource::ClusterConditions::PaperDefault(),
                              resource::PricingModel(), direct_options);
     const Result<core::JointPlan> expected = direct.Plan(tables);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    const char* name = catalog::TpchQueryName(query);
-    EXPECT_EQ(response.plan, expected->plan->ToString(&catalog)) << name;
-    EXPECT_EQ(response.cost.seconds, expected->cost.seconds) << name;
-    EXPECT_EQ(response.cost.dollars, expected->cost.dollars) << name;
+    for (const bool use_cache : {false, true}) {
+      PlanRequest request = warm;
+      request.has_use_cache = true;
+      request.use_cache = use_cache;
+      request.has_time_weight = true;
+      request.time_weight = 0.0;
+      const PlanResponse response = service.Handle(request);
+      ASSERT_TRUE(response.ok()) << response.status << ": " << response.error;
+      EXPECT_EQ(response.plan, expected->plan->ToString(&catalog))
+          << name << " use_cache=" << use_cache;
+      EXPECT_EQ(response.cost.seconds, expected->cost.seconds)
+          << name << " use_cache=" << use_cache;
+      EXPECT_EQ(response.cost.dollars, expected->cost.dollars)
+          << name << " use_cache=" << use_cache;
+      EXPECT_EQ(service.shared_cache()->entry_count(), warmed) << name;
+    }
   }
+}
+
+TEST(PlanningServiceTest, NonDefaultSearchLeavesTheSharedCacheExact) {
+  // The hill climbs may settle on other resources than the exact default
+  // search. A request that picks one must not leave its answers in the
+  // shared cache for later default requests.
+  PlanningService warmed = MakeService();
+  PlanningService fresh = MakeService();
+  const catalog::Catalog& catalog = TestCatalog();
+  for (catalog::TpchQuery query :
+       {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
+        catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
+    const char* name = catalog::TpchQueryName(query);
+    const std::vector<catalog::TableId> tables =
+        *catalog::TpchQueryTables(catalog, query);
+    PlanRequest request;
+    for (catalog::TableId id : tables) {
+      request.tables.push_back(catalog.table(id).name);
+    }
+    PlanRequest accelerated = request;
+    accelerated.search = "accelerated";
+    ASSERT_TRUE(warmed.Handle(accelerated).ok()) << name;
+
+    const PlanResponse got = warmed.Handle(request);
+    const PlanResponse want = fresh.Handle(request);
+    ASSERT_TRUE(got.ok()) << got.status << ": " << got.error;
+    ASSERT_TRUE(want.ok()) << want.status << ": " << want.error;
+    EXPECT_EQ(got.plan, want.plan) << name;
+    EXPECT_EQ(got.cost.seconds, want.cost.seconds) << name;
+    EXPECT_EQ(got.cost.dollars, want.cost.dollars) << name;
+    EXPECT_EQ(got.join_resources, want.join_resources) << name;
+  }
+}
+
+TEST(PlanningServiceTest, LookupCountersCountOnlySharedCacheLookups) {
+  // Every resource-plan lookup a request makes is one lookup in the
+  // shared cache, so the process-wide cache.lookup.{hit,miss} counters
+  // move exactly as much as the shared cache's own statistics.
+  PlanningService service = MakeService();
+  const catalog::Catalog& catalog = TestCatalog();
+  const bool metrics_were_on = obs::DefaultMetrics().enabled();
+  obs::DefaultMetrics().set_enabled(true);
+  obs::Counter* hit = obs::DefaultMetrics().GetCounter("cache.lookup.hit");
+  obs::Counter* miss = obs::DefaultMetrics().GetCounter("cache.lookup.miss");
+  const int64_t hit_before = hit->Value();
+  const int64_t miss_before = miss->Value();
+  const core::CacheStats shared_before = service.shared_cache_stats();
+  for (int round = 0; round < 2; ++round) {
+    for (catalog::TpchQuery query :
+         {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
+          catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
+      const std::vector<catalog::TableId> tables =
+          *catalog::TpchQueryTables(catalog, query);
+      PlanRequest request;
+      for (catalog::TableId id : tables) {
+        request.tables.push_back(catalog.table(id).name);
+      }
+      ASSERT_TRUE(service.Handle(request).ok());
+    }
+  }
+  const core::CacheStats shared_after = service.shared_cache_stats();
+  const int64_t hits = hit->Value() - hit_before;
+  const int64_t misses = miss->Value() - miss_before;
+  obs::DefaultMetrics().set_enabled(metrics_were_on);
+  EXPECT_GT(shared_after.hits - shared_before.hits, 0);
+  EXPECT_GT(shared_after.misses - shared_before.misses, 0);
+  EXPECT_EQ(hits, shared_after.hits - shared_before.hits);
+  EXPECT_EQ(misses, shared_after.misses - shared_before.misses);
 }
 
 // ---------------------------------------------------------------------
