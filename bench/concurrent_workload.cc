@@ -133,7 +133,6 @@ int main(int argc, char** argv) {
   for (int threads : {1, 2, 4, 8}) {
     core::ConcurrentRunnerOptions concurrency;
     concurrency.num_threads = threads;
-    concurrency.cache_shards = 8;
     core::ConcurrentWorkloadRunner service(&cat, models, cluster,
                                            resource::PricingModel(),
                                            ServiceOptions(), concurrency);

@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
 // costs drive the planner-overhead figures, plus the ablation the paper
 // suggests between the two resource-plan cache index layouts (sorted
-// array vs CSB+-tree), on lookups and on inserts.
+// array vs CSB+-tree), on lookups and on inserts, directly and through
+// the lock-striped cache.
 
 #include <benchmark/benchmark.h>
 
@@ -167,6 +168,78 @@ BENCHMARK(BM_PlanIndexInsert<core::CsbTreeIndex>)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Iterations(100)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+
+// The same two operations through ResourcePlanCache in exact mode over
+// the sorted array, the path planners take: state.range(0) lock stripes
+// (1 or 8) over a cache already holding state.range(1) entries. Entries
+// carry no larger input size, so their storage key is the plain data
+// characteristic and the cache fills in key order (appends) — a random
+// fill would cost O(n^2) moves at 100k. Lookups pass the exact-mode
+// guard like the planner's do and always hit. The metrics registry stays
+// on, as the server ships, so each lookup also records its counters.
+void FillPlanCache(core::ResourcePlanCache& cache, int64_t entries,
+                   std::vector<double>* keys) {
+  Rng rng(17);
+  keys->resize(static_cast<size_t>(entries));
+  for (double& key : *keys) key = rng.Uniform(0, 100);
+  std::sort(keys->begin(), keys->end());
+  core::CachedResourcePlan p;
+  p.config = resource::ResourceConfig(4, 10);
+  p.cost = 1.0;
+  for (double key : *keys) {
+    p.key_gb = key;
+    cache.Insert("smj", p);
+  }
+}
+
+void BM_PlanCacheLookup(benchmark::State& state) {
+  core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0,
+                                core::CacheIndexKind::kSortedArray,
+                                static_cast<size_t>(state.range(0)));
+  std::vector<double> keys;
+  FillPlanCache(cache, state.range(1), &keys);
+  // Probe in a fixed random order so the binary searches do not walk
+  // the array in cache-friendly key order.
+  Rng rng(19);
+  std::vector<double> probes(4096);
+  for (double& probe : probes) {
+    probe = keys[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup("smj", probes[i], 0.0));
+    i = (i + 1) % probes.size();
+  }
+}
+BENCHMARK(BM_PlanCacheLookup)
+    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}})
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+
+// One insert of a fresh random key; capped at 100 inserts per run like
+// BM_PlanIndexInsert.
+void BM_PlanCacheInsert(benchmark::State& state) {
+  core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0,
+                                core::CacheIndexKind::kSortedArray,
+                                static_cast<size_t>(state.range(0)));
+  std::vector<double> keys;
+  FillPlanCache(cache, state.range(1), &keys);
+  Rng rng(23);
+  core::CachedResourcePlan p;
+  p.config = resource::ResourceConfig(4, 10);
+  p.cost = 1.0;
+  for (auto _ : state) {
+    p.key_gb = rng.Uniform(0, 100);
+    cache.Insert("smj", p);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PlanCacheInsert)
+    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}})
     ->Iterations(100)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);

@@ -69,7 +69,6 @@ struct LevelResult {
 
 struct LadderResult {
   int num_reactors = 0;
-  bool reuseport = false;
   std::vector<LevelResult> levels;
   std::map<std::string, server::TenantStats> tenant_stats;
 };
@@ -150,7 +149,6 @@ LadderResult RunLadder(const server::PlanningService& service, int tenants,
 
   LadderResult result;
   result.num_reactors = server.num_reactors();
-  result.reuseport = server.reuseport_sharding();
   for (int connections : ramp) {
     std::vector<std::thread> clients;
     std::mutex latencies_mu;
@@ -536,8 +534,7 @@ int main(int argc, char** argv) {
       tenants > 0 ? StrPrintf(", %d tenants", tenants).c_str() : ""));
   LadderResult main_run =
       RunLadder(service, tenants, reactors, ramp, requests_per_client, mix);
-  std::printf("reactors: %d (%s)\n", main_run.num_reactors,
-              main_run.reuseport ? "SO_REUSEPORT sharding" : "fd handoff");
+  std::printf("reactors: %d\n", main_run.num_reactors);
   PrintLevels(main_run.levels, tenants);
 
   if (tenants > 0) {
@@ -576,9 +573,8 @@ int main(int argc, char** argv) {
 
   // Machine-readable mirror of the tables above.
   std::string json = StrPrintf(
-      "{\"bench\": \"server_load\", \"num_reactors\": %d, "
-      "\"reuseport\": %s, \"levels\": ",
-      main_run.num_reactors, main_run.reuseport ? "true" : "false");
+      "{\"bench\": \"server_load\", \"num_reactors\": %d, \"levels\": ",
+      main_run.num_reactors);
   json += LevelsJson(main_run.levels);
   if (sweep) {
     const double peak = PeakRps(main_run.levels);

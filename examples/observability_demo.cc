@@ -64,7 +64,6 @@ int main() {
 
   core::ConcurrentRunnerOptions service_options;
   service_options.num_threads = 4;
-  service_options.cache_shards = 8;
 
   core::ConcurrentWorkloadRunner service(
       &catalog, *models, resource::ClusterConditions::PaperDefault(),

@@ -81,10 +81,9 @@ int main(int argc, char** argv) {
   }
   server::InstallShutdownSignalHandlers(&server);
   std::printf(
-      "raqo_serve: TPC-H sf%.0f catalog, %d workers, %d reactors (%s), "
+      "raqo_serve: TPC-H sf%.0f catalog, %d workers, %d reactors, "
       "queue %zu\n",
       scale, server_options.num_workers, server.num_reactors(),
-      server.reuseport_sharding() ? "SO_REUSEPORT" : "fd handoff",
       server_options.max_queue);
   std::printf("raqo_serve: listening on %s:%u (SIGTERM drains)\n",
               server_options.host.c_str(), server.port());

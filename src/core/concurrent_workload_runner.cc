@@ -30,8 +30,7 @@ ConcurrentWorkloadRunner::ConcurrentWorkloadRunner(
     shared_cache_ = std::make_shared<ResourcePlanCache>(
         planner_options_.evaluator.cache_mode,
         planner_options_.evaluator.cache_threshold_gb,
-        planner_options_.evaluator.cache_index,
-        std::max<size_t>(1, options_.cache_shards));
+        planner_options_.evaluator.cache_index, kDefaultCacheStripes);
   }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
@@ -165,7 +164,9 @@ CacheStats ConcurrentWorkloadRunner::shared_cache_stats() const {
 }
 
 size_t ConcurrentWorkloadRunner::shared_cache_size() const {
-  return shared_cache_ != nullptr ? shared_cache_->size() : 0;
+  return shared_cache_ != nullptr
+             ? static_cast<size_t>(shared_cache_->entry_count())
+             : 0;
 }
 
 std::vector<ShardStats> ConcurrentWorkloadRunner::shared_cache_shard_stats()

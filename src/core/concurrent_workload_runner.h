@@ -14,10 +14,6 @@ namespace raqo::core {
 struct ConcurrentRunnerOptions {
   /// Worker threads; each gets a private RaqoPlanner.
   int num_threads = 4;
-  /// Lock stripes of the resource-plan cache every worker shares when
-  /// the planner options enable caching (the across-query caching
-  /// scenario of Figure 15(b), served concurrently).
-  size_t cache_shards = 8;
 };
 
 /// The concurrent counterpart of WorkloadRunner: a pool of N worker
@@ -67,7 +63,7 @@ class ConcurrentWorkloadRunner {
   /// Entries currently held by the shared cache (0 when none).
   size_t shared_cache_size() const;
 
-  /// Per-shard activity of the shared cache (empty when no cache is
+  /// Per-stripe activity of the shared cache (empty when no cache is
   /// shared): entries, lookups, inserts, and lock contention per stripe.
   std::vector<ShardStats> shared_cache_shard_stats() const;
 

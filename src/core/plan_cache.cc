@@ -88,136 +88,6 @@ void CsbTreeIndex::ForEach(
              });
 }
 
-std::unique_ptr<ResourcePlanIndex> MakeResourcePlanIndex(
-    CacheIndexKind kind) {
-  if (kind == CacheIndexKind::kCsbTree) {
-    return std::make_unique<CsbTreeIndex>();
-  }
-  return std::make_unique<SortedArrayIndex>();
-}
-
-ShardedResourcePlanIndex::ShardedResourcePlanIndex(CacheIndexKind inner,
-                                                   size_t num_shards)
-    : inner_(inner), shards_(std::max<size_t>(1, num_shards)) {
-  for (Shard& shard : shards_) shard.index = MakeResourcePlanIndex(inner);
-}
-
-std::unique_lock<std::mutex> ShardedResourcePlanIndex::LockShard(
-    const Shard& shard) {
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    // Contended: another planner thread holds this stripe. Only now is
-    // the clock read, so the uncontended path stays wait-free of timing
-    // overhead.
-    Stopwatch waited;
-    lock.lock();
-    shard.contended_acquires.fetch_add(1, std::memory_order_relaxed);
-    shard.lock_wait_ns.fetch_add(
-        static_cast<int64_t>(waited.ElapsedMicros() * 1e3),
-        std::memory_order_relaxed);
-  }
-  return lock;
-}
-
-const ShardedResourcePlanIndex::Shard& ShardedResourcePlanIndex::ShardFor(
-    double key) const {
-  // +0.0 and -0.0 hash alike, matching their key equality.
-  if (key == 0.0) key = 0.0;
-  return shards_[std::hash<double>{}(key) % shards_.size()];
-}
-
-ShardedResourcePlanIndex::Shard& ShardedResourcePlanIndex::ShardFor(
-    double key) {
-  return const_cast<Shard&>(
-      static_cast<const ShardedResourcePlanIndex*>(this)->ShardFor(key));
-}
-
-bool ShardedResourcePlanIndex::Insert(const CachedResourcePlan& plan) {
-  Shard& shard = ShardFor(plan.key_gb);
-  shard.inserts.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  return shard.index->Insert(plan);
-}
-
-std::optional<CachedResourcePlan> ShardedResourcePlanIndex::FindExact(
-    double key) const {
-  const Shard& shard = ShardFor(key);
-  shard.lookups.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  return shard.index->FindExact(key);
-}
-
-std::vector<CachedResourcePlan> ShardedResourcePlanIndex::FindNeighbors(
-    double key, double threshold) const {
-  // Hash striping scatters a key range over every shard; gather per
-  // shard (each under its own lock) and restore the ascending order.
-  std::vector<CachedResourcePlan> out;
-  for (const Shard& shard : shards_) {
-    shard.lookups.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lock = LockShard(shard);
-    std::vector<CachedResourcePlan> part =
-        shard.index->FindNeighbors(key, threshold);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CachedResourcePlan& a, const CachedResourcePlan& b) {
-              return a.key_gb < b.key_gb;
-            });
-  return out;
-}
-
-void ShardedResourcePlanIndex::ForEach(
-    const std::function<void(const CachedResourcePlan&)>& fn) const {
-  // Hash striping scatters the key order across shards: gather a
-  // snapshot per shard (each under its own lock, never two at once),
-  // restore the global ascending order, then visit outside all locks —
-  // so `fn` may take as long as it likes without blocking planners.
-  std::vector<CachedResourcePlan> all;
-  for (const Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lock = LockShard(shard);
-    shard.index->ForEach(
-        [&](const CachedResourcePlan& entry) { all.push_back(entry); });
-  }
-  std::sort(all.begin(), all.end(),
-            [](const CachedResourcePlan& a, const CachedResourcePlan& b) {
-              return a.key_gb < b.key_gb;
-            });
-  for (const CachedResourcePlan& entry : all) fn(entry);
-}
-
-size_t ShardedResourcePlanIndex::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.index->size();
-  }
-  return total;
-}
-
-const char* ShardedResourcePlanIndex::name() const {
-  return inner_ == CacheIndexKind::kCsbTree ? "sharded-csb-tree"
-                                            : "sharded-sorted-array";
-}
-
-std::vector<ShardStats> ShardedResourcePlanIndex::shard_stats() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    ShardStats s;
-    s.lookups = shard.lookups.load(std::memory_order_relaxed);
-    s.inserts = shard.inserts.load(std::memory_order_relaxed);
-    s.contended_acquires =
-        shard.contended_acquires.load(std::memory_order_relaxed);
-    s.lock_wait_ns = shard.lock_wait_ns.load(std::memory_order_relaxed);
-    {
-      std::unique_lock<std::mutex> lock = LockShard(shard);
-      s.entries = shard.index->size();
-    }
-    out.push_back(s);
-  }
-  return out;
-}
-
 const char* CacheLookupModeName(CacheLookupMode mode) {
   switch (mode) {
     case CacheLookupMode::kExact:
@@ -237,27 +107,31 @@ ResourcePlanCache::ResourcePlanCache(CacheLookupMode mode,
     : mode_(mode),
       threshold_gb_(threshold_gb),
       index_kind_(index_kind),
-      shards_(shards) {
+      stripes_(std::max<size_t>(1, shards)) {
   RAQO_CHECK(threshold_gb >= 0.0) << "cache threshold must be non-negative";
 }
 
-ResourcePlanIndex* ResourcePlanCache::FindIndex(
-    const std::string& model_name) const {
-  auto it = per_model_.find(model_name);
-  return it == per_model_.end() ? nullptr : it->second.get();
+ResourcePlanCache::Stripe& ResourcePlanCache::StripeFor(double storage_key) {
+  // +0.0 and -0.0 hash alike, matching their key equality.
+  if (storage_key == 0.0) storage_key = 0.0;
+  return stripes_[std::hash<double>{}(storage_key) % stripes_.size()];
 }
 
-ResourcePlanIndex& ResourcePlanCache::IndexFor(
-    const std::string& model_name) {
-  std::unique_ptr<ResourcePlanIndex>& slot = per_model_[model_name];
-  if (slot == nullptr) {
-    if (shards_ > 0) {
-      slot = std::make_unique<ShardedResourcePlanIndex>(index_kind_, shards_);
-    } else {
-      slot = MakeResourcePlanIndex(index_kind_);
-    }
+std::unique_lock<std::mutex> ResourcePlanCache::LockStripe(
+    const Stripe& stripe) {
+  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    // Contended: another planner thread holds this stripe. Only now is
+    // the clock read, so the uncontended path stays wait-free of timing
+    // overhead.
+    Stopwatch waited;
+    lock.lock();
+    stripe.contended_acquires.fetch_add(1, std::memory_order_relaxed);
+    stripe.lock_wait_ns.fetch_add(
+        static_cast<int64_t>(waited.ElapsedMicros() * 1e3),
+        std::memory_order_relaxed);
   }
-  return *slot;
+  return lock;
 }
 
 namespace {
@@ -320,44 +194,44 @@ std::optional<CachedResourcePlan> ResourcePlanCache::Lookup(
 std::optional<CachedResourcePlan> ResourcePlanCache::LookupImpl(
     const std::string& model_name, double key_gb,
     std::optional<double> larger_gb) {
-  std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-  const ResourcePlanIndex* index = FindIndex(model_name);
-  if (index == nullptr) {
-    // No plan was ever recorded for this model: a miss, without taking
-    // the exclusive lock to materialize an empty index.
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-
   // Exact mode with a larger-size guard: the entry must have been
   // computed for this very (smaller, larger) pair — a configuration
   // reused across pairs would depend on which join populated the cache
   // first, which is acceptable for the similarity modes but fatal for
   // determinism under concurrent sharing. The pair is re-verified on the
   // entry, so folded-key aliasing can never produce a false hit.
-  if (mode_ == CacheLookupMode::kExact && larger_gb.has_value()) {
-    std::optional<CachedResourcePlan> exact =
-        index->FindExact(ExactStorageKey(key_gb, *larger_gb));
-    if (exact && exact->smaller_gb == key_gb &&
-        exact->larger_gb == *larger_gb) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      exact->key_gb = key_gb;  // restore the caller-facing key
-      return exact;
+  const bool guarded =
+      mode_ == CacheLookupMode::kExact && larger_gb.has_value();
+  const double storage_key =
+      guarded ? ExactStorageKey(key_gb, *larger_gb) : key_gb;
+  Stripe& stripe = StripeFor(storage_key);
+  std::optional<CachedResourcePlan> found;
+  {
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    auto it = stripe.per_model.find(model_name);
+    if (it != stripe.per_model.end()) {
+      found = it->second->FindExact(storage_key);
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+  }
+  if (found && guarded) {
+    if (found->smaller_gb == key_gb && found->larger_gb == *larger_gb) {
+      found->key_gb = key_gb;  // restore the caller-facing key
+    } else {
+      found.reset();
+    }
+  }
+  if (found) {
+    stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    return found;
   }
 
-  // All modes try an exact match first.
-  if (std::optional<CachedResourcePlan> exact = index->FindExact(key_gb)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return exact;
-  }
+  // Every mode tried an exact match first; the similarity modes then
+  // fall back to the neighbours within the threshold.
   if (mode_ != CacheLookupMode::kExact && threshold_gb_ > 0.0) {
     const std::vector<CachedResourcePlan> neighbors =
-        index->FindNeighbors(key_gb, threshold_gb_);
+        FindNeighbors(model_name, key_gb);
     if (!neighbors.empty()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      stripe.hits.fetch_add(1, std::memory_order_relaxed);
       if (mode_ == CacheLookupMode::kNearestNeighbor) {
         const CachedResourcePlan* best = &neighbors[0];
         for (const CachedResourcePlan& n : neighbors) {
@@ -389,8 +263,29 @@ std::optional<CachedResourcePlan> ResourcePlanCache::LookupImpl(
       return blended;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  stripe.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
+}
+
+std::vector<CachedResourcePlan> ResourcePlanCache::FindNeighbors(
+    const std::string& model_name, double key_gb) const {
+  // Hash striping scatters a key range over every stripe; gather per
+  // stripe (each under its own lock, never two at once) and restore the
+  // ascending order.
+  std::vector<CachedResourcePlan> out;
+  for (const Stripe& stripe : stripes_) {
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    auto it = stripe.per_model.find(model_name);
+    if (it == stripe.per_model.end()) continue;
+    std::vector<CachedResourcePlan> part =
+        it->second->FindNeighbors(key_gb, threshold_gb_);
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CachedResourcePlan& a, const CachedResourcePlan& b) {
+              return a.key_gb < b.key_gb;
+            });
+  return out;
 }
 
 namespace {
@@ -399,6 +294,24 @@ namespace {
 /// plus the per-key index slot it occupies (key + payload handle).
 constexpr int64_t kApproxEntryBytes =
     static_cast<int64_t>(sizeof(CachedResourcePlan)) + 16;
+
+std::unique_ptr<ResourcePlanIndex> MakeIndex(CacheIndexKind kind) {
+  if (kind == CacheIndexKind::kCsbTree) {
+    return std::make_unique<CsbTreeIndex>();
+  }
+  return std::make_unique<SortedArrayIndex>();
+}
+
+/// Publishes the `cache.entries` and `cache.bytes` gauges.
+void SetEntryGauges(int64_t entries) {
+  if (!obs::MetricsOn()) return;
+  static obs::Gauge* entries_gauge =
+      obs::DefaultMetrics().GetGauge("cache.entries");
+  static obs::Gauge* bytes_gauge =
+      obs::DefaultMetrics().GetGauge("cache.bytes");
+  entries_gauge->Set(static_cast<double>(entries));
+  bytes_gauge->Set(static_cast<double>(entries * kApproxEntryBytes));
+}
 
 }  // namespace
 
@@ -412,41 +325,24 @@ void ResourcePlanCache::Insert(const std::string& model_name,
     // guard-less callers see the paper's original exact-match layout.
     entry.key_gb = ExactStorageKey(plan.key_gb, plan.larger_gb);
   }
-  bool inserted = false;
-  bool done = false;
+  Stripe& stripe = StripeFor(entry.key_gb);
+  stripe.inserts.fetch_add(1, std::memory_order_relaxed);
+  int64_t entries = 0;
   {
-    std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-    if (ResourcePlanIndex* index = FindIndex(model_name)) {
-      inserted = index->Insert(entry);
-      done = true;
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    std::unique_ptr<ResourcePlanIndex>& index = stripe.per_model[model_name];
+    if (index == nullptr) index = MakeIndex(index_kind_);
+    if (index->Insert(entry)) {
+      // Counted under the stripe lock, so Clear() subtracts exactly the
+      // entries it drops.
+      ++stripe.entries;
+      entries = entry_count_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
   }
-  if (!done) {
-    // First insert for this model: create the index under the exclusive
-    // lock (IndexFor re-checks, so two racing creators agree).
-    std::unique_lock<std::shared_mutex> map_lock(map_mu_);
-    inserted = IndexFor(model_name).Insert(entry);
-  }
-  if (inserted) {
-    const int64_t entries =
-        entry_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const int64_t bytes =
-        approx_bytes_.fetch_add(kApproxEntryBytes,
-                                std::memory_order_relaxed) +
-        kApproxEntryBytes;
-    if (obs::MetricsOn()) {
-      static obs::Gauge* entries_gauge =
-          obs::DefaultMetrics().GetGauge("cache.entries");
-      static obs::Gauge* bytes_gauge =
-          obs::DefaultMetrics().GetGauge("cache.bytes");
-      entries_gauge->Set(static_cast<double>(entries));
-      bytes_gauge->Set(static_cast<double>(bytes));
-    }
-  }
-  // Fire the mutation observer strictly after every cache lock is
+  if (entries > 0) SetEntryGauges(entries);
+  // Fire the mutation observer strictly after the stripe lock is
   // released: a listener journaling to disk or snapshotting the cache
-  // (which re-enters via DumpEntries) must never nest under map_mu_ or
-  // a shard stripe.
+  // (which re-enters via DumpEntries) must never nest under a stripe.
   if (CacheEventListener* listener =
           listener_.load(std::memory_order_acquire);
       listener != nullptr) {
@@ -455,25 +351,63 @@ void ResourcePlanCache::Insert(const std::string& model_name,
 }
 
 void ResourcePlanCache::Clear() {
-  std::unique_lock<std::shared_mutex> map_lock(map_mu_);
-  per_model_.clear();
-  entry_count_.store(0, std::memory_order_relaxed);
-  approx_bytes_.store(0, std::memory_order_relaxed);
-  if (obs::MetricsOn()) {
-    static obs::Gauge* entries_gauge =
-        obs::DefaultMetrics().GetGauge("cache.entries");
-    static obs::Gauge* bytes_gauge =
-        obs::DefaultMetrics().GetGauge("cache.bytes");
-    entries_gauge->Set(0.0);
-    bytes_gauge->Set(0.0);
+  for (Stripe& stripe : stripes_) {
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    stripe.per_model.clear();
+    entry_count_.fetch_sub(static_cast<int64_t>(stripe.entries),
+                           std::memory_order_relaxed);
+    stripe.entries = 0;
   }
+  SetEntryGauges(entry_count());
+}
+
+int64_t ResourcePlanCache::approx_bytes() const {
+  return entry_count() * kApproxEntryBytes;
+}
+
+CacheStats ResourcePlanCache::stats() const {
+  CacheStats out;
+  for (const Stripe& stripe : stripes_) {
+    out.hits += stripe.hits.load(std::memory_order_relaxed);
+    out.misses += stripe.misses.load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+CacheStats ResourcePlanCache::ResetStats() {
+  CacheStats out;
+  for (Stripe& stripe : stripes_) {
+    out.hits += stripe.hits.exchange(0, std::memory_order_relaxed);
+    out.misses += stripe.misses.exchange(0, std::memory_order_relaxed);
+  }
+  return out;
+}
+
+std::vector<ShardStats> ResourcePlanCache::shard_stats() const {
+  std::vector<ShardStats> out;
+  out.reserve(stripes_.size());
+  for (const Stripe& stripe : stripes_) {
+    ShardStats s;
+    s.lookups = stripe.hits.load(std::memory_order_relaxed) +
+                stripe.misses.load(std::memory_order_relaxed);
+    s.inserts = stripe.inserts.load(std::memory_order_relaxed);
+    s.contended_acquires =
+        stripe.contended_acquires.load(std::memory_order_relaxed);
+    s.lock_wait_ns = stripe.lock_wait_ns.load(std::memory_order_relaxed);
+    {
+      std::unique_lock<std::mutex> lock = LockStripe(stripe);
+      s.entries = stripe.entries;
+    }
+    out.push_back(s);
+  }
+  return out;
 }
 
 std::vector<CacheEntryRecord> ResourcePlanCache::DumpEntries() const {
   std::vector<CacheEntryRecord> out;
-  {
-    std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-    for (const auto& [model, index] : per_model_) {
+  for (const Stripe& stripe : stripes_) {
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    for (const auto& [model, index] : stripe.per_model) {
       index->ForEach([&](const CachedResourcePlan& stored) {
         CacheEntryRecord record;
         record.model = model;
@@ -486,7 +420,7 @@ std::vector<CacheEntryRecord> ResourcePlanCache::DumpEntries() const {
       });
     }
   }
-  // The per-model map iterates sorted already; within a model the index
+  // Stripes scatter each model's entries, and within a stripe the index
   // yields storage-key order, which under exact-mode folding is not the
   // logical order. Impose the canonical (model, smaller, larger) order
   // so two dumps of equal caches are byte-identical when serialized.
@@ -498,34 +432,6 @@ std::vector<CacheEntryRecord> ResourcePlanCache::DumpEntries() const {
               }
               return a.plan.larger_gb < b.plan.larger_gb;
             });
-  return out;
-}
-
-size_t ResourcePlanCache::size() const {
-  std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-  size_t total = 0;
-  for (const auto& [name, index] : per_model_) total += index->size();
-  return total;
-}
-
-std::vector<ShardStats> ResourcePlanCache::shard_stats() const {
-  if (shards_ == 0) return {};
-  std::vector<ShardStats> out;
-  std::shared_lock<std::shared_mutex> map_lock(map_mu_);
-  for (const auto& [name, index] : per_model_) {
-    // shards_ > 0 means every per-model index is sharded.
-    const auto& sharded =
-        static_cast<const ShardedResourcePlanIndex&>(*index);
-    std::vector<ShardStats> per = sharded.shard_stats();
-    if (out.size() < per.size()) out.resize(per.size());
-    for (size_t i = 0; i < per.size(); ++i) {
-      out[i].entries += per[i].entries;
-      out[i].lookups += per[i].lookups;
-      out[i].inserts += per[i].inserts;
-      out[i].contended_acquires += per[i].contended_acquires;
-      out[i].lock_wait_ns += per[i].lock_wait_ns;
-    }
-  }
   return out;
 }
 

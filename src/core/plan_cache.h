@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,15 +107,11 @@ enum class CacheIndexKind {
   kCsbTree,
 };
 
-/// A thread-safe index that stripes keys across `num_shards` inner
-/// indexes (SortedArrayIndex or CsbTreeIndex per `inner`), each behind
-/// its own mutex, so concurrent planners contend on a shard rather than
-/// on the whole index. Keys are distributed by hash, so FindNeighbors
-/// gathers from every shard and merges the results back into ascending
-/// key order.
-/// Per-shard activity counters (a point-in-time snapshot when read off a
-/// live concurrent index). `lock_wait_ns` accumulates only time spent
-/// blocked behind another thread — uncontended acquisitions go through a
+/// Per-stripe activity counters of a ResourcePlanCache (a point-in-time
+/// snapshot when read off a live cache). `lookups` counts each Lookup
+/// once, in the stripe of its key, so the stripes sum to
+/// CacheStats::lookups(). `lock_wait_ns` accumulates only time spent
+/// blocked behind another thread: uncontended acquisitions go through a
 /// try_lock fast path that never reads the clock.
 struct ShardStats {
   size_t entries = 0;
@@ -125,50 +120,6 @@ struct ShardStats {
   int64_t contended_acquires = 0;
   int64_t lock_wait_ns = 0;
 };
-
-class ShardedResourcePlanIndex : public ResourcePlanIndex {
- public:
-  ShardedResourcePlanIndex(CacheIndexKind inner, size_t num_shards);
-
-  bool Insert(const CachedResourcePlan& plan) override;
-  std::optional<CachedResourcePlan> FindExact(double key) const override;
-  std::vector<CachedResourcePlan> FindNeighbors(
-      double key, double threshold) const override;
-  void ForEach(const std::function<void(const CachedResourcePlan&)>& fn)
-      const override;
-  size_t size() const override;
-  const char* name() const override;
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// One entry per shard, in shard order. Exposes the skew a workload's
-  /// key distribution induces over the lock stripes.
-  std::vector<ShardStats> shard_stats() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unique_ptr<ResourcePlanIndex> index;
-    mutable std::atomic<int64_t> lookups{0};
-    mutable std::atomic<int64_t> inserts{0};
-    mutable std::atomic<int64_t> contended_acquires{0};
-    mutable std::atomic<int64_t> lock_wait_ns{0};
-  };
-
-  /// Acquires `shard.mu`, charging blocked time to the shard's wait
-  /// counters. try_lock first so the common uncontended path costs no
-  /// clock read.
-  static std::unique_lock<std::mutex> LockShard(const Shard& shard);
-
-  const Shard& ShardFor(double key) const;
-  Shard& ShardFor(double key);
-
-  CacheIndexKind inner_;
-  std::vector<Shard> shards_;
-};
-
-/// Builds a bare (unsharded) index of the given layout.
-std::unique_ptr<ResourcePlanIndex> MakeResourcePlanIndex(CacheIndexKind kind);
 
 /// Cache lookup behaviours (Section VI-B.3).
 enum class CacheLookupMode {
@@ -222,6 +173,10 @@ class CacheEventListener {
                         const CachedResourcePlan& plan) = 0;
 };
 
+/// Lock stripes of the shared caches the planning service and the
+/// concurrent workload runner build.
+inline constexpr size_t kDefaultCacheStripes = 8;
+
 /// The resource-plan cache: per cost model (SMJ, BHJ, ...) an index of
 /// data-characteristic keys pointing at the best resource configuration
 /// found for them. "A resource configuration computed for one join
@@ -229,12 +184,12 @@ class CacheEventListener {
 /// the same tree in case they have similar data characteristics", and
 /// across queries in a workload when the cache is kept warm.
 ///
-/// With `shards > 0` the cache is safe for concurrent Lookup/Insert from
-/// many planner threads: each per-model index is a
-/// ShardedResourcePlanIndex with that many lock stripes, the per-model
-/// map is guarded by a reader/writer lock, and the hit/miss counters are
-/// atomic. With the default `shards == 0` the layout is the paper's
-/// single-threaded one.
+/// Every cache is safe for concurrent Lookup/Insert from many planner
+/// threads. It is laid out as `max(1, shards)` lock stripes, each on its
+/// own cache line: one mutex over that stripe's index per model (the
+/// layout `index_kind` picks) plus the stripe's counters. A key lives in
+/// the stripe its storage key hashes to, so an exact lookup or an insert
+/// takes one lock; neighbour lookups visit every stripe, one at a time.
 class ResourcePlanCache {
  public:
   ResourcePlanCache(CacheLookupMode mode, double threshold_gb,
@@ -261,46 +216,36 @@ class ResourcePlanCache {
   void Insert(const std::string& model_name, const CachedResourcePlan& plan);
 
   /// Drops every entry (the paper clears the cache between queries unless
-  /// evaluating across-query caching).
+  /// evaluating across-query caching), one stripe at a time: an insert
+  /// racing the call may survive it, and entry_count() counts it if so.
   void Clear();
 
-  CacheStats stats() const {
-    return CacheStats{hits_.load(std::memory_order_relaxed),
-                      misses_.load(std::memory_order_relaxed)};
-  }
+  /// Hit/miss counters summed over the stripes.
+  CacheStats stats() const;
 
   /// Zeroes the hit/miss counters and returns their pre-reset values.
   /// Each counter is drained with a single atomic exchange, so no
   /// concurrent increment can slip into the window between reading a
-  /// counter and zeroing it and be lost; across the two counters the
-  /// snapshot is per-counter consistent, the strongest guarantee
-  /// available without serializing every Lookup.
-  CacheStats ResetStats() {
-    return CacheStats{hits_.exchange(0, std::memory_order_relaxed),
-                      misses_.exchange(0, std::memory_order_relaxed)};
-  }
+  /// counter and zeroing it and be lost; across counters the snapshot
+  /// is per-counter consistent, the strongest guarantee available
+  /// without serializing every Lookup.
+  CacheStats ResetStats();
 
-  /// Aggregated per-shard stats: entry `i` sums shard `i` of every
-  /// per-model sharded index. Empty when the cache is unsharded.
+  /// One entry per lock stripe, in stripe order. Exposes the skew a
+  /// workload's key distribution induces over the stripes.
   std::vector<ShardStats> shard_stats() const;
 
   CacheLookupMode mode() const { return mode_; }
   double threshold_gb() const { return threshold_gb_; }
-  size_t shards() const { return shards_; }
 
-  /// Total entries across all models.
-  size_t size() const;
-
-  /// Cheap O(1) entry count maintained on Insert/Clear (size() walks
-  /// every index). Mirrors the `cache.entries` gauge.
+  /// Entries across all models, maintained on Insert/Clear. Mirrors the
+  /// `cache.entries` gauge.
   int64_t entry_count() const {
     return entry_count_.load(std::memory_order_relaxed);
   }
   /// Approximate resident bytes of the cached entries (struct payload
   /// only, not index overhead). Mirrors the `cache.bytes` gauge.
-  int64_t approx_bytes() const {
-    return approx_bytes_.load(std::memory_order_relaxed);
-  }
+  int64_t approx_bytes() const;
 
   /// Installs (nullptr clears) the mutation observer. The caller must
   /// clear it before destroying the listener; the cache never deletes
@@ -316,33 +261,44 @@ class ResourcePlanCache {
   std::vector<CacheEntryRecord> DumpEntries() const;
 
  private:
+  /// One lock stripe, aligned so that no two stripes share a cache line.
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    /// Guarded by `mu`: this stripe's share of each model's entries.
+    std::map<std::string, std::unique_ptr<ResourcePlanIndex>> per_model;
+    size_t entries = 0;  ///< guarded by `mu`
+    std::atomic<int64_t> hits{0};
+    std::atomic<int64_t> misses{0};
+    std::atomic<int64_t> inserts{0};
+    mutable std::atomic<int64_t> contended_acquires{0};
+    mutable std::atomic<int64_t> lock_wait_ns{0};
+  };
+
   /// The uninstrumented lookup; Lookup() wraps it with the observability
   /// layer so the hot path stays branch-light when everything is off.
   std::optional<CachedResourcePlan> LookupImpl(
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb);
 
-  /// Returns the index for `model_name`, creating it if absent. The
-  /// caller must hold `map_mu_` (shared suffices once the index exists;
-  /// creation upgrades to exclusive internally via the two-phase pattern
-  /// in Lookup/Insert).
-  ResourcePlanIndex* FindIndex(const std::string& model_name) const;
-  ResourcePlanIndex& IndexFor(const std::string& model_name);
+  /// Every entry of `model_name` within threshold_gb_ of `key_gb`,
+  /// ascending by key.
+  std::vector<CachedResourcePlan> FindNeighbors(
+      const std::string& model_name, double key_gb) const;
+
+  /// The stripe owning `storage_key` (the key after exact-mode folding).
+  Stripe& StripeFor(double storage_key);
+
+  /// Acquires `stripe.mu`, charging blocked time to the stripe's wait
+  /// counters. try_lock first so the common uncontended path costs no
+  /// clock read.
+  static std::unique_lock<std::mutex> LockStripe(const Stripe& stripe);
 
   CacheLookupMode mode_;
   double threshold_gb_;
   CacheIndexKind index_kind_;
-  size_t shards_;
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
+  std::vector<Stripe> stripes_;
   std::atomic<int64_t> entry_count_{0};
-  std::atomic<int64_t> approx_bytes_{0};
   std::atomic<CacheEventListener*> listener_{nullptr};
-  /// Guards `per_model_` (the map itself; sharded indexes carry their own
-  /// stripe locks, unsharded indexes rely on this lock being held in
-  /// shared mode only by single-threaded callers).
-  mutable std::shared_mutex map_mu_;
-  std::map<std::string, std::unique_ptr<ResourcePlanIndex>> per_model_;
 };
 
 }  // namespace raqo::core

@@ -93,13 +93,7 @@ CacheStats RaqoCostEvaluator::ResetCacheStats() {
 
 size_t RaqoCostEvaluator::cache_size() const {
   const ResourcePlanCache* cache = active_cache();
-  return cache != nullptr ? cache->size() : 0;
-}
-
-std::vector<ShardStats> RaqoCostEvaluator::cache_shard_stats() const {
-  const ResourcePlanCache* cache = active_cache();
-  return cache != nullptr ? cache->shard_stats()
-                          : std::vector<ShardStats>{};
+  return cache != nullptr ? static_cast<size_t>(cache->entry_count()) : 0;
 }
 
 Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(

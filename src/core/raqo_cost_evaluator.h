@@ -88,15 +88,11 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// (see ResourcePlanCache::ResetStats); zeroes when caching is off.
   CacheStats ResetCacheStats();
   size_t cache_size() const;
-  /// Per-shard stats of the active cache; empty when caching is off or
-  /// the cache is unsharded.
-  std::vector<ShardStats> cache_shard_stats() const;
 
   /// Points this evaluator at a cache owned jointly with other planner
-  /// threads (the concurrent planning service: N planners, one cache).
-  /// The cache must be thread-safe (built with shards > 0) when more
-  /// than one planner shares it. Passing nullptr reverts to the
-  /// evaluator-owned cache configured by the options. Lookups and
+  /// threads (the concurrent planning service: N planners, one cache;
+  /// every ResourcePlanCache is safe to share). Passing nullptr reverts
+  /// to the evaluator-owned cache configured by the options. Lookups and
   /// inserts go straight to the attached cache, so a computed plan is
   /// visible to every other planner as soon as it is inserted.
   void ShareCache(std::shared_ptr<ResourcePlanCache> cache) {

@@ -56,6 +56,26 @@ int DefaultReactors() {
   return std::min(4, std::max(1, static_cast<int>(hw)));
 }
 
+// One SO_REUSEPORT listener per reactor, all on one port (the first
+// binds `port`, possibly 0, the rest join the port it got). Empty when
+// the kernel refuses any of them.
+std::vector<net::UniqueFd> ReuseportListeners(const std::string& host,
+                                              uint16_t port, int count) {
+  std::vector<net::UniqueFd> listeners;
+  for (int i = 0; i < count; ++i) {
+    Result<net::UniqueFd> listen =
+        net::ListenTcp(host, port, 128, /*reuse_port=*/true);
+    if (!listen.ok()) return {};
+    if (i == 0) {
+      Result<uint16_t> bound = net::LocalPort(listen->get());
+      if (!bound.ok()) return {};
+      port = *bound;
+    }
+    listeners.push_back(std::move(*listen));
+  }
+  return listeners;
+}
+
 }  // namespace
 
 PlanningServer::PlanningServer(const PlanningService* service,
@@ -91,48 +111,30 @@ Status PlanningServer::Start() {
         persist::CachePersistence::Open(popts, service_->shared_cache()));
   }
 
-  // Listener plan. With several reactors, try one SO_REUSEPORT listener
-  // per reactor so the kernel spreads incoming connections across them.
-  // If the kernel refuses (or any shard fails to bind), fall back to a
-  // single plain listener on reactor 0, which then hands accepted fds
-  // round-robin to its peers. One reactor always uses the plain listener
-  // — identical to the single-epoll design this replaces.
+  // Listener plan: every reactor accepts on its own listener. With
+  // several reactors these are SO_REUSEPORT sockets on one port, so the
+  // kernel spreads incoming connections across them. If the kernel
+  // refuses (or any of them fails to bind), the server runs one reactor
+  // on a plain listener — the single-epoll design, which is also what
+  // num_reactors = 1 always gets.
   std::vector<net::UniqueFd> listeners;
-  reuseport_ = false;
   if (options_.num_reactors > 1) {
-    Result<net::UniqueFd> first =
-        net::ListenTcp(options_.host, options_.port, 128,
-                       /*reuse_port=*/true);
-    if (first.ok()) {
-      Result<uint16_t> port = net::LocalPort(first->get());
-      if (port.ok()) {
-        std::vector<net::UniqueFd> shards;
-        shards.push_back(std::move(*first));
-        bool all_ok = true;
-        for (int i = 1; i < options_.num_reactors; ++i) {
-          Result<net::UniqueFd> shard = net::ListenTcp(
-              options_.host, *port, 128, /*reuse_port=*/true);
-          if (!shard.ok()) {
-            all_ok = false;
-            break;
-          }
-          shards.push_back(std::move(*shard));
-        }
-        if (all_ok) {
-          listeners = std::move(shards);
-          port_ = *port;
-          reuseport_ = true;
-        }
-      }
+    listeners = ReuseportListeners(options_.host, options_.port,
+                                   options_.num_reactors);
+    if (listeners.empty()) {
+      std::cerr << "raqo_server: SO_REUSEPORT listeners unavailable; "
+                << "running 1 reactor instead of " << options_.num_reactors
+                << "\n";
+      options_.num_reactors = 1;
     }
   }
-  if (!reuseport_) {
+  if (listeners.empty()) {
     RAQO_ASSIGN_OR_RETURN(
         net::UniqueFd listen,
         net::ListenTcp(options_.host, options_.port, 128));
-    RAQO_ASSIGN_OR_RETURN(port_, net::LocalPort(listen.get()));
     listeners.push_back(std::move(listen));
   }
+  RAQO_ASSIGN_OR_RETURN(port_, net::LocalPort(listeners[0].get()));
 
   reactors_.reserve(options_.num_reactors);
   for (int i = 0; i < options_.num_reactors; ++i) {
@@ -157,16 +159,14 @@ Status PlanningServer::Start() {
       return Status::Internal(
           StrPrintf("epoll_ctl(eventfd): %s", strerror(errno)));
     }
-    if (static_cast<size_t>(i) < listeners.size()) {
-      r->listen_fd = std::move(listeners[i]);
-      RAQO_RETURN_IF_ERROR(net::SetNonBlocking(r->listen_fd.get()));
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenTag;
-      if (epoll_ctl(r->epoll_fd.get(), EPOLL_CTL_ADD, r->listen_fd.get(),
-                    &ev) != 0) {
-        return Status::Internal(
-            StrPrintf("epoll_ctl(listen): %s", strerror(errno)));
-      }
+    r->listen_fd = std::move(listeners[i]);
+    RAQO_RETURN_IF_ERROR(net::SetNonBlocking(r->listen_fd.get()));
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenTag;
+    if (epoll_ctl(r->epoll_fd.get(), EPOLL_CTL_ADD, r->listen_fd.get(),
+                  &ev) != 0) {
+      return Status::Internal(
+          StrPrintf("epoll_ctl(listen): %s", strerror(errno)));
     }
     reactors_.push_back(std::move(r));
   }
@@ -310,8 +310,6 @@ void PlanningServer::ReactorLoop(Reactor& r) {
     }
 
     if (drain_started) {
-      // fds handed over before the drain began are closed, not adopted.
-      AdoptHandoffConnections(r);
       // Retire connections that are fully answered and flushed.
       std::vector<uint64_t> idle;
       for (const auto& [id, conn] : r.conns) {
@@ -368,7 +366,6 @@ void PlanningServer::ReactorLoop(Reactor& r) {
         HandleWritable(r, it->second.get());
       }
     }
-    AdoptHandoffConnections(r);
     DeliverCompletions(r);
     // One flush per tick: responses buffered by the delivery (or by
     // admission rejections) above go out coalesced, one send per
@@ -384,15 +381,6 @@ void PlanningServer::ReactorLoop(Reactor& r) {
     r.open.fetch_sub(leftover, std::memory_order_relaxed);
   }
   r.conns.clear();
-  std::vector<int> orphans;
-  {
-    std::lock_guard<std::mutex> lock(r.handoff_mu);
-    orphans.swap(r.handoff_fds);
-  }
-  for (int fd : orphans) {
-    ::close(fd);
-    open_conns_.fetch_sub(1, std::memory_order_relaxed);
-  }
 }
 
 void PlanningServer::AcceptNewConnections(Reactor& r) {
@@ -436,39 +424,7 @@ void PlanningServer::AcceptNewConnections(Reactor& r) {
       continue;
     }
     net::SetTcpNoDelay(fd);  // request/response traffic; best effort
-    if (reuseport_ || reactors_.size() == 1) {
-      RegisterConnection(r, std::move(accepted));
-      continue;
-    }
-    // Fallback sharding: this reactor is the lone acceptor; deal the
-    // accepted fd round-robin across all reactors (itself included).
-    Reactor& target = *reactors_[next_handoff_++ % reactors_.size()];
-    if (&target == &r) {
-      RegisterConnection(r, std::move(accepted));
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(target.handoff_mu);
-        target.handoff_fds.push_back(accepted.release());
-      }
-      WakeReactor(target);
-    }
-  }
-}
-
-void PlanningServer::AdoptHandoffConnections(Reactor& r) {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(r.handoff_mu);
-    if (r.handoff_fds.empty()) return;
-    fds.swap(r.handoff_fds);
-  }
-  for (int fd : fds) {
-    net::UniqueFd owned(fd);
-    if (draining()) {
-      open_conns_.fetch_sub(1, std::memory_order_relaxed);
-      continue;  // closing the fd is the whole answer
-    }
-    RegisterConnection(r, std::move(owned));
+    RegisterConnection(r, std::move(accepted));
   }
 }
 

@@ -52,9 +52,8 @@ struct ServerOptions {
   /// connection, so the hot read/decode/admit path takes no lock beyond
   /// the shared admission mutex. With more than one reactor each binds
   /// its own SO_REUSEPORT listener and the kernel spreads incoming
-  /// connections across them; when SO_REUSEPORT is unavailable, reactor
-  /// 0 accepts alone and hands accepted fds round-robin to its peers
-  /// over their wakeup eventfds. 0 = min(4, hardware threads).
+  /// connections across them; when the kernel refuses SO_REUSEPORT,
+  /// Start() logs it and runs one reactor. 0 = min(4, hardware threads).
   int num_reactors = 0;
   /// Planner worker threads (one PR-1 ThreadPool).
   int num_workers = 4;
@@ -164,12 +163,12 @@ struct ReactorStats {
 /// PlanningService. Production behaviors, not demo ones:
 ///
 ///  - sharded I/O plane: each reactor owns its own listening socket
-///    (SO_REUSEPORT; single-acceptor fd handoff as the fallback), epoll
-///    instance, and wakeup eventfd. A connection's read buffer, frame
-///    reassembly, and write buffer live on exactly one reactor for the
-///    connection's whole life, so the hot read/decode/enqueue path is
-///    single-threaded and lock-free; worker completions are routed back
-///    to the owning reactor and writes are batched per event-loop tick,
+///    (SO_REUSEPORT), epoll instance, and wakeup eventfd. A connection's
+///    read buffer, frame reassembly, and write buffer live on exactly one
+///    reactor for the connection's whole life, so the hot
+///    read/decode/enqueue path is single-threaded and lock-free; worker
+///    completions are routed back to the owning reactor and writes are
+///    batched per event-loop tick,
 ///  - admission control: bounded per-tenant queues; overflow answers
 ///    RESOURCE_EXHAUSTED immediately instead of buffering,
 ///  - multi-tenant quotas: per-tenant in-flight caps and cumulative
@@ -206,14 +205,10 @@ class PlanningServer {
   /// The bound port (after Start; useful with options.port = 0).
   uint16_t port() const { return port_; }
 
-  /// Resolved reactor count (after construction; 0 in options means
-  /// min(4, hardware threads)).
+  /// Reactor count: 0 in options resolves to min(4, hardware threads)
+  /// at construction, and Start() drops it to 1 when the kernel refuses
+  /// SO_REUSEPORT listeners.
   int num_reactors() const { return options_.num_reactors; }
-
-  /// True when every reactor accepts on its own SO_REUSEPORT listener;
-  /// false with one reactor (plain single listener) or when the kernel
-  /// refused SO_REUSEPORT and reactor 0 hands accepted fds to its peers.
-  bool reuseport_sharding() const { return reuseport_; }
 
   /// Begins the graceful drain. Async-signal-safe and idempotent.
   void Shutdown();
@@ -239,7 +234,7 @@ class PlanningServer {
   std::map<std::string, TenantStats> tenant_stats() const;
 
   /// Per-reactor accept/open counts, in reactor order. Useful to observe
-  /// how SO_REUSEPORT (or the handoff fallback) spread connections.
+  /// how SO_REUSEPORT spread connections.
   std::vector<ReactorStats> reactor_stats() const;
 
  private:
@@ -279,15 +274,14 @@ class PlanningServer {
     std::string payload;
   };
 
-  /// One I/O shard: epoll loop, wakeup eventfd, optionally a listener,
-  /// and the connections pinned to it. Everything except the two
-  /// mutex-guarded inboxes (completions from workers, handed-off fds
-  /// from the acceptor) is touched only by this reactor's thread.
+  /// One I/O shard: epoll loop, wakeup eventfd, listener, and the
+  /// connections pinned to it. Everything except the mutex-guarded
+  /// completion inbox is touched only by this reactor's thread.
   struct Reactor {
     int index = 0;
-    net::UniqueFd listen_fd;  ///< invalid on non-acceptors in handoff mode
+    net::UniqueFd listen_fd;  ///< closed once the drain starts
     net::UniqueFd epoll_fd;
-    net::UniqueFd wake_fd;    ///< eventfd: completions, handoffs, Shutdown
+    net::UniqueFd wake_fd;    ///< eventfd: completions, Shutdown
     std::thread thread;
 
     // Reactor-thread-only state.
@@ -303,10 +297,6 @@ class PlanningServer {
     // Inbox: responses posted by workers.
     std::mutex completions_mu;
     std::deque<Completion> completions;
-
-    // Inbox: accepted fds handed over by reactor 0 (fallback mode only).
-    std::mutex handoff_mu;
-    std::vector<int> handoff_fds;
   };
 
   struct TenantState;
@@ -324,7 +314,6 @@ class PlanningServer {
   // Reactor-thread helpers (all touch only reactor-owned state plus the
   // shared admission/stats mutexes).
   void AcceptNewConnections(Reactor& r);
-  void AdoptHandoffConnections(Reactor& r);
   void RegisterConnection(Reactor& r, net::UniqueFd fd);
   void HandleReadable(Reactor& r, Connection* conn);
   void HandleWritable(Reactor& r, Connection* conn);
@@ -356,10 +345,6 @@ class PlanningServer {
   std::unique_ptr<persist::CachePersistence> persistence_;
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  bool reuseport_ = false;
-  /// Round-robin cursor of the fd-handoff fallback; touched only by the
-  /// accepting reactor's thread (reactor 0).
-  size_t next_handoff_ = 0;
 
   std::unique_ptr<ThreadPool> workers_;
 

@@ -70,8 +70,7 @@ PlanningService::PlanningService(const catalog::Catalog* catalog,
   shared_cache_ = std::make_shared<core::ResourcePlanCache>(
       options_.planner.evaluator.cache_mode,
       options_.planner.evaluator.cache_threshold_gb,
-      options_.planner.evaluator.cache_index,
-      std::max<size_t>(1, options_.cache_shards));
+      options_.planner.evaluator.cache_index, options_.cache_shards);
 }
 
 PlanResponse PlanningService::Handle(const PlanRequest& request) const {

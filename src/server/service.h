@@ -16,7 +16,7 @@ struct PlanningServiceOptions {
   /// Base planner configuration; per-request knobs override a copy.
   core::RaqoPlannerOptions planner;
   /// Lock stripes of the resource-plan cache shared across requests.
-  size_t cache_shards = 8;
+  size_t cache_shards = core::kDefaultCacheStripes;
 };
 
 /// The request handler of the planning server: resolves a PlanRequest

