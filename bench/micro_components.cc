@@ -1,18 +1,15 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
-// costs drive the planner-overhead figures, plus the ablation the paper
-// suggests between the two resource-plan cache index layouts (sorted
-// array vs CSB+-tree), on lookups and on inserts, directly and through
-// the lock-striped cache.
+// costs drive the planner-overhead figures, plus the resource-plan cache
+// on lookups and on inserts: the paper's sorted array directly, and the
+// lock-striped cache in exact mode.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 #include "catalog/tpch.h"
 #include "common/rng.h"
-#include "core/csb_tree.h"
 #include "core/plan_cache.h"
 #include "core/raqo_cost_evaluator.h"
 #include "core/resource_planner.h"
@@ -126,23 +123,19 @@ void BM_PlanIndexLookup(benchmark::State& state) {
 BENCHMARK(BM_PlanIndexLookup<core::SortedArrayIndex>)
     ->Arg(100)
     ->Arg(10000);
-BENCHMARK(BM_PlanIndexLookup<core::CsbTreeIndex>)->Arg(100)->Arg(10000);
 
 // One insert of a fresh random key into an index already holding
 // state.range(0) random keys: the sorted array shifts every entry above
-// the key (O(n)), the CSB+-tree rewrites at most a few node groups. The
-// run is capped at 100 inserts so the index never grows by more than a
-// tenth of its size.
+// the key (O(n)). The run is capped at 100 inserts so the index never
+// grows by more than a tenth of its size.
 template <typename IndexT>
 void BM_PlanIndexInsert(benchmark::State& state) {
   Rng rng(13);
   std::vector<double> keys(static_cast<size_t>(state.range(0)));
   for (double& key : keys) key = rng.Uniform(0, 100);
-  if constexpr (std::is_same_v<IndexT, core::SortedArrayIndex>) {
-    // The array's layout does not depend on insertion order; filling it
-    // in key order appends instead of costing O(n^2) moves.
-    std::sort(keys.begin(), keys.end());
-  }
+  // The array's layout does not depend on insertion order; filling it in
+  // key order appends instead of costing O(n^2) moves.
+  std::sort(keys.begin(), keys.end());
   IndexT index;
   core::CachedResourcePlan p;
   p.config = resource::ResourceConfig(4, 10);
@@ -164,33 +157,44 @@ BENCHMARK(BM_PlanIndexInsert<core::SortedArrayIndex>)
     ->Iterations(100)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
-BENCHMARK(BM_PlanIndexInsert<core::CsbTreeIndex>)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Iterations(100)
-    ->Repetitions(5)
-    ->ReportAggregatesOnly(true);
 
-// The same two operations through ResourcePlanCache in exact mode over
-// the sorted array, the path planners take: state.range(0) lock stripes
-// (1 or 8) over a cache already holding state.range(1) entries. Entries
-// carry no larger input size, so their storage key is the plain data
-// characteristic and the cache fills in key order (appends) — a random
-// fill would cost O(n^2) moves at 100k. Lookups pass the exact-mode
-// guard like the planner's do and always hit. The metrics registry stays
-// on, as the server ships, so each lookup also records its counters.
+// The same two operations through ResourcePlanCache in exact mode, the
+// path planners take: state.range(0) lock stripes (1 or 8) over a cache
+// already holding state.range(1) entries. With state.range(2) == 0 the
+// entries carry no larger input size; with 1 each carries one, the key
+// shape planners insert, and exact mode keys it by the (smaller, larger)
+// pair. The fill runs in ascending smaller size, so a layout sorted by
+// that size appends; one ordered by anything else pays O(n^2) moves at
+// 100k. Lookups pass the exact-mode guard like the planner's do and
+// always hit. The metrics registry stays on, as the server ships, so
+// each operation also records its metrics.
+struct CacheKey {
+  double smaller = 0.0;
+  double larger = 0.0;
+};
+
+CacheKey RandomCacheKey(Rng& rng, bool with_larger) {
+  CacheKey key;
+  key.smaller = rng.Uniform(0, 100);
+  if (with_larger) key.larger = rng.Uniform(100, 400);
+  return key;
+}
+
 void FillPlanCache(core::ResourcePlanCache& cache, int64_t entries,
-                   std::vector<double>* keys) {
+                   bool with_larger, std::vector<CacheKey>* keys) {
   Rng rng(17);
   keys->resize(static_cast<size_t>(entries));
-  for (double& key : *keys) key = rng.Uniform(0, 100);
-  std::sort(keys->begin(), keys->end());
+  for (CacheKey& key : *keys) key = RandomCacheKey(rng, with_larger);
+  std::sort(keys->begin(), keys->end(),
+            [](const CacheKey& a, const CacheKey& b) {
+              return a.smaller < b.smaller;
+            });
   core::CachedResourcePlan p;
   p.config = resource::ResourceConfig(4, 10);
   p.cost = 1.0;
-  for (double key : *keys) {
-    p.key_gb = key;
+  for (const CacheKey& key : *keys) {
+    p.key_gb = key.smaller;
+    p.larger_gb = key.larger;
     cache.Insert("smj", p);
   }
 }
@@ -199,24 +203,25 @@ void BM_PlanCacheLookup(benchmark::State& state) {
   core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0,
                                 core::CacheIndexKind::kSortedArray,
                                 static_cast<size_t>(state.range(0)));
-  std::vector<double> keys;
-  FillPlanCache(cache, state.range(1), &keys);
-  // Probe in a fixed random order so the binary searches do not walk
-  // the array in cache-friendly key order.
+  std::vector<CacheKey> keys;
+  FillPlanCache(cache, state.range(1), state.range(2) != 0, &keys);
+  // Probe in a fixed random order so the probes do not walk the entries
+  // in fill order.
   Rng rng(19);
-  std::vector<double> probes(4096);
-  for (double& probe : probes) {
+  std::vector<CacheKey> probes(4096);
+  for (CacheKey& probe : probes) {
     probe = keys[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
   }
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Lookup("smj", probes[i], 0.0));
+    benchmark::DoNotOptimize(
+        cache.Lookup("smj", probes[i].smaller, probes[i].larger));
     i = (i + 1) % probes.size();
   }
 }
 BENCHMARK(BM_PlanCacheLookup)
-    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}})
+    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}, {0, 1}})
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
 
@@ -226,37 +231,26 @@ void BM_PlanCacheInsert(benchmark::State& state) {
   core::ResourcePlanCache cache(core::CacheLookupMode::kExact, 0.0,
                                 core::CacheIndexKind::kSortedArray,
                                 static_cast<size_t>(state.range(0)));
-  std::vector<double> keys;
-  FillPlanCache(cache, state.range(1), &keys);
+  const bool with_larger = state.range(2) != 0;
+  std::vector<CacheKey> keys;
+  FillPlanCache(cache, state.range(1), with_larger, &keys);
   Rng rng(23);
   core::CachedResourcePlan p;
   p.config = resource::ResourceConfig(4, 10);
   p.cost = 1.0;
   for (auto _ : state) {
-    p.key_gb = rng.Uniform(0, 100);
+    const CacheKey key = RandomCacheKey(rng, with_larger);
+    p.key_gb = key.smaller;
+    p.larger_gb = key.larger;
     cache.Insert("smj", p);
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PlanCacheInsert)
-    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}})
+    ->ArgsProduct({{1, 8}, {1000, 10000, 100000}, {0, 1}})
     ->Iterations(100)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
-
-void BM_CsbTreeInsert(benchmark::State& state) {
-  Rng rng(11);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::CsbTree tree;
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      tree.Insert(rng.NextDouble() * 1e6, i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-}
-BENCHMARK(BM_CsbTreeInsert)->Arg(1000)->Arg(10000);
 
 void BM_SelingerTpchAll(benchmark::State& state) {
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);

@@ -14,6 +14,8 @@ namespace raqo::core {
 /// A Cache Sensitive B+-Tree (CSB+-Tree, Rao & Ross [35]) keyed by double
 /// with int64 payload handles. The paper proposes laying the resource-plan
 /// cache out as a CSB+-Tree for larger workloads; this is that index.
+/// The cache no longer uses it (EXPERIMENTS.md, "Cache index layouts"),
+/// and ROADMAP.md's prune item deletes it with its tests.
 ///
 /// The defining property: all children of an internal node live in one
 /// contiguous *node group*, so internal nodes store a single child

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "common/logging.h"
@@ -46,46 +45,72 @@ std::vector<CachedResourcePlan> SortedArrayIndex::FindNeighbors(
   return out;
 }
 
-void SortedArrayIndex::ForEach(
-    const std::function<void(const CachedResourcePlan&)>& fn) const {
-  for (const CachedResourcePlan& entry : entries_) fn(entry);
+namespace {
+
+/// Hash of a (smaller, larger) size pair. The cache picks a key's lock
+/// stripe from the upper 32 bits and a PairTable slot from the lower
+/// ones. -0.0 == +0.0 as keys, so both hash as +0.0.
+uint64_t PairHash(double smaller_gb, double larger_gb) {
+  if (smaller_gb == 0.0) smaller_gb = 0.0;
+  if (larger_gb == 0.0) larger_gb = 0.0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  std::memcpy(&a, &smaller_gb, sizeof(a));
+  std::memcpy(&b, &larger_gb, sizeof(b));
+  uint64_t h = a * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 32;
+  h += b;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 29;
+  h *= 0x94D049BB133111EBull;
+  h ^= h >> 32;
+  return h;
 }
 
-bool CsbTreeIndex::Insert(const CachedResourcePlan& plan) {
-  if (std::optional<int64_t> existing = tree_.Find(plan.key_gb)) {
-    payloads_[static_cast<size_t>(*existing)] = plan;
+}  // namespace
+
+size_t PairTable::SlotOf(double smaller_gb, double larger_gb) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = PairHash(smaller_gb, larger_gb) & mask;;
+       i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == 0) return i;
+    const CachedResourcePlan& entry = entries_[slot - 1];
+    if (entry.key_gb == smaller_gb && entry.larger_gb == larger_gb) return i;
+  }
+}
+
+void PairTable::Rehash(size_t slot_count) {
+  slots_.assign(slot_count, 0);
+  const size_t mask = slot_count - 1;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    size_t i = PairHash(entries_[e].key_gb, entries_[e].larger_gb) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(e + 1);
+  }
+}
+
+bool PairTable::Insert(const CachedResourcePlan& plan) {
+  if (2 * (entries_.size() + 1) > slots_.size()) {
+    RAQO_CHECK(entries_.size() < std::numeric_limits<uint32_t>::max())
+        << "PairTable holds at most 2^32 - 1 entries";
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  uint32_t& slot = slots_[SlotOf(plan.key_gb, plan.larger_gb)];
+  if (slot != 0) {
+    entries_[slot - 1] = plan;  // overwrite
     return false;
   }
-  payloads_.push_back(plan);
-  tree_.Insert(plan.key_gb, static_cast<int64_t>(payloads_.size() - 1));
+  entries_.push_back(plan);
+  slot = static_cast<uint32_t>(entries_.size());
   return true;
 }
 
-std::optional<CachedResourcePlan> CsbTreeIndex::FindExact(double key) const {
-  if (std::optional<int64_t> handle = tree_.Find(key)) {
-    return payloads_[static_cast<size_t>(*handle)];
-  }
-  return std::nullopt;
-}
-
-std::vector<CachedResourcePlan> CsbTreeIndex::FindNeighbors(
-    double key, double threshold) const {
-  std::vector<CachedResourcePlan> out;
-  tree_.Scan(key - threshold, key + threshold, [&](double, int64_t handle) {
-    out.push_back(payloads_[static_cast<size_t>(handle)]);
-  });
-  return out;
-}
-
-void CsbTreeIndex::ForEach(
-    const std::function<void(const CachedResourcePlan&)>& fn) const {
-  // The tree scan yields keys ascending; payloads_ holds them insertion
-  // ordered, so iterate through the tree for the ordering promise.
-  tree_.Scan(-std::numeric_limits<double>::infinity(),
-             std::numeric_limits<double>::infinity(),
-             [&](double, int64_t handle) {
-               fn(payloads_[static_cast<size_t>(handle)]);
-             });
+const CachedResourcePlan* PairTable::Find(double smaller_gb,
+                                          double larger_gb) const {
+  if (entries_.empty()) return nullptr;
+  const uint32_t slot = slots_[SlotOf(smaller_gb, larger_gb)];
+  return slot == 0 ? nullptr : &entries_[slot - 1];
 }
 
 const char* CacheLookupModeName(CacheLookupMode mode) {
@@ -100,21 +125,44 @@ const char* CacheLookupModeName(CacheLookupMode mode) {
   return "?";
 }
 
+namespace {
+
+/// Resident bytes per entry of the layout `mode` uses: the plan, plus in
+/// exact mode the two 4-byte PairTable slots each entry owns at the
+/// table's maximum load of one half.
+int64_t EntryBytes(CacheLookupMode mode) {
+  const size_t bytes = mode == CacheLookupMode::kExact
+                           ? sizeof(CachedResourcePlan) + 2 * sizeof(uint32_t)
+                           : sizeof(CachedResourcePlan);
+  return static_cast<int64_t>(bytes);
+}
+
+/// Publishes the `cache.entries` and `cache.bytes` gauges.
+void SetEntryGauges(int64_t entries, int64_t entry_bytes) {
+  if (!obs::MetricsOn()) return;
+  static obs::Gauge* entries_gauge =
+      obs::DefaultMetrics().GetGauge("cache.entries");
+  static obs::Gauge* bytes_gauge =
+      obs::DefaultMetrics().GetGauge("cache.bytes");
+  entries_gauge->Set(static_cast<double>(entries));
+  bytes_gauge->Set(static_cast<double>(entries * entry_bytes));
+}
+
+}  // namespace
+
 ResourcePlanCache::ResourcePlanCache(CacheLookupMode mode,
                                      double threshold_gb,
-                                     CacheIndexKind index_kind,
+                                     CacheIndexKind /*index_kind*/,
                                      size_t shards)
     : mode_(mode),
       threshold_gb_(threshold_gb),
-      index_kind_(index_kind),
       stripes_(std::max<size_t>(1, shards)) {
   RAQO_CHECK(threshold_gb >= 0.0) << "cache threshold must be non-negative";
 }
 
-ResourcePlanCache::Stripe& ResourcePlanCache::StripeFor(double storage_key) {
-  // +0.0 and -0.0 hash alike, matching their key equality.
-  if (storage_key == 0.0) storage_key = 0.0;
-  return stripes_[std::hash<double>{}(storage_key) % stripes_.size()];
+ResourcePlanCache::Stripe& ResourcePlanCache::StripeFor(double smaller_gb,
+                                                        double larger_gb) {
+  return stripes_[(PairHash(smaller_gb, larger_gb) >> 32) % stripes_.size()];
 }
 
 std::unique_lock<std::mutex> ResourcePlanCache::LockStripe(
@@ -133,32 +181,6 @@ std::unique_lock<std::mutex> ResourcePlanCache::LockStripe(
   }
   return lock;
 }
-
-namespace {
-
-/// Exact mode stores one entry per (smaller, larger) input pair: the
-/// index key mixes the bit patterns of both sizes into a 53-bit
-/// integer-valued double (exactly representable, totally ordered), so
-/// distinct pairs land on distinct keys. An arithmetic fold such as
-/// ss + 1e6 * ls would round away small smaller-side differences once
-/// the larger side dominates the magnitude, silently overwriting
-/// distinct pairs. Residual hash collisions (~n^2 / 2^54) are harmless:
-/// lookups verify the true pair on the entry itself.
-double ExactStorageKey(double smaller_gb, double larger_gb) {
-  if (larger_gb == 0.0) return smaller_gb;
-  uint64_t a = 0;
-  uint64_t b = 0;
-  std::memcpy(&a, &smaller_gb, sizeof(a));
-  std::memcpy(&b, &larger_gb, sizeof(b));
-  uint64_t h = a * 0x9E3779B97F4A7C15ull;
-  h ^= h >> 32;
-  h += b;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 29;
-  return static_cast<double>(h >> 11);
-}
-
-}  // namespace
 
 std::optional<CachedResourcePlan> ResourcePlanCache::Lookup(
     const std::string& model_name, double key_gb,
@@ -194,40 +216,44 @@ std::optional<CachedResourcePlan> ResourcePlanCache::Lookup(
 std::optional<CachedResourcePlan> ResourcePlanCache::LookupImpl(
     const std::string& model_name, double key_gb,
     std::optional<double> larger_gb) {
-  // Exact mode with a larger-size guard: the entry must have been
-  // computed for this very (smaller, larger) pair — a configuration
-  // reused across pairs would depend on which join populated the cache
-  // first, which is acceptable for the similarity modes but fatal for
-  // determinism under concurrent sharing. The pair is re-verified on the
-  // entry, so folded-key aliasing can never produce a false hit.
-  const bool guarded =
-      mode_ == CacheLookupMode::kExact && larger_gb.has_value();
-  const double storage_key =
-      guarded ? ExactStorageKey(key_gb, *larger_gb) : key_gb;
-  Stripe& stripe = StripeFor(storage_key);
+  if (mode_ == CacheLookupMode::kExact) {
+    // The entry must have been computed for this very (smaller, larger)
+    // pair — a configuration reused across pairs would depend on which
+    // join populated the cache first, which is acceptable for the
+    // similarity modes but fatal for determinism under concurrent
+    // sharing. Without a guard the pair is (key, 0): the entries
+    // recorded without a larger size, keyed as in the paper.
+    const double larger = larger_gb.value_or(0.0);
+    Stripe& stripe = StripeFor(key_gb, larger);
+    std::optional<CachedResourcePlan> found;
+    {
+      std::unique_lock<std::mutex> lock = LockStripe(stripe);
+      auto it = stripe.exact.find(model_name);
+      if (it != stripe.exact.end()) {
+        if (const CachedResourcePlan* entry = it->second.Find(key_gb, larger)) {
+          found = *entry;
+        }
+      }
+    }
+    (found ? stripe.hits : stripe.misses)
+        .fetch_add(1, std::memory_order_relaxed);
+    return found;
+  }
+
+  // The similarity modes try an exact match first, then fall back to the
+  // neighbours within the threshold.
+  Stripe& stripe = StripeFor(key_gb, 0.0);
   std::optional<CachedResourcePlan> found;
   {
     std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    auto it = stripe.per_model.find(model_name);
-    if (it != stripe.per_model.end()) {
-      found = it->second->FindExact(storage_key);
-    }
-  }
-  if (found && guarded) {
-    if (found->smaller_gb == key_gb && found->larger_gb == *larger_gb) {
-      found->key_gb = key_gb;  // restore the caller-facing key
-    } else {
-      found.reset();
-    }
+    auto it = stripe.sorted.find(model_name);
+    if (it != stripe.sorted.end()) found = it->second.FindExact(key_gb);
   }
   if (found) {
     stripe.hits.fetch_add(1, std::memory_order_relaxed);
     return found;
   }
-
-  // Every mode tried an exact match first; the similarity modes then
-  // fall back to the neighbours within the threshold.
-  if (mode_ != CacheLookupMode::kExact && threshold_gb_ > 0.0) {
+  if (threshold_gb_ > 0.0) {
     const std::vector<CachedResourcePlan> neighbors =
         FindNeighbors(model_name, key_gb);
     if (!neighbors.empty()) {
@@ -275,10 +301,10 @@ std::vector<CachedResourcePlan> ResourcePlanCache::FindNeighbors(
   std::vector<CachedResourcePlan> out;
   for (const Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    auto it = stripe.per_model.find(model_name);
-    if (it == stripe.per_model.end()) continue;
+    auto it = stripe.sorted.find(model_name);
+    if (it == stripe.sorted.end()) continue;
     std::vector<CachedResourcePlan> part =
-        it->second->FindNeighbors(key_gb, threshold_gb_);
+        it->second.FindNeighbors(key_gb, threshold_gb_);
     out.insert(out.end(), part.begin(), part.end());
   }
   std::sort(out.begin(), out.end(),
@@ -288,58 +314,27 @@ std::vector<CachedResourcePlan> ResourcePlanCache::FindNeighbors(
   return out;
 }
 
-namespace {
-
-/// Approximate resident footprint of one cached entry: the plan struct
-/// plus the per-key index slot it occupies (key + payload handle).
-constexpr int64_t kApproxEntryBytes =
-    static_cast<int64_t>(sizeof(CachedResourcePlan)) + 16;
-
-std::unique_ptr<ResourcePlanIndex> MakeIndex(CacheIndexKind kind) {
-  if (kind == CacheIndexKind::kCsbTree) {
-    return std::make_unique<CsbTreeIndex>();
-  }
-  return std::make_unique<SortedArrayIndex>();
-}
-
-/// Publishes the `cache.entries` and `cache.bytes` gauges.
-void SetEntryGauges(int64_t entries) {
-  if (!obs::MetricsOn()) return;
-  static obs::Gauge* entries_gauge =
-      obs::DefaultMetrics().GetGauge("cache.entries");
-  static obs::Gauge* bytes_gauge =
-      obs::DefaultMetrics().GetGauge("cache.bytes");
-  entries_gauge->Set(static_cast<double>(entries));
-  bytes_gauge->Set(static_cast<double>(entries * kApproxEntryBytes));
-}
-
-}  // namespace
-
 void ResourcePlanCache::Insert(const std::string& model_name,
                                const CachedResourcePlan& plan) {
-  CachedResourcePlan entry = plan;
-  entry.smaller_gb = plan.key_gb;
-  if (mode_ == CacheLookupMode::kExact) {
-    // One entry per (smaller, larger) pair; with no larger size recorded
-    // the storage key degenerates to the plain data characteristic, so
-    // guard-less callers see the paper's original exact-match layout.
-    entry.key_gb = ExactStorageKey(plan.key_gb, plan.larger_gb);
-  }
-  Stripe& stripe = StripeFor(entry.key_gb);
-  stripe.inserts.fetch_add(1, std::memory_order_relaxed);
-  int64_t entries = 0;
-  {
-    std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    std::unique_ptr<ResourcePlanIndex>& index = stripe.per_model[model_name];
-    if (index == nullptr) index = MakeIndex(index_kind_);
-    if (index->Insert(entry)) {
-      // Counted under the stripe lock, so Clear() subtracts exactly the
-      // entries it drops.
-      ++stripe.entries;
-      entries = entry_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const bool metrics_on = obs::MetricsOn();
+  const bool tracing_on = obs::TracingOn();
+  if (!metrics_on && !tracing_on) {
+    InsertImpl(model_name, plan);
+  } else {
+    Stopwatch timer;
+    obs::Span span = obs::DefaultTracer().StartSpan("cache.insert");
+    InsertImpl(model_name, plan);
+    if (span.recording()) {
+      span.SetAttr("model", model_name);
+      span.SetAttr("key_gb", plan.key_gb);
+      span.SetAttr("larger_gb", plan.larger_gb);
+    }
+    if (metrics_on) {
+      static obs::Histogram* latency =
+          obs::DefaultMetrics().GetHistogram("cache.insert.wall_us");
+      latency->Record(timer.ElapsedMicros());
     }
   }
-  if (entries > 0) SetEntryGauges(entries);
   // Fire the mutation observer strictly after the stripe lock is
   // released: a listener journaling to disk or snapshotting the cache
   // (which re-enters via DumpEntries) must never nest under a stripe.
@@ -350,19 +345,40 @@ void ResourcePlanCache::Insert(const std::string& model_name,
   }
 }
 
+void ResourcePlanCache::InsertImpl(const std::string& model_name,
+                                   const CachedResourcePlan& plan) {
+  const bool exact = mode_ == CacheLookupMode::kExact;
+  Stripe& stripe = StripeFor(plan.key_gb, exact ? plan.larger_gb : 0.0);
+  stripe.inserts.fetch_add(1, std::memory_order_relaxed);
+  int64_t entries = 0;
+  {
+    std::unique_lock<std::mutex> lock = LockStripe(stripe);
+    const bool added = exact ? stripe.exact[model_name].Insert(plan)
+                             : stripe.sorted[model_name].Insert(plan);
+    if (added) {
+      // Counted under the stripe lock, so Clear() subtracts exactly the
+      // entries it drops.
+      ++stripe.entries;
+      entries = entry_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+  }
+  if (entries > 0) SetEntryGauges(entries, EntryBytes(mode_));
+}
+
 void ResourcePlanCache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    stripe.per_model.clear();
+    stripe.exact.clear();
+    stripe.sorted.clear();
     entry_count_.fetch_sub(static_cast<int64_t>(stripe.entries),
                            std::memory_order_relaxed);
     stripe.entries = 0;
   }
-  SetEntryGauges(entry_count());
+  SetEntryGauges(entry_count(), EntryBytes(mode_));
 }
 
 int64_t ResourcePlanCache::approx_bytes() const {
-  return entry_count() * kApproxEntryBytes;
+  return entry_count() * EntryBytes(mode_);
 }
 
 CacheStats ResourcePlanCache::stats() const {
@@ -405,30 +421,29 @@ std::vector<ShardStats> ResourcePlanCache::shard_stats() const {
 
 std::vector<CacheEntryRecord> ResourcePlanCache::DumpEntries() const {
   std::vector<CacheEntryRecord> out;
+  auto append = [&out](const std::string& model,
+                       const std::vector<CachedResourcePlan>& entries) {
+    for (const CachedResourcePlan& plan : entries) {
+      out.push_back(CacheEntryRecord{model, plan});
+    }
+  };
   for (const Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    for (const auto& [model, index] : stripe.per_model) {
-      index->ForEach([&](const CachedResourcePlan& stored) {
-        CacheEntryRecord record;
-        record.model = model;
-        record.plan = stored;
-        // Undo exact-mode key folding: the logical key is the original
-        // data characteristic, which Insert preserved in smaller_gb.
-        // Re-Inserting the record re-derives the identical storage key.
-        record.plan.key_gb = stored.smaller_gb;
-        out.push_back(std::move(record));
-      });
+    for (const auto& [model, table] : stripe.exact) {
+      append(model, table.entries());
+    }
+    for (const auto& [model, index] : stripe.sorted) {
+      append(model, index.entries());
     }
   }
-  // Stripes scatter each model's entries, and within a stripe the index
-  // yields storage-key order, which under exact-mode folding is not the
-  // logical order. Impose the canonical (model, smaller, larger) order
-  // so two dumps of equal caches are byte-identical when serialized.
+  // Stripes scatter each model's entries, and a PairTable keeps them in
+  // insertion order. Impose the canonical (model, key, larger) order so
+  // two dumps of equal caches are byte-identical when serialized.
   std::sort(out.begin(), out.end(),
             [](const CacheEntryRecord& a, const CacheEntryRecord& b) {
               if (a.model != b.model) return a.model < b.model;
-              if (a.plan.smaller_gb != b.plan.smaller_gb) {
-                return a.plan.smaller_gb < b.plan.smaller_gb;
+              if (a.plan.key_gb != b.plan.key_gb) {
+                return a.plan.key_gb < b.plan.key_gb;
               }
               return a.plan.larger_gb < b.plan.larger_gb;
             });

@@ -3,16 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/csb_tree.h"
 #include "resource/resource_config.h"
 
 namespace raqo::core {
@@ -24,87 +20,77 @@ struct CachedResourcePlan {
   resource::ResourceConfig config;
   double cost = 0.0;
   /// Larger-input size of the join the plan was computed for. The
-  /// resource optimum depends on both inputs, so exact-mode lookups can
+  /// resource optimum depends on both inputs, so exact mode keys each
+  /// entry by the (key_gb, larger_gb) pair and exact-mode lookups can
   /// pass their larger size as a guard: a hit then provably returns what
   /// recomputation would, which is what makes concurrent shared-cache
   /// planning deterministic (see docs/CONCURRENCY.md).
   double larger_gb = 0.0;
-  /// True smaller-input size. Managed by ResourcePlanCache: in exact
-  /// mode entries are stored under a key folding both sizes together
-  /// (one entry per pair instead of overwrite-by-smaller-size), and this
-  /// field keeps the original data characteristic for the pair guard.
-  double smaller_gb = 0.0;
 };
 
-/// Index over data-characteristic keys (Section VI-B.3). Two layouts are
-/// provided: the paper's default "sorted array of keys, with automatic
-/// resizing, binary search for lookup", and the CSB+-Tree it suggests for
-/// larger workloads.
-class ResourcePlanIndex {
+/// Sorted dynamic array of data-characteristic keys with binary search:
+/// the paper's layout ("sorted array of keys, with automatic resizing,
+/// binary search for lookup", Section VI-B.3). The nearest-neighbour and
+/// weighted-average lookup modes read it in key order.
+class SortedArrayIndex {
  public:
-  virtual ~ResourcePlanIndex() = default;
-
   /// Inserts or overwrites the entry at `plan.key_gb`. Returns true
   /// when a new key was inserted, false on overwrite — callers keeping
   /// an entry count (the cache's obs gauges) depend on the distinction.
-  virtual bool Insert(const CachedResourcePlan& plan) = 0;
+  bool Insert(const CachedResourcePlan& plan);
 
   /// Exact-key lookup.
-  virtual std::optional<CachedResourcePlan> FindExact(double key) const = 0;
+  std::optional<CachedResourcePlan> FindExact(double key) const;
 
   /// All entries with |entry.key - key| <= threshold, ascending by key.
-  virtual std::vector<CachedResourcePlan> FindNeighbors(
-      double key, double threshold) const = 0;
+  std::vector<CachedResourcePlan> FindNeighbors(double key,
+                                                double threshold) const;
 
-  /// Visits every stored entry in ascending key order (the persistence
-  /// layer and cache_dump frames iterate through this).
-  virtual void ForEach(
-      const std::function<void(const CachedResourcePlan&)>& fn) const = 0;
-
-  virtual size_t size() const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Sorted dynamic array with binary search (the prototype layout in the
-/// paper).
-class SortedArrayIndex : public ResourcePlanIndex {
- public:
-  bool Insert(const CachedResourcePlan& plan) override;
-  std::optional<CachedResourcePlan> FindExact(double key) const override;
-  std::vector<CachedResourcePlan> FindNeighbors(
-      double key, double threshold) const override;
-  void ForEach(const std::function<void(const CachedResourcePlan&)>& fn)
-      const override;
-  size_t size() const override { return entries_.size(); }
-  const char* name() const override { return "sorted-array"; }
+  /// Every entry, ascending by key.
+  const std::vector<CachedResourcePlan>& entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
 
  private:
   std::vector<CachedResourcePlan> entries_;  // ascending by key_gb
 };
 
-/// CSB+-Tree-backed index ("We could also layout the array as a
-/// CSB+-Tree for larger workloads").
-class CsbTreeIndex : public ResourcePlanIndex {
+/// The exact-mode layout: one entry per (key_gb, larger_gb) pair, kept
+/// in insertion order in a dense array and found through a power-of-two
+/// array of slots probed linearly from the lower bits of the pair's
+/// hash. A slot holds an entry's index + 1 (0 is empty); the slot array
+/// doubles whenever it would pass half load, so a probe always ends at
+/// the pair or at an empty slot. Both sizes compare with ==, so -0.0 and
+/// +0.0 are one key. Inserts are O(1) amortized; nothing here reads key
+/// order.
+class PairTable {
  public:
-  bool Insert(const CachedResourcePlan& plan) override;
-  std::optional<CachedResourcePlan> FindExact(double key) const override;
-  std::vector<CachedResourcePlan> FindNeighbors(
-      double key, double threshold) const override;
-  void ForEach(const std::function<void(const CachedResourcePlan&)>& fn)
-      const override;
-  size_t size() const override { return payloads_.size(); }
-  const char* name() const override { return "csb-tree"; }
+  /// Inserts or overwrites the entry for (plan.key_gb, plan.larger_gb).
+  /// Returns true when a new pair was inserted, false on overwrite.
+  bool Insert(const CachedResourcePlan& plan);
+
+  /// The entry for exactly this pair, or nullptr. The pointer is valid
+  /// until the next Insert.
+  const CachedResourcePlan* Find(double smaller_gb, double larger_gb) const;
+
+  /// Every entry, in insertion order.
+  const std::vector<CachedResourcePlan>& entries() const { return entries_; }
 
  private:
-  CsbTree tree_;
-  /// Payload store; the tree maps key -> index into this vector.
-  std::vector<CachedResourcePlan> payloads_;
+  /// The slot holding the pair, or the empty slot where it would go.
+  size_t SlotOf(double smaller_gb, double larger_gb) const;
+  void Rehash(size_t slot_count);
+
+  std::vector<CachedResourcePlan> entries_;
+  std::vector<uint32_t> slots_;
 };
 
-/// Index layout selector.
+/// Index layout selector. The lookup mode decides the layout (a
+/// PairTable in exact mode, a SortedArrayIndex otherwise), so this has
+/// one value. It is kept only because the frozen planning-server
+/// benchmark (planbench/) names it; ROADMAP.md's re-freeze item deletes
+/// it with `RaqoEvaluatorOptions::cache_index`.
 enum class CacheIndexKind {
   kSortedArray,
-  kCsbTree,
 };
 
 /// Per-stripe activity counters of a ResourcePlanCache (a point-in-time
@@ -148,12 +134,11 @@ struct CacheStats {
   }
 };
 
-/// One logical cache entry as seen by callers of Insert: the model it
-/// belongs to plus the plan with its original (pre-key-folding) data
-/// characteristic. DumpEntries returns these; re-Inserting them into an
-/// identically configured cache reproduces the same stored state
-/// bit-for-bit, which is what the persistence layer (src/persist/) and
-/// the cache_dump wire frames rely on.
+/// One cache entry as seen by callers of Insert: the model it belongs to
+/// plus the plan as recorded. DumpEntries returns these; re-Inserting
+/// them into an identically configured cache reproduces the same stored
+/// entries bit-for-bit, which is what the persistence layer
+/// (src/persist/) and the cache_dump wire frames rely on.
 struct CacheEntryRecord {
   std::string model;
   CachedResourcePlan plan;
@@ -167,8 +152,8 @@ struct CacheEntryRecord {
 class CacheEventListener {
  public:
   virtual ~CacheEventListener() = default;
-  /// One plan was recorded under `model`. `plan.key_gb` is the caller's
-  /// original key (before exact-mode key folding).
+  /// One plan was recorded under `model`, exactly as the caller passed
+  /// it to Insert.
   virtual void OnInsert(const std::string& model,
                         const CachedResourcePlan& plan) = 0;
 };
@@ -186,12 +171,19 @@ inline constexpr size_t kDefaultCacheStripes = 8;
 ///
 /// Every cache is safe for concurrent Lookup/Insert from many planner
 /// threads. It is laid out as `max(1, shards)` lock stripes, each on its
-/// own cache line: one mutex over that stripe's index per model (the
-/// layout `index_kind` picks) plus the stripe's counters. A key lives in
-/// the stripe its storage key hashes to, so an exact lookup or an insert
-/// takes one lock; neighbour lookups visit every stripe, one at a time.
+/// own cache line: one mutex over that stripe's entries per model plus
+/// the stripe's counters. The lookup mode decides the layout. Exact mode
+/// keeps a PairTable per model, keyed by the (smaller, larger) pair; the
+/// nearest-neighbour and weighted-average modes keep the paper's
+/// SortedArrayIndex, keyed by the smaller size alone. A key lives in the
+/// stripe the upper bits of its pair's hash pick (with larger size 0 in
+/// the similarity modes), so an exact lookup or an insert takes one lock;
+/// neighbour lookups visit every stripe, one at a time.
 class ResourcePlanCache {
  public:
+  /// `index_kind` is ignored: it is kept only for the frozen planning-
+  /// server benchmark (planbench/), until ROADMAP.md's re-freeze item
+  /// deletes it together with CacheIndexKind.
   ResourcePlanCache(CacheLookupMode mode, double threshold_gb,
                     CacheIndexKind index_kind = CacheIndexKind::kSortedArray,
                     size_t shards = 0);
@@ -200,7 +192,9 @@ class ResourcePlanCache {
   /// statistics. In kExact mode a caller may pass `larger_gb` to demand
   /// that the entry's full data characteristic matches (an entry for the
   /// same smaller size but a different larger size counts as a miss);
-  /// the similarity modes ignore the guard — they approximate by design.
+  /// without it the lookup finds only an entry recorded with larger size
+  /// 0. The similarity modes ignore the guard — they approximate by
+  /// design.
   ///
   /// When the observability layer is on, each call records a
   /// `cache.lookup` span plus hit/miss counters and a latency histogram
@@ -212,7 +206,12 @@ class ResourcePlanCache {
 
   /// Records the plan computed for (model, key). Writes go straight
   /// through: the entry is visible to every Lookup, from any thread,
-  /// that starts after Insert returns.
+  /// that starts after Insert returns. Exact mode keeps one entry per
+  /// (key_gb, larger_gb) pair; the similarity modes one per key_gb.
+  ///
+  /// Instrumented like Lookup: a `cache.insert` span and a
+  /// `cache.insert.wall_us` histogram, or a pair of relaxed loads when
+  /// metrics and tracing are both off.
   void Insert(const std::string& model_name, const CachedResourcePlan& plan);
 
   /// Drops every entry (the paper clears the cache between queries unless
@@ -243,8 +242,10 @@ class ResourcePlanCache {
   int64_t entry_count() const {
     return entry_count_.load(std::memory_order_relaxed);
   }
-  /// Approximate resident bytes of the cached entries (struct payload
-  /// only, not index overhead). Mirrors the `cache.bytes` gauge.
+  /// Approximate resident bytes of the cached entries: entry_count()
+  /// times the entry size of the mode's layout (the plan, plus in exact
+  /// mode the two PairTable slots an entry owns at half load). Mirrors
+  /// the `cache.bytes` gauge.
   int64_t approx_bytes() const;
 
   /// Installs (nullptr clears) the mutation observer. The caller must
@@ -254,9 +255,8 @@ class ResourcePlanCache {
     listener_.store(listener, std::memory_order_release);
   }
 
-  /// Snapshot of every logical entry, deterministically ordered by
-  /// (model, smaller_gb, larger_gb). Entries carry the caller-visible
-  /// key (key_gb == smaller_gb), so replaying them through Insert on an
+  /// Snapshot of every entry, deterministically ordered by (model,
+  /// key_gb, larger_gb), so replaying them through Insert on an
   /// identically configured cache rebuilds identical stored state.
   std::vector<CacheEntryRecord> DumpEntries() const;
 
@@ -264,8 +264,10 @@ class ResourcePlanCache {
   /// One lock stripe, aligned so that no two stripes share a cache line.
   struct alignas(64) Stripe {
     mutable std::mutex mu;
-    /// Guarded by `mu`: this stripe's share of each model's entries.
-    std::map<std::string, std::unique_ptr<ResourcePlanIndex>> per_model;
+    /// Guarded by `mu`: this stripe's share of each model's entries, in
+    /// the layout of the cache's mode (the other map stays empty).
+    std::map<std::string, PairTable> exact;
+    std::map<std::string, SortedArrayIndex> sorted;
     size_t entries = 0;  ///< guarded by `mu`
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
@@ -274,19 +276,22 @@ class ResourcePlanCache {
     mutable std::atomic<int64_t> lock_wait_ns{0};
   };
 
-  /// The uninstrumented lookup; Lookup() wraps it with the observability
-  /// layer so the hot path stays branch-light when everything is off.
+  /// The uninstrumented lookup and insert; Lookup() and Insert() wrap
+  /// them with the observability layer so the hot path stays
+  /// branch-light when everything is off.
   std::optional<CachedResourcePlan> LookupImpl(
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb);
+  void InsertImpl(const std::string& model_name,
+                  const CachedResourcePlan& plan);
 
   /// Every entry of `model_name` within threshold_gb_ of `key_gb`,
   /// ascending by key.
   std::vector<CachedResourcePlan> FindNeighbors(
       const std::string& model_name, double key_gb) const;
 
-  /// The stripe owning `storage_key` (the key after exact-mode folding).
-  Stripe& StripeFor(double storage_key);
+  /// The stripe owning the (smaller, larger) pair.
+  Stripe& StripeFor(double smaller_gb, double larger_gb);
 
   /// Acquires `stripe.mu`, charging blocked time to the stripe's wait
   /// counters. try_lock first so the common uncontended path costs no
@@ -295,7 +300,6 @@ class ResourcePlanCache {
 
   CacheLookupMode mode_;
   double threshold_gb_;
-  CacheIndexKind index_kind_;
   std::vector<Stripe> stripes_;
   std::atomic<int64_t> entry_count_{0};
   std::atomic<CacheEventListener*> listener_{nullptr};

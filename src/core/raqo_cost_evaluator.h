@@ -48,6 +48,9 @@ struct RaqoEvaluatorOptions {
   /// The "data delta threshold" of Figure 14, in GB of smaller-input
   /// size.
   double cache_threshold_gb = 0.01;
+  /// Ignored: `cache_mode` decides the cache layout. Kept only for the
+  /// frozen planning-server benchmark (planbench/), until ROADMAP.md's
+  /// re-freeze item deletes it.
   CacheIndexKind cache_index = CacheIndexKind::kSortedArray;
 
   /// Objective weight for resource planning: 1.0 plans resources for pure

@@ -58,7 +58,6 @@ Result<core::CacheEntryRecord> ParseCacheEntry(const JsonValue& doc) {
   record.plan.cost = cost->number_value();
   record.plan.config = resource::ResourceConfig(cs->number_value(),
                                                 nc->number_value());
-  record.plan.smaller_gb = record.plan.key_gb;
   return record;
 }
 

@@ -72,14 +72,15 @@ TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
 // ---------------------------------------------------------------------
 // Lock-striped resource-plan cache: 8 stripes answer every lookup mode
 // exactly like 1 stripe, and concurrent writers and readers never lose
-// an inserted key.
+// an inserted key. The lookup mode picks the layout, so CacheIndexKind
+// has one value; the suite stays parameterized on it until ROADMAP.md's
+// benchmark re-freeze deletes the enum.
 
 class ShardedIndexTest
     : public ::testing::TestWithParam<core::CacheIndexKind> {};
 
 INSTANTIATE_TEST_SUITE_P(Layouts, ShardedIndexTest,
-                         ::testing::Values(core::CacheIndexKind::kSortedArray,
-                                           core::CacheIndexKind::kCsbTree));
+                         ::testing::Values(core::CacheIndexKind::kSortedArray));
 
 void ExpectSameLookup(const std::optional<core::CachedResourcePlan>& a,
                       const std::optional<core::CachedResourcePlan>& b) {
@@ -89,7 +90,6 @@ void ExpectSameLookup(const std::optional<core::CachedResourcePlan>& a,
   EXPECT_EQ(a->cost, b->cost);
   EXPECT_EQ(a->config.container_size_gb(), b->config.container_size_gb());
   EXPECT_EQ(a->config.num_containers(), b->config.num_containers());
-  EXPECT_EQ(a->smaller_gb, b->smaller_gb);
   EXPECT_EQ(a->larger_gb, b->larger_gb);
 }
 
@@ -104,8 +104,8 @@ TEST_P(ShardedIndexTest, MatchesUnshardedSequentially) {
     for (int i = 0; i < 500; ++i) {
       core::CachedResourcePlan plan;
       plan.key_gb = std::round(rng.Uniform(0.0, 50.0) * 8.0) / 8.0;
-      // Half the entries carry a larger input, which exact mode folds
-      // into the storage key.
+      // Half the entries carry a larger input, which exact mode keys
+      // the entry by.
       plan.larger_gb =
           rng.Bernoulli(0.5) ? std::round(rng.Uniform(50.0, 60.0)) : 0.0;
       plan.cost = rng.Uniform(1.0, 100.0);
@@ -333,7 +333,7 @@ TEST(ConcurrentCacheTest, ExactModeGuardsTheFullDataCharacteristic) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->cost, 1.0);
   EXPECT_EQ(second->cost, 2.0);
-  EXPECT_EQ(first->key_gb, 2.0);  // caller-facing key is restored
+  EXPECT_EQ(first->key_gb, 2.0);
   EXPECT_FALSE(cache.Lookup("smj", 2.0, 11.0).has_value());
 
   // Guard-less exact usage (no larger size on either side) keeps the

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/plan_cache.h"
 #include "core/resource_planner.h"
 
@@ -136,7 +142,7 @@ CachedResourcePlan Entry(double key, double cs, double nc, double cost) {
 template <typename IndexT>
 class PlanIndexTest : public ::testing::Test {};
 
-using IndexTypes = ::testing::Types<SortedArrayIndex, CsbTreeIndex>;
+using IndexTypes = ::testing::Types<SortedArrayIndex>;
 TYPED_TEST_SUITE(PlanIndexTest, IndexTypes);
 
 TYPED_TEST(PlanIndexTest, InsertFindExact) {
@@ -234,23 +240,111 @@ TEST(ResourcePlanCacheTest, ClearAndSize) {
   EXPECT_FALSE(cache.Lookup("smj", 1.0).has_value());
 }
 
-TEST(ResourcePlanCacheTest, CsbTreeBackendBehavesIdentically) {
-  ResourcePlanCache a(CacheLookupMode::kNearestNeighbor, 0.3,
-                      CacheIndexKind::kSortedArray);
-  ResourcePlanCache b(CacheLookupMode::kNearestNeighbor, 0.3,
-                      CacheIndexKind::kCsbTree);
-  for (double k = 0.0; k < 50.0; k += 0.7) {
-    a.Insert("m", Entry(k, k + 1, k + 2, k * 10));
-    b.Insert("m", Entry(k, k + 1, k + 2, k * 10));
-  }
-  for (double probe = 0.0; probe < 50.0; probe += 0.31) {
-    auto ha = a.Lookup("m", probe);
-    auto hb = b.Lookup("m", probe);
-    ASSERT_EQ(ha.has_value(), hb.has_value()) << probe;
-    if (ha.has_value()) {
-      EXPECT_DOUBLE_EQ(ha->key_gb, hb->key_gb) << probe;
-      EXPECT_EQ(ha->config, hb->config) << probe;
+TEST(ResourcePlanCacheTest, UnguardedExactLookupNeverReturnsAnotherPairsEntry) {
+  ResourcePlanCache cache(CacheLookupMode::kExact, 0.0);
+  CachedResourcePlan plan = Entry(1.5, 4, 10, 42);
+  plan.larger_gb = 7.0;
+  cache.Insert("smj", plan);
+  // 353888089267679 is the key the cache used to store (1.5, 7.0) under,
+  // a 53-bit hash of the pair. An unguarded lookup of that number
+  // returned this entry.
+  EXPECT_FALSE(cache.Lookup("smj", 353888089267679.0).has_value());
+  EXPECT_FALSE(cache.Lookup("smj", 1.5).has_value());
+  ASSERT_TRUE(cache.Lookup("smj", 1.5, 7.0).has_value());
+  EXPECT_EQ(cache.Lookup("smj", 1.5, 7.0)->cost, 42.0);
+}
+
+// Exact mode against a std::map oracle keyed by the (smaller, larger)
+// pair, with -0.0 and +0.0 one key. Enough pairs for many PairTable
+// doublings, many larger sizes per smaller size, overwrites, signed
+// zeros and infinities in both parts.
+TEST(ResourcePlanCacheTest, ExactModeMatchesPairMapOracle) {
+  auto canonical = [](double x) { return x == 0.0 ? 0.0 : x; };
+  for (const size_t stripes : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(stripes);
+    ResourcePlanCache cache(CacheLookupMode::kExact, 0.0,
+                            CacheIndexKind::kSortedArray, stripes);
+    std::map<std::pair<double, double>, CachedResourcePlan> oracle;
+    Rng rng(29);
+    auto draw = [&rng](double lo, double hi) {
+      const double u = rng.Uniform(0.0, 1.0);
+      if (u < 0.03) return 0.0;
+      if (u < 0.06) return -0.0;
+      if (u < 0.08) return std::numeric_limits<double>::infinity();
+      return std::round(rng.Uniform(lo, hi) * 4.0) / 4.0;
+    };
+    std::vector<std::pair<double, double>> inserted;
+    for (int i = 0; i < 6000; ++i) {
+      CachedResourcePlan plan;
+      if (!inserted.empty() && rng.Bernoulli(0.2)) {
+        // Overwrite a stored pair, sometimes with the other zero sign.
+        const auto& [smaller, larger] = inserted[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(inserted.size()) - 1))];
+        plan.key_gb = smaller == 0.0 ? -smaller : smaller;
+        plan.larger_gb = larger;
+      } else {
+        // About 40 smaller sizes, each with many larger ones.
+        plan.key_gb = draw(0.0, 10.0);
+        plan.larger_gb = draw(10.0, 2000.0);
+      }
+      plan.cost = static_cast<double>(i);
+      plan.config = ResourceConfig(rng.Uniform(1, 10), rng.Uniform(1, 100));
+      cache.Insert("smj", plan);
+      inserted.emplace_back(plan.key_gb, plan.larger_gb);
+      oracle[{canonical(plan.key_gb), canonical(plan.larger_gb)}] = plan;
     }
+    ASSERT_GT(oracle.size(), 4000u);
+    EXPECT_EQ(cache.entry_count(), static_cast<int64_t>(oracle.size()));
+
+    // The dump lists the oracle's entries in the oracle's order.
+    const std::vector<CacheEntryRecord> dump = cache.DumpEntries();
+    ASSERT_EQ(dump.size(), oracle.size());
+    size_t at = 0;
+    for (const auto& [pair, plan] : oracle) {
+      SCOPED_TRACE(at);
+      EXPECT_EQ(dump[at].model, "smj");
+      EXPECT_EQ(dump[at].plan.key_gb, pair.first);
+      EXPECT_EQ(dump[at].plan.larger_gb, pair.second);
+      EXPECT_EQ(dump[at].plan.cost, plan.cost);
+      EXPECT_EQ(dump[at].plan.config, plan.config);
+      ++at;
+    }
+
+    cache.ResetStats();
+    int64_t hits = 0;
+    int64_t lookups = 0;
+    auto expect_lookup = [&](double smaller, std::optional<double> larger) {
+      const auto it =
+          oracle.find({canonical(smaller), canonical(larger.value_or(0.0))});
+      const std::optional<CachedResourcePlan> got =
+          cache.Lookup("smj", smaller, larger);
+      ++lookups;
+      ASSERT_EQ(got.has_value(), it != oracle.end())
+          << smaller << ", " << larger.value_or(-1.0);
+      if (!got) return;
+      ++hits;
+      EXPECT_EQ(got->key_gb, smaller);
+      EXPECT_EQ(got->larger_gb, larger.value_or(0.0));
+      EXPECT_EQ(got->cost, it->second.cost);
+      EXPECT_EQ(got->config, it->second.config);
+    };
+    for (const auto& [pair, plan] : oracle) {
+      // Guarded, with both zero signs.
+      expect_lookup(pair.first, pair.second);
+      expect_lookup(-pair.first, pair.second);
+      expect_lookup(pair.first, -pair.second);
+      // Unguarded: only the pair (smaller, 0) answers.
+      expect_lookup(pair.first, std::nullopt);
+      // A pair never stored.
+      expect_lookup(pair.first, pair.second + 0.125);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      expect_lookup(draw(0.0, 10.0), draw(10.0, 2000.0));
+    }
+    EXPECT_FALSE(cache.Lookup("bhj", 1.0, 100.0).has_value());
+    ++lookups;
+    EXPECT_EQ(cache.stats().hits, hits);
+    EXPECT_EQ(cache.stats().lookups(), lookups);
   }
 }
 

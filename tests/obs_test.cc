@@ -540,6 +540,47 @@ std::pair<bool, bool> SetObservability(bool metrics, bool tracing) {
   return before;
 }
 
+TEST(CacheStatsTest, InsertRecordsSpanHistogramAndLayoutEntryBytes) {
+  const auto before = SetObservability(true, true);
+  obs::DefaultTracer().Clear();
+  obs::Histogram* timed =
+      obs::DefaultMetrics().GetHistogram("cache.insert.wall_us");
+  const int64_t timed_before = timed->Count();
+  core::ResourcePlanCache exact(core::CacheLookupMode::kExact, 0.0);
+  core::ResourcePlanCache nearest(core::CacheLookupMode::kNearestNeighbor,
+                                  0.5);
+  core::CachedResourcePlan plan;
+  plan.key_gb = 1.0;
+  plan.larger_gb = 2.0;
+  exact.Insert("smj", plan);
+  exact.Insert("smj", plan);  // an overwrite is timed too
+  plan.larger_gb = 3.0;
+  exact.Insert("smj", plan);
+  nearest.Insert("smj", plan);
+  const std::vector<obs::FinishedSpan> spans = obs::DefaultTracer().Snapshot();
+  const double bytes_gauge =
+      obs::DefaultMetrics().GetGauge("cache.bytes")->Value();
+  SetObservability(false, false);
+  exact.Insert("bhj", plan);  // dark: neither timed nor traced
+  const int64_t timed_inserts = timed->Count() - timed_before;
+  SetObservability(before.first, before.second);
+  obs::DefaultTracer().Clear();
+
+  EXPECT_EQ(timed_inserts, 4);
+  int64_t insert_spans = 0;
+  for (const obs::FinishedSpan& span : spans) {
+    if (span.name == "cache.insert") ++insert_spans;
+  }
+  EXPECT_EQ(insert_spans, 4);
+  // Exact mode: the plan plus the two PairTable slots it owns at half
+  // load. The similarity modes' sorted array: the plan alone.
+  constexpr int64_t kPlanBytes = sizeof(core::CachedResourcePlan);
+  EXPECT_EQ(exact.entry_count(), 3);
+  EXPECT_EQ(exact.approx_bytes(), 3 * (kPlanBytes + 8));
+  EXPECT_EQ(nearest.approx_bytes(), kPlanBytes);
+  EXPECT_EQ(bytes_gauge, static_cast<double>(nearest.approx_bytes()));
+}
+
 TEST(InstrumentedPipelineTest, ObservabilityDoesNotChangeChosenPlans) {
   catalog::RandomSchemaOptions schema;
   schema.num_tables = 10;

@@ -572,8 +572,8 @@ TEST(CachePersistenceTest, DumpEntriesIsCanonicallyOrdered) {
     const bool ordered =
         a.model < b.model ||
         (a.model == b.model &&
-         (a.plan.smaller_gb < b.plan.smaller_gb ||
-          (a.plan.smaller_gb == b.plan.smaller_gb &&
+         (a.plan.key_gb < b.plan.key_gb ||
+          (a.plan.key_gb == b.plan.key_gb &&
            a.plan.larger_gb < b.plan.larger_gb)));
     EXPECT_TRUE(ordered) << "at index " << i;
   }
