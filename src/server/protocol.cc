@@ -433,12 +433,16 @@ std::string SerializePlanResponse(const PlanResponse& response) {
     out += StrPrintf(
         ", \"stats\": {\"wall_ms\": %s, \"plans_considered\": %lld, "
         "\"resource_configs_explored\": %lld, \"cache_hits\": %lld, "
-        "\"cache_misses\": %lld}",
+        "\"cache_misses\": %lld",
         JsonNumber(response.stats.wall_ms).c_str(),
         static_cast<long long>(response.stats.plans_considered),
         static_cast<long long>(response.stats.resource_configs_explored),
         static_cast<long long>(response.stats.cache_hits),
         static_cast<long long>(response.stats.cache_misses));
+    if (response.stats.response_cache_hit) {
+      out += ", \"response_cache_hit\": true";
+    }
+    out += "}";
   }
   out += StrPrintf(", \"server\": {\"queue_wait_us\": %s}}",
                    JsonNumber(response.queue_wait_us).c_str());
@@ -477,6 +481,8 @@ Result<PlanResponse> ParsePlanResponse(std::string_view json) {
         IntMember(*stats, "resource_configs_explored", 0);
     response.stats.cache_hits = IntMember(*stats, "cache_hits", 0);
     response.stats.cache_misses = IntMember(*stats, "cache_misses", 0);
+    const JsonValue* hit = stats->FindBool("response_cache_hit");
+    response.stats.response_cache_hit = hit != nullptr && hit->bool_value();
   }
   if (const JsonValue* server = root.FindObject("server");
       server != nullptr) {

@@ -125,6 +125,10 @@ struct WireStats {
   int64_t resource_configs_explored = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
+  /// The service answered from its response cache: `wall_ms` is the
+  /// lookup's own time, and the work counters above are those of the
+  /// request that did the planning. On the wire only when true.
+  bool response_cache_hit = false;
 };
 
 /// One planning response. On success `plan` is the chosen operator tree

@@ -1,10 +1,17 @@
 #include "server/service.h"
 
 #include <algorithm>
+#include <functional>
+#include <list>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "query/sql_parser.h"
 
 namespace raqo::server {
@@ -52,7 +59,165 @@ Status ApplyKnobs(const PlanRequest& request,
   return Status::OK();
 }
 
+/// Slots of the response cache's first-sighting table, 8 bytes each (64
+/// KiB in all). A statement is stored only when it is planned while the
+/// 64-bit hash of its first planning is still in its slot. A later
+/// statement hashing to the same slot overwrites the sighting, and a
+/// full 64-bit match with another statement only admits one early.
+constexpr size_t kSightingSlots = 1 << 13;
+
+/// The planning inputs of a request, verbatim, as one byte string: equal
+/// keys plan identically. Text is length-prefixed and numbers are raw
+/// bits, so distinct inputs never render alike. `id`, `tenant`,
+/// `deadline_ms` and `debug_sleep_ms` do not take part.
+std::string ResponseCacheKey(const PlanRequest& request) {
+  std::string key;
+  key.reserve(64 + request.sql.size());
+  const auto append_bytes = [&key](const void* data, size_t n) {
+    key.append(static_cast<const char*>(data), n);
+  };
+  const auto append_text = [&](std::string_view text) {
+    const uint64_t size = text.size();
+    append_bytes(&size, sizeof(size));
+    key.append(text);
+  };
+  const auto append_flag = [&key](bool flag) { key += flag ? '1' : '0'; };
+  append_text(request.sql);
+  const uint64_t num_tables = request.tables.size();
+  append_bytes(&num_tables, sizeof(num_tables));
+  for (const std::string& table : request.tables) append_text(table);
+  append_flag(request.has_resources);
+  if (request.has_resources) {
+    const double dims[2] = {request.resources.container_size_gb(),
+                            request.resources.num_containers()};
+    append_bytes(dims, sizeof(dims));
+  }
+  append_flag(request.has_max_dollars);
+  if (request.has_max_dollars) {
+    append_bytes(&request.max_dollars, sizeof(request.max_dollars));
+  }
+  append_text(request.algorithm);
+  append_text(request.search);
+  append_flag(request.has_use_cache);
+  if (request.has_use_cache) append_flag(request.use_cache);
+  append_flag(request.has_time_weight);
+  if (request.has_time_weight) {
+    append_bytes(&request.time_weight, sizeof(request.time_weight));
+  }
+  return key;
+}
+
 }  // namespace
+
+/// The bounded, thread-safe store behind PlanningService's response
+/// cache. Entries live in insertion order, so eviction drops the oldest.
+class PlanningService::ResponseCache {
+ public:
+  ResponseCache() : sightings_(kSightingSlots, 0) {}
+
+  /// Copies the response stored under `key` into `*out`; false on a
+  /// miss.
+  bool Lookup(const std::string& key, PlanResponse* out) {
+    bool hit = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = index_.find(key);
+      if (it != index_.end()) {
+        *out = it->second->response;
+        hit = true;
+        ++hits_;
+      } else {
+        ++misses_;
+      }
+    }
+    if (obs::MetricsOn()) {
+      static obs::Counter* const hits =
+          obs::DefaultMetrics().GetCounter("server.response_cache.hit");
+      static obs::Counter* const misses =
+          obs::DefaultMetrics().GetCounter("server.response_cache.miss");
+      (hit ? hits : misses)->Add();
+    }
+    return hit;
+  }
+
+  /// Called with each OK response planned for `key`. The key's first
+  /// planning only leaves its hash in the sighting table; the second
+  /// stores the response, evicting the oldest entries to stay within
+  /// kResponseCacheBudgetBytes.
+  void Offer(std::string key, const PlanResponse& response) {
+    const uint64_t hash = std::hash<std::string_view>{}(key);
+    // Charged: the key, the payloads the response owns, the entry, and
+    // its list and index nodes with their allocation headers.
+    const size_t bytes = sizeof(Entry) + 96 + key.size() +
+                         response.plan.size() +
+                         response.join_resources.size() *
+                             sizeof(resource::ResourceConfig);
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t& sighting = sightings_[hash % kSightingSlots];
+    if (sighting != hash) {
+      sighting = hash;
+      return;
+    }
+    if (bytes > kResponseCacheBudgetBytes || index_.count(key) > 0) return;
+    while (bytes_ + bytes > kResponseCacheBudgetBytes) {
+      index_.erase(entries_.front().key);
+      bytes_ -= entries_.front().bytes;
+      entries_.pop_front();
+    }
+    Entry& entry = entries_.emplace_back(
+        Entry{std::move(key), response, bytes});
+    entry.response.id.clear();
+    index_.emplace(entry.key, std::prev(entries_.end()));
+    bytes_ += bytes;
+    PublishSize();
+  }
+
+  /// Drops every stored response; first sightings stay.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    index_.clear();
+    entries_.clear();
+    bytes_ = 0;
+    PublishSize();
+  }
+
+  ResponseCacheStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    ResponseCacheStats stats;
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.entries = static_cast<int64_t>(entries_.size());
+    stats.bytes = static_cast<int64_t>(bytes_);
+    return stats;
+  }
+
+ private:
+  struct Entry {
+    std::string key;
+    PlanResponse response;
+    size_t bytes = 0;
+  };
+
+  /// Mirrors the size into the gauges. Caller holds mu_.
+  void PublishSize() {
+    if (!obs::MetricsOn()) return;
+    static obs::Gauge* const entries =
+        obs::DefaultMetrics().GetGauge("server.response_cache.entries");
+    static obs::Gauge* const bytes =
+        obs::DefaultMetrics().GetGauge("server.response_cache.bytes");
+    entries->Set(static_cast<double>(entries_.size()));
+    bytes->Set(static_cast<double>(bytes_));
+  }
+
+  mutable std::mutex mu_;
+  std::list<Entry> entries_;  ///< oldest first
+  /// Views of the keys in `entries_`, whose list nodes never move.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
+  std::vector<uint64_t> sightings_;
+  size_t bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+};
 
 PlanningService::PlanningService(const catalog::Catalog* catalog,
                                  cost::JoinCostModels models,
@@ -71,7 +236,10 @@ PlanningService::PlanningService(const catalog::Catalog* catalog,
       options_.planner.evaluator.cache_mode,
       options_.planner.evaluator.cache_threshold_gb,
       options_.planner.evaluator.cache_index, options_.cache_shards);
+  response_cache_ = std::make_unique<ResponseCache>();
 }
+
+PlanningService::~PlanningService() = default;
 
 PlanResponse PlanningService::Handle(const PlanRequest& request) const {
   if (request.type == "cache_dump") return HandleCacheDump(request);
@@ -95,20 +263,44 @@ PlanResponse PlanningService::Handle(const PlanRequest& request) const {
         "\"resources\" and \"max_dollars\" are mutually exclusive",
         request.id);
   }
+  if (request.sql.size() > kMaxSqlBytes) {
+    return ErrorResponse(
+        kWireInvalidArgument,
+        StrPrintf("sql of %zu bytes exceeds the %zu-byte limit",
+                  request.sql.size(), kMaxSqlBytes),
+        request.id);
+  }
 
+  // The response cache only holds answers that are a pure function of
+  // the request: with exact-mode caching the shared cache returns what a
+  // fresh search would, and a request without a cache reads none.
+  const core::RaqoEvaluatorOptions& base = options_.planner.evaluator;
+  const bool uses_cache =
+      request.has_use_cache ? request.use_cache : base.use_cache;
+  if (uses_cache && base.cache_mode != core::CacheLookupMode::kExact) {
+    return Plan(request);
+  }
+  const Stopwatch watch;
+  std::string key = ResponseCacheKey(request);
+  PlanResponse response;
+  if (response_cache_->Lookup(key, &response)) {
+    response.id = request.id;
+    response.stats.wall_ms = watch.ElapsedMillis();
+    response.stats.response_cache_hit = true;
+    return response;
+  }
+  response = Plan(request);
+  if (response.ok()) response_cache_->Offer(std::move(key), response);
+  return response;
+}
+
+PlanResponse PlanningService::Plan(const PlanRequest& request) const {
   // Resolve the query: SQL through the parser (filters scale a private
   // catalog copy), or a plain table-name list.
   const catalog::Catalog* catalog = catalog_;
   catalog::Catalog filtered;
   std::vector<catalog::TableId> tables;
   if (!request.sql.empty()) {
-    if (request.sql.size() > kMaxSqlBytes) {
-      return ErrorResponse(
-          kWireInvalidArgument,
-          StrPrintf("sql of %zu bytes exceeds the %zu-byte limit",
-                    request.sql.size(), kMaxSqlBytes),
-          request.id);
-    }
     Result<query::ParsedQuery> parsed =
         query::ParseJoinQuery(*catalog_, request.sql);
     if (!parsed.ok()) return FromStatus(parsed.status(), request.id);
@@ -173,6 +365,10 @@ core::CacheStats PlanningService::shared_cache_stats() const {
   return shared_cache_->stats();
 }
 
+ResponseCacheStats PlanningService::response_cache_stats() const {
+  return response_cache_->stats();
+}
+
 namespace {
 
 /// Shared validation of the two cache operations: the frame version
@@ -234,6 +430,9 @@ PlanResponse PlanningService::HandleCacheLoad(
   for (const core::CacheEntryRecord& entry : request.cache_entries) {
     shared_cache_->Insert(entry.model, entry.plan);
   }
+  // A peer's entries may differ from what this node would have planned
+  // (other models or objective), so stored answers no longer hold.
+  response_cache_->Clear();
   response.id = request.id;
   response.has_cache = true;
   response.cache_version = kCacheWireVersion;

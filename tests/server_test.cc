@@ -161,6 +161,29 @@ TEST(ProtocolTest, ResponseRoundTripsBitIdentically) {
   EXPECT_EQ(parsed->join_resources[0].container_size_gb(), 3.25);
   EXPECT_EQ(parsed->stats.plans_considered, 77);
   EXPECT_EQ(parsed->queue_wait_us, 42.5);
+  EXPECT_FALSE(parsed->stats.response_cache_hit);
+
+  // Without the response-cache flag a response serializes exactly as
+  // it did before the flag existed...
+  EXPECT_EQ(server::SerializePlanResponse(response),
+            "{\"status\": \"OK\", \"id\": \"r1\", \"plan\": \"(orders ⨝ "
+            "lineitem)\", \"cost\": {\"seconds\": 123.45600000000013, "
+            "\"dollars\": 0.30000000000000004}, \"joins\": "
+            "[{\"container_size_gb\": 3.25, \"num_containers\": 9}, "
+            "{\"container_size_gb\": 3.25, \"num_containers\": 9}], "
+            "\"stats\": {\"wall_ms\": 1.5, \"plans_considered\": 77, "
+            "\"resource_configs_explored\": 1234, \"cache_hits\": 5, "
+            "\"cache_misses\": 6}, \"server\": {\"queue_wait_us\": 42.5}}");
+  // ...and with it the flag is the one new member of `stats`.
+  response.stats.response_cache_hit = true;
+  const std::string hit = server::SerializePlanResponse(response);
+  EXPECT_NE(hit.find("\"cache_misses\": 6, \"response_cache_hit\": true}"),
+            std::string::npos)
+      << hit;
+  Result<PlanResponse> parsed_hit = server::ParsePlanResponse(hit);
+  ASSERT_TRUE(parsed_hit.ok()) << parsed_hit.status().ToString();
+  EXPECT_TRUE(parsed_hit->stats.response_cache_hit);
+  EXPECT_EQ(parsed_hit->stats.cache_misses, 6);
 }
 
 TEST(ProtocolTest, ErrorResponseCarriesStatusAndMessage) {
@@ -468,6 +491,188 @@ TEST(PlanningServiceTest, LookupCountersCountOnlySharedCacheLookups) {
   EXPECT_GT(shared_after.misses - shared_before.misses, 0);
   EXPECT_EQ(hits, shared_after.hits - shared_before.hits);
   EXPECT_EQ(misses, shared_after.misses - shared_before.misses);
+}
+
+// ---------------------------------------------------------------------
+// Response cache
+
+/// Default knobs and one variation of each planning input, over the SQL
+/// form or the table-list form of one three-table query.
+std::vector<std::pair<std::string, PlanRequest>> KnobMatrix(bool sql_form) {
+  PlanRequest base;
+  if (sql_form) {
+    base.sql =
+        "select * from customer, orders, lineitem where c_custkey = "
+        "o_custkey and o_orderkey = l_orderkey and l_shipdate < 1277";
+  } else {
+    base.tables = {"customer", "orders", "lineitem"};
+  }
+  std::vector<std::pair<std::string, PlanRequest>> matrix = {
+      {"default", base}};
+  const auto add = [&](std::string name, auto&& vary) {
+    PlanRequest request = base;
+    vary(request);
+    matrix.emplace_back(std::move(name), std::move(request));
+  };
+  for (const char* search : {"grid", "hillclimb", "accelerated"}) {
+    add(std::string("search=") + search,
+        [&](PlanRequest& r) { r.search = search; });
+  }
+  add("use_cache=false", [](PlanRequest& r) {
+    r.has_use_cache = true;
+    r.use_cache = false;
+  });
+  for (const double weight : {0.0, 0.37}) {
+    add("time_weight=" + std::to_string(weight), [&](PlanRequest& r) {
+      r.has_time_weight = true;
+      r.time_weight = weight;
+    });
+  }
+  add("algorithm=randomized",
+      [](PlanRequest& r) { r.algorithm = "randomized"; });
+  add("resources", [](PlanRequest& r) {
+    r.has_resources = true;
+    r.resources = resource::ResourceConfig(4.0, 8);
+  });
+  add("max_dollars", [](PlanRequest& r) {
+    r.has_max_dollars = true;
+    r.max_dollars = 1000.0;
+  });
+  return matrix;
+}
+
+TEST(PlanningServiceTest, RepeatedRequestIsAnsweredFromResponseCache) {
+  // One service sees every combination, so each must be told apart by
+  // its planning inputs; its answer must be what a fresh service plans.
+  PlanningService service = MakeService();
+  for (const bool sql_form : {true, false}) {
+    for (const auto& [name, request] : KnobMatrix(sql_form)) {
+      SCOPED_TRACE(name + (sql_form ? " (sql)" : " (tables)"));
+      const PlanResponse want = MakeService().Handle(request);
+      ASSERT_TRUE(want.ok()) << want.status << ": " << want.error;
+      for (int i = 0; i < 3; ++i) {
+        PlanRequest call = request;
+        call.id = "call-" + std::to_string(i);
+        const PlanResponse got = service.Handle(call);
+        ASSERT_TRUE(got.ok()) << got.status << ": " << got.error;
+        EXPECT_EQ(got.id, call.id);
+        // Stored at the second planning, answered from the third on.
+        EXPECT_EQ(got.stats.response_cache_hit, i == 2) << call.id;
+        EXPECT_EQ(got.plan, want.plan) << call.id;
+        EXPECT_EQ(got.cost.seconds, want.cost.seconds) << call.id;
+        EXPECT_EQ(got.cost.dollars, want.cost.dollars) << call.id;
+        EXPECT_EQ(got.join_resources, want.join_resources) << call.id;
+        EXPECT_EQ(got.stats.plans_considered, want.stats.plans_considered)
+            << call.id;
+      }
+    }
+  }
+  const server::ResponseCacheStats stats = service.response_cache_stats();
+  EXPECT_EQ(stats.entries, 2 * static_cast<int64_t>(KnobMatrix(true).size()));
+  EXPECT_EQ(stats.hits, stats.entries);
+  EXPECT_EQ(stats.misses, 2 * stats.entries);
+}
+
+TEST(PlanningServiceTest, ResponseCacheIsClearedByCacheLoad) {
+  // Loaded entries may come from a peer with other models, so a node
+  // must plan again rather than answer from before the load.
+  PlanningService service = MakeService();
+  PlanRequest request;
+  request.tables = {"customer", "orders", "lineitem"};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.Handle(request).stats.response_cache_hit, i == 2);
+  }
+
+  PlanRequest rejected_load;
+  rejected_load.type = "cache_load";
+  rejected_load.cache_version = server::kCacheWireVersion + 1;
+  ASSERT_FALSE(service.Handle(rejected_load).ok());
+  const PlanResponse stored = service.Handle(request);
+  EXPECT_TRUE(stored.stats.response_cache_hit);
+
+  PlanRequest load;
+  load.type = "cache_load";
+  load.cache_entries = service.shared_cache()->DumpEntries();
+  ASSERT_FALSE(load.cache_entries.empty());
+  ASSERT_TRUE(service.Handle(load).ok());
+  EXPECT_EQ(service.response_cache_stats().entries, 0);
+  EXPECT_EQ(service.response_cache_stats().bytes, 0);
+
+  const PlanResponse replanned = service.Handle(request);
+  ASSERT_TRUE(replanned.ok()) << replanned.status << ": " << replanned.error;
+  EXPECT_FALSE(replanned.stats.response_cache_hit);
+  EXPECT_EQ(replanned.plan, stored.plan);
+  EXPECT_EQ(replanned.cost.seconds, stored.cost.seconds);
+  EXPECT_EQ(replanned.cost.dollars, stored.cost.dollars);
+  EXPECT_EQ(replanned.join_resources, stored.join_resources);
+}
+
+TEST(PlanningServiceTest, NearestNeighbourServiceNeverAnswersFromResponseCache) {
+  // A nearest-neighbour cache answers from whatever earlier requests
+  // left in it, so a caching request's answer is not a function of the
+  // request alone; one that plans without a cache still is.
+  server::PlanningServiceOptions options;
+  options.planner = TestPlannerOptions();
+  options.planner.evaluator.cache_mode =
+      core::CacheLookupMode::kNearestNeighbor;
+  PlanningService service(&TestCatalog(), Models(),
+                          resource::ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), options);
+  PlanRequest request;
+  request.tables = {"customer", "orders", "lineitem"};
+  for (int i = 0; i < 3; ++i) {
+    const PlanResponse response = service.Handle(request);
+    ASSERT_TRUE(response.ok()) << response.status << ": " << response.error;
+    EXPECT_FALSE(response.stats.response_cache_hit) << i;
+  }
+  server::ResponseCacheStats stats = service.response_cache_stats();
+  EXPECT_EQ(stats.entries, 0);
+  EXPECT_EQ(stats.hits + stats.misses, 0);
+
+  PlanRequest uncached = request;
+  uncached.has_use_cache = true;
+  uncached.use_cache = false;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.Handle(uncached).stats.response_cache_hit, i == 2);
+  }
+  stats = service.response_cache_stats();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.hits, 1);
+}
+
+TEST(PlanningServiceTest, ResponseCacheStaysWithinItsByteBudget) {
+  // Statements near the SQL size cap, each planned twice so it is
+  // stored, until storing one evicts another.
+  PlanningService service = MakeService();
+  const auto statement = [](int i) {
+    PlanRequest request;
+    request.sql = "select * from orders, lineitem where o_orderkey = "
+                  "l_orderkey" +
+                  std::string(60000 + static_cast<size_t>(i), ' ');
+    return request;
+  };
+  constexpr int kMaxStatements = 64;
+  int newest = 0;
+  for (; newest < kMaxStatements; ++newest) {
+    ASSERT_TRUE(service.Handle(statement(newest)).ok());
+    ASSERT_TRUE(service.Handle(statement(newest)).ok());
+    const server::ResponseCacheStats stats = service.response_cache_stats();
+    ASSERT_LE(stats.bytes,
+              static_cast<int64_t>(server::kResponseCacheBudgetBytes));
+    if (stats.entries <= newest) break;  // storing `newest` evicted
+  }
+  ASSERT_LT(newest, kMaxStatements) << "the budget never filled";
+  // Each statement takes over 60,000 of the 1 MiB.
+  EXPECT_GE(newest, 16);
+
+  EXPECT_TRUE(service.Handle(statement(newest)).stats.response_cache_hit);
+  EXPECT_TRUE(
+      service.Handle(statement(newest - 1)).stats.response_cache_hit);
+  const PlanResponse oldest = service.Handle(statement(0));
+  ASSERT_TRUE(oldest.ok()) << oldest.status << ": " << oldest.error;
+  EXPECT_FALSE(oldest.stats.response_cache_hit);
+  EXPECT_LE(service.response_cache_stats().bytes,
+            static_cast<int64_t>(server::kResponseCacheBudgetBytes));
 }
 
 // ---------------------------------------------------------------------
@@ -1128,13 +1333,17 @@ TEST(PlanningServerTest, TenantInflightCapRejectsWithIdAndSelfHeals) {
 TEST(PlanningServerTest, TenantBudgetExhaustionRejectsFurtherRequests) {
   ServerOptions options;
   options.tenant_quotas["paid"].max_dollars = 1e-9;  // one plan blows it
+  PlanRequest request;
+  request.tables = {"orders", "lineitem"};
+  // Room for two and a half answers to the test's statement.
+  const double dollars = MakeService().Handle(request).cost.dollars;
+  ASSERT_GT(dollars, 0.0);
+  options.tenant_quotas["metered"].max_dollars = 2.5 * dollars;
   TestServer ts(options);
   PlanningClient client = ts.Connect();
 
-  PlanRequest request;
   request.id = "first";
   request.tenant = "paid";
-  request.tables = {"orders", "lineitem"};
   Result<PlanResponse> first = client.Call(request);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(first->ok()) << first->status << ": " << first->error;
@@ -1156,11 +1365,31 @@ TEST(PlanningServerTest, TenantBudgetExhaustionRejectsFurtherRequests) {
   ASSERT_TRUE(other.ok());
   EXPECT_TRUE(other->ok());
 
+  // The statement has now been planned twice, so the response cache
+  // answers it from here on; every answer is still charged.
+  request.tenant = "metered";
+  for (int i = 0; i < 3; ++i) {
+    request.id = "metered-" + std::to_string(i);
+    Result<PlanResponse> metered = client.Call(request);
+    ASSERT_TRUE(metered.ok()) << metered.status().ToString();
+    ASSERT_TRUE(metered->ok()) << metered->status << ": " << metered->error;
+    EXPECT_TRUE(metered->stats.response_cache_hit) << request.id;
+    EXPECT_EQ(metered->cost.dollars, dollars) << request.id;
+  }
+  request.id = "metered-broke";
+  Result<PlanResponse> broke = client.Call(request);
+  ASSERT_TRUE(broke.ok()) << broke.status().ToString();
+  EXPECT_EQ(broke->status, "RESOURCE_EXHAUSTED");
+
   const auto tenants = ts.server->tenant_stats();
   ASSERT_EQ(tenants.count("paid"), 1u);
   EXPECT_EQ(tenants.at("paid").rejected_budget, 1);
   EXPECT_EQ(tenants.at("paid").dollars_spent, first->cost.dollars);
-  EXPECT_EQ(ts.server->stats().rejected_tenant_budget, 1);
+  ASSERT_EQ(tenants.count("metered"), 1u);
+  EXPECT_EQ(tenants.at("metered").responses_ok, 3);
+  EXPECT_EQ(tenants.at("metered").rejected_budget, 1);
+  EXPECT_EQ(tenants.at("metered").dollars_spent, dollars + dollars + dollars);
+  EXPECT_EQ(ts.server->stats().rejected_tenant_budget, 2);
 }
 
 TEST(PlanningServerTest, TenantTableFullRejectsNewTenantNames) {
