@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -10,9 +11,13 @@ Result<TableId> Catalog::AddTable(TableDef def) {
   if (def.name.empty()) {
     return Status::InvalidArgument("table name must not be empty");
   }
-  if (!(def.row_count > 0.0) || !(def.row_bytes > 0.0)) {
-    return Status::InvalidArgument("table statistics must be positive: " +
-                                   def.name);
+  // NaN fails the comparison, and +inf would plan at an infinite cost.
+  const auto positive_finite = [](double x) {
+    return x > 0.0 && std::isfinite(x);
+  };
+  if (!positive_finite(def.row_count) || !positive_finite(def.row_bytes)) {
+    return Status::InvalidArgument(
+        "table statistics must be positive and finite: " + def.name);
   }
   for (const TableDef& t : tables_) {
     if (t.name == def.name) {

@@ -18,7 +18,7 @@ class Catalog {
   Catalog() = default;
 
   /// Registers a table; returns its dense id. Fails on duplicate names or
-  /// non-positive statistics.
+  /// statistics that are not positive and finite.
   Result<TableId> AddTable(TableDef def);
 
   /// Adds a join edge between two previously registered tables.

@@ -154,12 +154,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
-Result<int64_t> FileSizeBytes(const std::string& path) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return Errno("stat", path);
-  return static_cast<int64_t>(st.st_size);
-}
-
 Status AtomicWriteFile(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(),
@@ -192,13 +186,6 @@ Result<net::UniqueFd> OpenForAppend(const std::string& path,
   }
   if (::lseek(fd, 0, SEEK_END) < 0) return Errno("lseek", path);
   return owned;
-}
-
-Status RemoveFile(const std::string& path) {
-  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return Errno("unlink", path);
-  }
-  return Status::OK();
 }
 
 Status EnsureDirectory(const std::string& path) {

@@ -78,9 +78,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// Whether a plain file exists at `path`.
 bool FileExists(const std::string& path);
 
-/// Size in bytes of an existing file.
-Result<int64_t> FileSizeBytes(const std::string& path);
-
 /// Crash-atomic replacement of `path`: writes `content` to a sibling
 /// temp file, fsyncs it, rename(2)s it over `path`, then fsyncs the
 /// directory so the rename itself is durable. Readers never observe a
@@ -92,9 +89,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view content);
 /// it verified so a torn tail is cut off before new records follow it.
 Result<net::UniqueFd> OpenForAppend(const std::string& path,
                                     int64_t valid_bytes);
-
-/// Removes the file if it exists (missing is not an error).
-Status RemoveFile(const std::string& path);
 
 /// Creates the directory (and parents) if absent.
 Status EnsureDirectory(const std::string& path);

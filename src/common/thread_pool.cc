@@ -33,11 +33,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   return future;
 }
 
-int ThreadPool::DefaultThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::packaged_task<void()> task;

@@ -37,10 +37,6 @@ class ThreadPool {
   /// propagate through the future).
   std::future<void> Submit(std::function<void()> task);
 
-  /// A sensible worker count for this machine: hardware concurrency,
-  /// with a floor of 1 when it cannot be determined.
-  static int DefaultThreads();
-
  private:
   void WorkerLoop();
 

@@ -258,7 +258,7 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
   }
 
   if (!dp[full].valid) {
-    return Status::Internal("bushy DP found no feasible plan");
+    return Status::FailedPrecondition("bushy DP found no feasible plan");
   }
 
   // Recursive reconstruction.

@@ -239,7 +239,8 @@ Result<PlannedQuery> FastRandomizedPlanner::PlanBest(
   RAQO_ASSIGN_OR_RETURN(MultiObjectiveResult multi,
                         Plan(catalog, tables, evaluator));
   if (multi.frontier.empty()) {
-    return Status::Internal("randomized planner produced no feasible plan");
+    return Status::FailedPrecondition(
+        "randomized planner produced no feasible plan");
   }
   size_t best = 0;
   for (size_t i = 1; i < multi.frontier.size(); ++i) {

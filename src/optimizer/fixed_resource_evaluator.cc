@@ -1,5 +1,7 @@
 #include "optimizer/fixed_resource_evaluator.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 #include "cost/features.h"
 
@@ -30,6 +32,12 @@ Result<OperatorCost> FixedResourceEvaluator::CostJoinImpl(
 
   const double seconds =
       models_.ForImpl(context.impl).PredictSeconds(features);
+  // The resource planners' rule: a NaN or infinite prediction is no plan.
+  if (!std::isfinite(seconds)) {
+    return Status::FailedPrecondition(StrPrintf(
+        "predicted time %g s under %s is not finite", seconds,
+        config_.ToString().c_str()));
+  }
   OperatorCost out;
   out.cost.seconds = seconds;
   out.cost.dollars = pricing_.Cost(config_, seconds);

@@ -16,7 +16,7 @@ class FixedResourceEvaluator : public PlanCostEvaluator {
   /// `bhj_capacity_factor` bounds the broadcast build side relative to
   /// the container size (ss <= factor * cs); beyond it the operator is
   /// reported infeasible, mirroring the OOM boundary of the execution
-  /// engine.
+  /// engine. So is an operator whose predicted time is NaN or infinite.
   FixedResourceEvaluator(cost::JoinCostModels models,
                          resource::ResourceConfig config,
                          resource::PricingModel pricing =

@@ -240,7 +240,7 @@ Result<PlannedQuery> SelingerPlanner::Plan(
   }
 
   if (!dp[full].valid) {
-    return Status::Internal("Selinger DP found no feasible plan");
+    return Status::FailedPrecondition("Selinger DP found no feasible plan");
   }
 
   // Reconstruct the left-deep tree by unwinding the back pointers.

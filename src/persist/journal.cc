@@ -100,18 +100,6 @@ Result<ReplayResult> ReplayRecords(std::string_view content,
   return out;
 }
 
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNone:
-      return "none";
-    case FsyncPolicy::kGroupCommit:
-      return "group-commit";
-    case FsyncPolicy::kEachRecord:
-      return "each-record";
-  }
-  return "?";
-}
-
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
     const std::string& path, int64_t valid_bytes, FsyncPolicy policy,
     size_t group_commit_bytes) {

@@ -81,8 +81,6 @@ enum class FsyncPolicy {
   kEachRecord,
 };
 
-const char* FsyncPolicyName(FsyncPolicy policy);
-
 /// Append-side of the journal: thread-safe, records are written
 /// whole-record-at-a-time under one mutex so concurrent appenders can
 /// never interleave bytes (an interleaved record would be torn on

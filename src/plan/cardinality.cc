@@ -45,10 +45,6 @@ RelationStats CardinalityEstimator::Estimate(const TableSet& tables) {
   return stats;
 }
 
-RelationStats CardinalityEstimator::EstimateNode(const PlanNode& node) {
-  return Estimate(node.tables());
-}
-
 JoinInputStats CardinalityEstimator::JoinStats(const PlanNode& join) {
   RAQO_CHECK(join.is_join()) << "JoinStats on a scan node";
   JoinInputStats stats;

@@ -50,9 +50,6 @@ class CardinalityEstimator {
   /// Estimated stats of joining exactly the given table set.
   RelationStats Estimate(const TableSet& tables);
 
-  /// Estimated stats of a plan subtree's output.
-  RelationStats EstimateNode(const PlanNode& node);
-
   /// Input/output statistics of a join node.
   JoinInputStats JoinStats(const PlanNode& join);
 

@@ -50,43 +50,6 @@ Result<DecisionTree> DecisionTree::Fit(const Dataset& data,
   return tree;
 }
 
-Result<DecisionTree> DecisionTree::FromParts(
-    std::vector<std::string> feature_names,
-    std::vector<std::string> class_names, std::vector<Node> nodes) {
-  if (feature_names.empty() || class_names.size() < 2 || nodes.empty()) {
-    return Status::InvalidArgument("tree parts incomplete");
-  }
-  const int n = static_cast<int>(nodes.size());
-  for (int i = 0; i < n; ++i) {
-    const Node& node = nodes[static_cast<size_t>(i)];
-    if ((node.left < 0) != (node.right < 0)) {
-      return Status::InvalidArgument("node with exactly one child");
-    }
-    if (!node.is_leaf()) {
-      if (node.left <= i || node.left >= n || node.right <= i ||
-          node.right >= n) {
-        return Status::InvalidArgument("child indices must point forward");
-      }
-      if (node.feature < 0 ||
-          static_cast<size_t>(node.feature) >= feature_names.size()) {
-        return Status::OutOfRange("split feature out of range");
-      }
-    }
-    if (node.majority < 0 ||
-        static_cast<size_t>(node.majority) >= class_names.size()) {
-      return Status::OutOfRange("majority class out of range");
-    }
-    if (node.class_counts.size() != class_names.size()) {
-      return Status::InvalidArgument("class-count arity mismatch");
-    }
-  }
-  DecisionTree tree;
-  tree.feature_names_ = std::move(feature_names);
-  tree.class_names_ = std::move(class_names);
-  tree.nodes_ = std::move(nodes);
-  return tree;
-}
-
 int DecisionTree::BuildNode(const Dataset& data, const TreeParams& params,
                             std::vector<int>& indices, int begin, int end,
                             int depth) {
@@ -293,34 +256,6 @@ std::string DecisionTree::ToText() const {
         }
       };
   render(0, "");
-  return out;
-}
-
-std::string DecisionTree::ToDot() const {
-  if (nodes_.empty()) return "digraph tree {}\n";
-  std::string out =
-      "digraph tree {\n  node [shape=box, fontname=\"Helvetica\"];\n";
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    std::vector<std::string> counts;
-    for (int c : node.class_counts) counts.push_back(std::to_string(c));
-    std::string label;
-    if (!node.is_leaf()) {
-      label += feature_names_[static_cast<size_t>(node.feature)] +
-               StrPrintf(" <= %.4g\\n", node.threshold);
-    }
-    label += StrPrintf("gini = %.4g\\nsamples = %d\\nvalue = [%s]\\nclass = %s",
-                       node.gini, node.samples,
-                       JoinStrings(counts, ", ").c_str(),
-                       class_names_[static_cast<size_t>(node.majority)]
-                           .c_str());
-    out += StrPrintf("  n%zu [label=\"%s\"];\n", i, label.c_str());
-    if (!node.is_leaf()) {
-      out += StrPrintf("  n%zu -> n%d [label=\"True\"];\n", i, node.left);
-      out += StrPrintf("  n%zu -> n%d [label=\"False\"];\n", i, node.right);
-    }
-  }
-  out += "}\n";
   return out;
 }
 

@@ -49,14 +49,6 @@ class DecisionTree {
   static Result<DecisionTree> Fit(const Dataset& data,
                                   const TreeParams& params = TreeParams());
 
-  /// Reassembles a tree from its parts (deserialization). Node 0 is the
-  /// root; children must point forward (child index > parent index), be
-  /// either both set or both -1, and all indices/labels must be in
-  /// range. Fails with InvalidArgument otherwise.
-  static Result<DecisionTree> FromParts(
-      std::vector<std::string> feature_names,
-      std::vector<std::string> class_names, std::vector<Node> nodes);
-
   /// Predicted class id for a feature vector.
   int Predict(const std::vector<double>& features) const;
 
@@ -77,21 +69,12 @@ class DecisionTree {
   int MaxPathLength() const;
 
   const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<std::string>& feature_names() const {
-    return feature_names_;
-  }
-  const std::vector<std::string>& class_names() const { return class_names_; }
 
   /// Multi-line rendering in the style of the paper's tree figures, e.g.
   ///   Data Size (GB) <= 5.1 gini=0.5 samples=120 value=[60, 60] class=BHJ
   ///   |--True:  ...
   ///   |--False: ...
   std::string ToText() const;
-
-  /// Graphviz rendering matching the paper's Figures 10/11 (each node
-  /// shows the split, gini, samples, value and class; True branches go
-  /// left). Render with: dot -Tsvg tree.dot -o tree.svg
-  std::string ToDot() const;
 
  private:
   DecisionTree() = default;

@@ -1,24 +1,16 @@
 #include <gtest/gtest.h>
 
 #include "catalog/tpch.h"
-#include "core/adaptive.h"
 #include "core/container_reuse.h"
 #include "plan/plan_builder.h"
-#include "sim/profile_runner.h"
+#include "sim/simulator.h"
 
 namespace raqo {
 namespace {
 
 using catalog::TableId;
 using catalog::TpchQuery;
-using resource::ClusterConditions;
 using resource::ResourceConfig;
-
-const cost::JoinCostModels& Models() {
-  static const cost::JoinCostModels* models = new cost::JoinCostModels(
-      *sim::TrainModelsFromSimulator(sim::EngineProfile::Hive()));
-  return *models;
-}
 
 // ---------------------------------------------------------------------
 // Column statistics / derived selectivities
@@ -176,103 +168,6 @@ TEST_F(ContainerReuseTest, RequiresResourceAnnotations) {
       core::AnalyzeContainerReuse(simulator_, *bare);
   ASSERT_FALSE(analysis.ok());
   EXPECT_TRUE(analysis.status().IsFailedPrecondition());
-}
-
-// ---------------------------------------------------------------------
-// Adaptive RAQO driver
-
-class AdaptiveTest : public ::testing::Test {
- protected:
-  AdaptiveTest() : cat_(BuildSampledCatalog()) {}
-
-  static catalog::Catalog BuildSampledCatalog() {
-    catalog::Catalog cat;
-    const TableId orders = *cat.AddTable({"orders_sample", 49'000'000, 110});
-    const TableId lineitem = *cat.AddTable({"lineitem", 600'000'000, 130});
-    RAQO_CHECK(cat.AddJoin(lineitem, orders, 1e-8).ok());
-    return cat;
-  }
-
-  core::RaqoPlanner MakePlanner() {
-    return core::RaqoPlanner(&cat_, Models(),
-                             ClusterConditions::PaperDefault());
-  }
-
-  std::vector<TableId> Query() {
-    return {*cat_.FindTable("orders_sample"), *cat_.FindTable("lineitem")};
-  }
-
-  catalog::Catalog cat_;
-};
-
-TEST_F(AdaptiveTest, SubmitInstallsAPlan) {
-  core::RaqoPlanner planner = MakePlanner();
-  core::AdaptiveRaqo adaptive(&planner);
-  Result<const core::JointPlan*> plan = adaptive.Submit(Query());
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GT((*plan)->cost.seconds, 0.0);
-  EXPECT_TRUE(adaptive.current().plan != nullptr);
-}
-
-TEST_F(AdaptiveTest, ChangeBeforeSubmitFails) {
-  core::RaqoPlanner planner = MakePlanner();
-  core::AdaptiveRaqo adaptive(&planner);
-  EXPECT_TRUE(adaptive.OnClusterChange(ClusterConditions::PaperDefault())
-                  .status()
-                  .IsFailedPrecondition());
-}
-
-TEST_F(AdaptiveTest, MinorChangeKeepsPlanShape) {
-  core::RaqoPlanner planner = MakePlanner();
-  core::AdaptiveRaqo adaptive(&planner);
-  ASSERT_TRUE(adaptive.Submit(Query()).ok());
-  const std::string before = adaptive.current().plan->ToString();
-  // Barely-changed conditions: same plan shape should survive.
-  Result<core::AdaptiveRaqo::ChangeEvent> event =
-      adaptive.OnClusterChange(ClusterConditions::WithMax(10, 95));
-  ASSERT_TRUE(event.ok());
-  EXPECT_FALSE(event->reoptimized);
-  EXPECT_FALSE(event->old_plan_infeasible);
-  // The shape is unchanged (resources may have been refreshed).
-  auto strip = [](std::string s) {
-    // Drop the resource annotations "<...>" for a shape-only comparison.
-    std::string out;
-    bool in_angle = false;
-    for (char c : s) {
-      if (c == '<') in_angle = true;
-      if (!in_angle) out += c;
-      if (c == '>') in_angle = false;
-    }
-    return out;
-  };
-  EXPECT_EQ(strip(adaptive.current().plan->ToString()), strip(before));
-}
-
-TEST_F(AdaptiveTest, InfeasibleShapeForcesReoptimization) {
-  core::RaqoPlanner planner = MakePlanner();
-  core::AdaptiveRaqo adaptive(&planner);
-  ASSERT_TRUE(adaptive.Submit(Query()).ok());
-  // With 10 GB containers available the planner picks the broadcast join
-  // for the 5 GB orders sample under low-parallelism conditions; make
-  // sure we have a BHJ plan by constraining containers first.
-  Result<core::AdaptiveRaqo::ChangeEvent> busy =
-      adaptive.OnClusterChange(ClusterConditions::WithMax(10, 6));
-  ASSERT_TRUE(busy.ok());
-  bool has_bhj = false;
-  adaptive.current().plan->VisitJoins([&](const plan::PlanNode& j) {
-    if (j.impl() == plan::JoinImpl::kBroadcastHashJoin) has_bhj = true;
-  });
-  ASSERT_TRUE(has_bhj) << adaptive.current().plan->ToString();
-  // Now big containers vanish: the BHJ shape cannot run at all, so the
-  // driver must re-optimize to a shuffle plan.
-  Result<core::AdaptiveRaqo::ChangeEvent> outage =
-      adaptive.OnClusterChange(ClusterConditions::WithMax(3, 100));
-  ASSERT_TRUE(outage.ok());
-  EXPECT_TRUE(outage->old_plan_infeasible);
-  EXPECT_TRUE(outage->reoptimized);
-  adaptive.current().plan->VisitJoins([&](const plan::PlanNode& j) {
-    EXPECT_EQ(j.impl(), plan::JoinImpl::kSortMergeJoin);
-  });
 }
 
 }  // namespace

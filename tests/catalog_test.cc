@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/catalog.h"
 #include "catalog/random_schema.h"
 #include "catalog/table.h"
@@ -36,6 +38,19 @@ TEST(CatalogTest, RejectsBadTables) {
   EXPECT_FALSE(cat.AddTable({"x", 10, -1}).ok());
   ASSERT_TRUE(cat.AddTable({"x", 10, 10}).ok());
   EXPECT_FALSE(cat.AddTable({"x", 10, 10}).ok());  // duplicate name
+}
+
+TEST(CatalogTest, AddTableRejectsNonFiniteStatistics) {
+  Catalog cat;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {inf, -inf, nan}) {
+    EXPECT_TRUE(cat.AddTable({"x", bad, 10}).status().IsInvalidArgument())
+        << "row_count " << bad;
+    EXPECT_TRUE(cat.AddTable({"x", 10, bad}).status().IsInvalidArgument())
+        << "row_bytes " << bad;
+  }
+  EXPECT_EQ(cat.num_tables(), 0u);
 }
 
 TEST(CatalogTest, AddJoinValidates) {

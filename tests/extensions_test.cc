@@ -9,7 +9,6 @@
 #include "core/search_space.h"
 #include "cost/model_eval.h"
 #include "plan/plan_builder.h"
-#include "plan/plan_dot.h"
 #include "rules/rule_based.h"
 #include "sim/profile_runner.h"
 #include "sim/scheduler.h"
@@ -279,42 +278,6 @@ TEST_F(SchedulerTest, DecisionToStringMentionsAction) {
   EXPECT_NE(d.ToString().find("wait"), std::string::npos);
   EXPECT_STREQ(sim::ScheduleActionName(sim::ScheduleAction::kRunPrimary),
                "run-primary");
-}
-
-// ---------------------------------------------------------------------
-// DOT exports
-
-TEST(DotExportTest, PlanToDotIsWellFormed) {
-  catalog::Catalog cat = catalog::BuildTpchCatalog(1.0);
-  auto plan = *plan::BuildLeftDeep(
-      *catalog::TpchQueryTables(cat, TpchQuery::kQ3),
-      plan::JoinImpl::kSortMergeJoin);
-  plan->set_resources(ResourceConfig(4, 10));
-  const std::string dot = plan::PlanToDot(*plan, &cat);
-  EXPECT_EQ(dot.rfind("digraph plan {", 0), 0u);
-  EXPECT_EQ(dot.find('{'), dot.rfind('{'));
-  EXPECT_NE(dot.find("lineitem"), std::string::npos);
-  EXPECT_NE(dot.find("SMJ"), std::string::npos);
-  EXPECT_NE(dot.find("4 GB x 10"), std::string::npos);
-  // 5 nodes (3 scans + 2 joins), 4 edges.
-  size_t edges = 0;
-  for (size_t pos = dot.find("->"); pos != std::string::npos;
-       pos = dot.find("->", pos + 1)) {
-    ++edges;
-  }
-  EXPECT_EQ(edges, 4u);
-}
-
-TEST(DotExportTest, TreeToDotIsWellFormed) {
-  Result<rules::DecisionTree> tree =
-      rules::BuildDefaultRuleTree(sim::EngineProfile::Hive());
-  ASSERT_TRUE(tree.ok());
-  const std::string dot = tree->ToDot();
-  EXPECT_EQ(dot.rfind("digraph tree {", 0), 0u);
-  EXPECT_NE(dot.find("gini = 0.5"), std::string::npos);
-  EXPECT_NE(dot.find("[label=\"True\"]"), std::string::npos);
-  EXPECT_NE(dot.find("[label=\"False\"]"), std::string::npos);
-  EXPECT_NE(dot.find("Data Size (GB) <= "), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

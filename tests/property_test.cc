@@ -356,7 +356,9 @@ TEST_P(SeededPropertyTest, ReplanningResourcesReproducesOptimalCost) {
 // Selinger's left-deep optimum, both planners' reported costs survive
 // independent re-evaluation, and when the bushy winner is itself a
 // linear tree the two agree exactly (the cost model is symmetric in
-// child order, so every linear shape is left-deep-reachable).
+// child order, so every linear shape is left-deep-reachable). Under
+// joint resource planning, for speed and for money, the bushy optimum's
+// scalarized cost is never worse than Selinger's either.
 
 TEST_P(SeededPropertyTest, CrossPlannerAgreementOnRandomGraphs) {
   catalog::RandomSchemaOptions schema;
@@ -414,6 +416,32 @@ TEST_P(SeededPropertyTest, CrossPlannerAgreementOnRandomGraphs) {
                   1e-9 * (1.0 + selinger->cost.seconds))
           << "linear bushy optimum disagrees with Selinger on trial "
           << trial;
+    }
+
+    for (const double weight : {1.0, 0.0}) {
+      core::RaqoEvaluatorOptions eval_options;
+      eval_options.time_weight = weight;
+      core::RaqoCostEvaluator bushy_raqo(
+          *models, resource::ClusterConditions::PaperDefault(),
+          resource::PricingModel(), eval_options);
+      core::RaqoCostEvaluator selinger_raqo(
+          *models, resource::ClusterConditions::PaperDefault(),
+          resource::PricingModel(), eval_options);
+      optimizer::BushyDpOptions bushy_options;
+      bushy_options.time_weight = weight;
+      optimizer::SelingerOptions selinger_options;
+      selinger_options.time_weight = weight;
+      Result<optimizer::PlannedQuery> joint_bushy =
+          optimizer::BushyDpPlanner(bushy_options)
+              .Plan(cat, tables, bushy_raqo);
+      Result<optimizer::PlannedQuery> joint_selinger =
+          optimizer::SelingerPlanner(selinger_options)
+              .Plan(cat, tables, selinger_raqo);
+      ASSERT_TRUE(joint_bushy.ok()) << joint_bushy.status().ToString();
+      ASSERT_TRUE(joint_selinger.ok()) << joint_selinger.status().ToString();
+      EXPECT_LE(joint_bushy->cost.Weighted(weight),
+                joint_selinger->cost.Weighted(weight) * (1 + 1e-9))
+          << "time_weight " << weight << ", trial " << trial;
     }
   }
 }

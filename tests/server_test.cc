@@ -13,12 +13,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "catalog/random_schema.h"
 #include "catalog/tpch.h"
 #include "common/json.h"
 #include "common/net.h"
@@ -340,6 +342,75 @@ TEST(PlanningServiceTest, OversizedSqlIsRejectedCleanly) {
   PlanResponse response = service.Handle(big);
   EXPECT_EQ(response.status, "INVALID_ARGUMENT");
   EXPECT_NE(response.error.find("exceeds"), std::string::npos);
+}
+
+/// Join cost models that predict +inf seconds for every input, so no join
+/// is feasible anywhere on the grid.
+cost::JoinCostModels InfiniteModels() {
+  LinearModel model;
+  model.has_intercept = true;
+  model.weights.assign(cost::NumFeatures(cost::FeatureSet::kExtended) + 1,
+                       0.0);
+  model.weights.back() = std::numeric_limits<double>::infinity();
+  return {cost::OperatorCostModel("smj", model, cost::FeatureSet::kExtended),
+          cost::OperatorCostModel("bhj", model, cost::FeatureSet::kExtended)};
+}
+
+TEST(PlanningServiceTest, InfeasibleAndOversizedQueriesGetStatusesNotPlans) {
+  // With no feasible join, every planning path answers a failed
+  // precondition: not INTERNAL, which would blame the server, and not a
+  // plan with a non-finite cost.
+  server::PlanningServiceOptions options;
+  options.planner = TestPlannerOptions();
+  PlanningService infeasible(&TestCatalog(), InfiniteModels(),
+                             resource::ClusterConditions::PaperDefault(),
+                             resource::PricingModel(), options);
+  PlanRequest base;
+  base.sql = "select * from orders, lineitem where o_orderkey = l_orderkey";
+  PlanRequest hillclimb = base;
+  hillclimb.search = "hillclimb";
+  PlanRequest randomized = base;
+  randomized.algorithm = "randomized";
+  PlanRequest budget = base;
+  budget.has_max_dollars = true;
+  budget.max_dollars = 1000.0;
+  PlanRequest fixed = base;
+  fixed.has_resources = true;
+  fixed.resources = resource::ResourceConfig(4.0, 10);
+  const std::vector<std::pair<std::string, PlanRequest>> forms = {
+      {"default", base},
+      {"search=hillclimb", hillclimb},
+      {"algorithm=randomized", randomized},
+      {"max_dollars", budget},
+      {"resources", fixed}};
+  for (const auto& [name, request] : forms) {
+    SCOPED_TRACE(name);
+    for (int i = 0; i < 3; ++i) {
+      const PlanResponse response = infeasible.Handle(request);
+      EXPECT_EQ(response.status, "FAILED_PRECONDITION") << response.error;
+      EXPECT_FALSE(response.stats.response_cache_hit) << i;
+    }
+  }
+
+  // Above Selinger's 20-table limit the DP declines the query; the
+  // randomized planner still plans it.
+  const catalog::Catalog wide =
+      *catalog::BuildRandomCatalog({.num_tables = 22});
+  PlanningService service(&wide, Models(),
+                          resource::ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), options);
+  PlanRequest oversized;
+  for (catalog::TableId id = 0; id < 21; ++id) {
+    oversized.tables.push_back(wide.table(id).name);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const PlanResponse response = service.Handle(oversized);
+    EXPECT_EQ(response.status, "UNSUPPORTED") << response.error;
+    EXPECT_FALSE(response.stats.response_cache_hit) << i;
+  }
+  oversized.algorithm = "randomized";
+  const PlanResponse planned = service.Handle(oversized);
+  EXPECT_TRUE(planned.ok()) << planned.status << ": " << planned.error;
 }
 
 TEST(PlanningServiceTest, GridKnobRunsTheExactSwitchAwareSearch) {
