@@ -325,7 +325,7 @@ int RunRestartRecovery(bool smoke, const catalog::Catalog& catalog,
   };
   server::ServerOptions durable_options;
   durable_options.port = 0;
-  durable_options.persist_dir = dir;
+  durable_options.persistence.dir = dir;
 
   // Phase 1: warm a durable node, then measure its steady-state rate.
   bench::Section("Restart recovery: warm phase (journaling to disk)");

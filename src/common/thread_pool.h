@@ -14,9 +14,9 @@ namespace raqo {
 /// A fixed-size worker pool for the concurrent planning service. Tasks
 /// are plain closures executed FIFO by `num_threads` long-lived workers;
 /// Submit returns a future so callers can join on individual tasks. The
-/// concurrent workload runner runs its planner workers here and the
-/// server its request workers: each task plans whole queries, so this is
-/// the only level at which planning runs in parallel.
+/// concurrent workload runner runs its planner workers here: each task
+/// plans whole queries, so planning never runs in parallel below the
+/// query level.
 ///
 /// The pool itself is thread-safe: any thread may Submit. Task closures
 /// must synchronize their own shared state.

@@ -106,7 +106,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   // container size may exceed the cluster minimum.
   resource::ClusterConditions search_cluster = cluster_;
   if (context.impl == plan::JoinImpl::kBroadcastHashJoin) {
-    const double min_cs = ss_gb / options_.bhj_capacity_factor;
+    const double min_cs = ss_gb / optimizer::kBhjCapacityFactor;
     if (min_cs > cluster_.max().container_size_gb() + 1e-9) {
       return Status::ResourceExhausted(StrPrintf(
           "BHJ build side %.2f GB fits no container up to %.2f GB", ss_gb,

@@ -56,12 +56,6 @@ struct RaqoEvaluatorOptions {
   /// Objective weight for resource planning: 1.0 plans resources for pure
   /// execution time, 0.0 for pure monetary cost.
   double time_weight = 1.0;
-
-  /// Broadcast-join feasibility bound: the build side must satisfy
-  /// ss <= factor * container size. The resource search is restricted to
-  /// the feasible sub-grid (the climb then starts from the smallest
-  /// *feasible* configuration).
-  double bhj_capacity_factor = 1.14;
 };
 
 /// The heart of cost-based RAQO (Section VI-C): a PlanCostEvaluator whose

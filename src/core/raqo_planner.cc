@@ -12,6 +12,15 @@
 
 namespace raqo::core {
 
+namespace {
+
+// Resource-objective weights swept by PlanFrontier: resources planned
+// purely for time sit at one end of the frontier, purely for money at
+// the other.
+constexpr double kFrontierWeights[] = {1.0, 0.75, 0.5, 0.25, 0.0};
+
+}  // namespace
+
 const char* PlannerAlgorithmName(PlannerAlgorithm algorithm) {
   switch (algorithm) {
     case PlannerAlgorithm::kSelinger:
@@ -113,9 +122,7 @@ Result<JointPlan> RaqoPlanner::PlanForResources(
         " are outside the cluster conditions " +
         evaluator_.cluster().ToString());
   }
-  optimizer::FixedResourceEvaluator fixed(
-      models_, resources, pricing_,
-      options_.evaluator.bhj_capacity_factor);
+  optimizer::FixedResourceEvaluator fixed(models_, resources, pricing_);
   return RunPlanner(tables, fixed);
 }
 
@@ -170,14 +177,11 @@ Result<JointPlan> RaqoPlanner::PlanForMoneyBudget(
 
 Result<optimizer::MultiObjectiveResult> RaqoPlanner::PlanFrontier(
     const std::vector<catalog::TableId>& tables) {
-  if (options_.frontier_weights.empty()) {
-    return Status::InvalidArgument("frontier_weights must not be empty");
-  }
   // One randomized pass per resource-objective weight: planning the
   // resources for pure speed and for pure cheapness lands on different
   // configurations, which is what spreads the (time, money) frontier.
   optimizer::MultiObjectiveResult merged;
-  for (double weight : options_.frontier_weights) {
+  for (double weight : kFrontierWeights) {
     RaqoEvaluatorOptions eval_options = options_.evaluator;
     eval_options.time_weight = weight;
     RaqoCostEvaluator evaluator(models_, evaluator_.cluster(), pricing_,

@@ -35,11 +35,6 @@ struct RaqoPlannerOptions {
   /// The paper clears the resource plan cache before each query run
   /// unless evaluating across-query caching (Figure 15(b)).
   bool clear_cache_between_queries = true;
-  /// Resource-objective weights swept by PlanFrontier: resources planned
-  /// purely for time sit at one end of the frontier, purely for money at
-  /// the other. One randomized planning pass runs per weight and the
-  /// Pareto archives are merged.
-  std::vector<double> frontier_weights = {1.0, 0.75, 0.5, 0.25, 0.0};
 };
 
 /// A joint query and resource plan (Figure 8(b)): the operator DAG for
@@ -89,7 +84,9 @@ class RaqoPlanner {
   Result<JointPlan> PlanForMoneyBudget(
       const std::vector<catalog::TableId>& tables, double max_dollars);
 
-  /// Full (time, money) frontier from the multi-objective planner.
+  /// Full (time, money) frontier from the multi-objective planner: one
+  /// randomized pass per resource-objective weight, from pure time to
+  /// pure money, with the Pareto archives merged.
   Result<optimizer::MultiObjectiveResult> PlanFrontier(
       const std::vector<catalog::TableId>& tables);
 

@@ -266,8 +266,7 @@ Result<ResourcePlanResult> HillClimbResourcePlanner::PlanResources(
 Result<ResourcePlanResult> AcceleratedHillClimbResourcePlanner::PlanResources(
     const ResourceCostFn& cost,
     const resource::ClusterConditions& cluster) const {
-  resource::ResourceConfig curr =
-      has_start_ ? cluster.SnapToGrid(start_) : cluster.min();
+  resource::ResourceConfig curr = cluster.min();
   int64_t explored = 0;
   double curr_cost = Sanitize(cost(curr));
   ++explored;

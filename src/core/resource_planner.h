@@ -182,22 +182,14 @@ class SwitchAwareGridResourcePlanner : public ResourcePlanner {
 /// reached in O(log D) evaluations instead of O(D). Every visited
 /// configuration stays on the allocation grid (steps are multiples of
 /// the grid step), and the result is still a local optimum with respect
-/// to single grid steps.
+/// to single grid steps. The climb starts from the smallest
+/// configuration.
 class AcceleratedHillClimbResourcePlanner : public ResourcePlanner {
  public:
-  AcceleratedHillClimbResourcePlanner() = default;
-  explicit AcceleratedHillClimbResourcePlanner(
-      resource::ResourceConfig start)
-      : start_(start), has_start_(true) {}
-
   Result<ResourcePlanResult> PlanResources(
       const ResourceCostFn& cost,
       const resource::ClusterConditions& cluster) const override;
   const char* name() const override { return "accelerated-hill-climb"; }
-
- private:
-  resource::ResourceConfig start_;
-  bool has_start_ = false;
 };
 
 }  // namespace raqo::core

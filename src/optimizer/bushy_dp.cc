@@ -195,14 +195,13 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
     // each {left, right} pair is visited once (operator costing is
     // symmetric in the input sizes).
     const uint32_t lowest = mask & (~mask + 1);
-    const bool need_cross =
-        options_.avoid_cross_products && !is_connected[mask];
+    const bool need_cross = !is_connected[mask];
     deferred.clear();
     for (uint32_t sub = (mask - 1) & mask; sub != 0;
          sub = (sub - 1) & mask) {
       if (!(sub & lowest)) continue;
       if (sub == mask) continue;
-      if (options_.avoid_cross_products && !need_cross &&
+      if (!need_cross &&
           (!is_connected[sub] || !is_connected[mask ^ sub] ||
            !parts_connected(sub, mask ^ sub))) {
         // Connected subsets must be built from connected, adjacent parts;

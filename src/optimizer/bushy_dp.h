@@ -16,9 +16,6 @@ namespace raqo::optimizer {
 struct BushyDpOptions {
   /// Scalarization weight: 1.0 optimizes execution time, 0.0 money.
   double time_weight = 1.0;
-  /// Only join subsets connected through the join graph; a cross-product
-  /// fallback pass handles disconnected queries.
-  bool avoid_cross_products = true;
   /// Subset-pair enumeration is O(3^n); refuse beyond this.
   int max_tables = 14;
   /// Scratch arena for the DP memo and connectivity tables (borrowed,
@@ -40,7 +37,9 @@ struct BushyDpOptions {
 /// space; this planner closes the gap by finding the exact bushy optimum
 /// for moderate query sizes, so the randomized planner's plan quality can
 /// be measured against ground truth. Costing goes through the same
-/// pluggable evaluator, so it too runs as plain QO or as RAQO.
+/// pluggable evaluator, so it too runs as plain QO or as RAQO. Only
+/// subsets connected through the join graph are joined; a cross-product
+/// fallback handles disconnected ones.
 class BushyDpPlanner {
  public:
   explicit BushyDpPlanner(BushyDpOptions options = BushyDpOptions())

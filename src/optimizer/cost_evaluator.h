@@ -12,6 +12,11 @@
 
 namespace raqo::optimizer {
 
+/// Broadcast-join feasibility bound of both evaluators: the build side
+/// must satisfy ss <= kBhjCapacityFactor * container size, mirroring the
+/// OOM boundary of the execution engine.
+inline constexpr double kBhjCapacityFactor = 1.14;
+
 /// Describes one candidate join operator to be costed.
 struct JoinContext {
   plan::JoinImpl impl = plan::JoinImpl::kSortMergeJoin;

@@ -14,6 +14,13 @@ namespace raqo::optimizer {
 
 namespace {
 
+/// Independent random seed plans the archive starts from.
+constexpr int kSeedPlans = 4;
+/// Target approximation precision of the Pareto archive: a new plan is
+/// kept only if no archived plan is within (1 + eps) of it on every
+/// objective.
+constexpr double kApproxEps = 0.05;
+
 /// Collects mutable pointers to every join node of the tree.
 std::vector<plan::PlanNode*> CollectJoins(plan::PlanNode& root) {
   std::vector<plan::PlanNode*> joins;
@@ -74,9 +81,9 @@ bool MutateOnce(plan::PlanNode& root, Rng& rng) {
 /// candidate was admitted.
 bool ArchiveInsert(std::vector<ParetoEntry>& archive,
                    std::unique_ptr<plan::PlanNode> plan,
-                   const cost::CostVector& cost, double eps) {
+                   const cost::CostVector& cost) {
   for (const ParetoEntry& e : archive) {
-    if (e.cost.ApproxDominates(cost, eps)) return false;
+    if (e.cost.ApproxDominates(cost, kApproxEps)) return false;
   }
   archive.erase(std::remove_if(archive.begin(), archive.end(),
                                [&](const ParetoEntry& e) {
@@ -99,8 +106,7 @@ Result<MultiObjectiveResult> FastRandomizedPlanner::Plan(
   if (tables.empty()) {
     return Status::InvalidArgument("cannot plan an empty table set");
   }
-  if (options_.iterations < 1 || options_.moves_per_iteration < 1 ||
-      options_.seed_plans < 1) {
+  if (options_.iterations < 1 || options_.moves_per_iteration < 1) {
     return Status::InvalidArgument("randomized planner options invalid");
   }
 
@@ -136,8 +142,7 @@ Result<MultiObjectiveResult> FastRandomizedPlanner::Plan(
   // infeasible plans (e.g. all-BHJ over huge inputs); keep drawing a
   // bounded number of times.
   int seeded = 0;
-  for (int attempt = 0; attempt < options_.seed_plans * 20 &&
-                        seeded < options_.seed_plans;
+  for (int attempt = 0; attempt < kSeedPlans * 20 && seeded < kSeedPlans;
        ++attempt) {
     RAQO_ASSIGN_OR_RETURN(std::unique_ptr<plan::PlanNode> candidate,
                           plan::BuildRandomPlan(catalog, tables, rng));
@@ -148,10 +153,8 @@ Result<MultiObjectiveResult> FastRandomizedPlanner::Plan(
       ++infeasible;
       continue;
     }
-    admitted += ArchiveInsert(result.frontier, std::move(candidate), *cost,
-                              options_.approx_eps)
-                    ? 1
-                    : 0;
+    admitted +=
+        ArchiveInsert(result.frontier, std::move(candidate), *cost) ? 1 : 0;
     ++seeded;
   }
   if (result.frontier.empty()) {
@@ -163,8 +166,7 @@ Result<MultiObjectiveResult> FastRandomizedPlanner::Plan(
     ++stats.plans_considered;
     RAQO_ASSIGN_OR_RETURN(cost::CostVector cost,
                           EvaluatePlanCost(*fallback, estimator, evaluator));
-    ArchiveInsert(result.frontier, std::move(fallback), cost,
-                  options_.approx_eps);
+    ArchiveInsert(result.frontier, std::move(fallback), cost);
   }
 
   // Improvement phases: mutate random archive members.
@@ -187,10 +189,8 @@ Result<MultiObjectiveResult> FastRandomizedPlanner::Plan(
         ++infeasible;  // infeasible mutation
         continue;
       }
-      admitted += ArchiveInsert(result.frontier, std::move(candidate), *cost,
-                                options_.approx_eps)
-                      ? 1
-                      : 0;
+      admitted +=
+          ArchiveInsert(result.frontier, std::move(candidate), *cost) ? 1 : 0;
     }
   }
 

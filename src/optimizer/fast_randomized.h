@@ -17,12 +17,6 @@ struct FastRandomizedOptions {
   int iterations = 10;
   /// Random plan-tree mutations attempted per phase.
   int moves_per_iteration = 64;
-  /// Independent random seed plans the archive starts from.
-  int seed_plans = 4;
-  /// Target approximation precision of the Pareto archive: a new plan is
-  /// kept only if no archived plan is within (1 + eps) of it on every
-  /// objective.
-  double approx_eps = 0.05;
   uint64_t seed = 1;
   /// Scalarization used by PlanBest to pick a single plan off the
   /// frontier.

@@ -9,17 +9,14 @@ namespace raqo::optimizer {
 
 FixedResourceEvaluator::FixedResourceEvaluator(
     cost::JoinCostModels models, resource::ResourceConfig config,
-    resource::PricingModel pricing, double bhj_capacity_factor)
-    : models_(std::move(models)),
-      config_(config),
-      pricing_(pricing),
-      bhj_capacity_factor_(bhj_capacity_factor) {}
+    resource::PricingModel pricing)
+    : models_(std::move(models)), config_(config), pricing_(pricing) {}
 
 Result<OperatorCost> FixedResourceEvaluator::CostJoinImpl(
     const JoinContext& context) {
   const double ss_gb = context.smaller_gb();
   if (context.impl == plan::JoinImpl::kBroadcastHashJoin &&
-      ss_gb > config_.container_size_gb() * bhj_capacity_factor_) {
+      ss_gb > config_.container_size_gb() * kBhjCapacityFactor) {
     return Status::ResourceExhausted(StrPrintf(
         "BHJ build side %.2f GB does not fit %.2f GB containers", ss_gb,
         config_.container_size_gb()));

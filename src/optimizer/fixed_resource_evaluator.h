@@ -13,15 +13,13 @@ namespace raqo::optimizer {
 /// configuration chosen up front, with no resource planning.
 class FixedResourceEvaluator : public PlanCostEvaluator {
  public:
-  /// `bhj_capacity_factor` bounds the broadcast build side relative to
-  /// the container size (ss <= factor * cs); beyond it the operator is
-  /// reported infeasible, mirroring the OOM boundary of the execution
-  /// engine. So is an operator whose predicted time is NaN or infinite.
+  /// A broadcast join whose build side exceeds kBhjCapacityFactor times
+  /// the container size is reported infeasible. So is an operator whose
+  /// predicted time is NaN or infinite.
   FixedResourceEvaluator(cost::JoinCostModels models,
                          resource::ResourceConfig config,
                          resource::PricingModel pricing =
-                             resource::PricingModel(),
-                         double bhj_capacity_factor = 1.14);
+                             resource::PricingModel());
 
   const resource::ResourceConfig& config() const { return config_; }
 
@@ -32,7 +30,6 @@ class FixedResourceEvaluator : public PlanCostEvaluator {
   cost::JoinCostModels models_;
   resource::ResourceConfig config_;
   resource::PricingModel pricing_;
-  double bhj_capacity_factor_;
 };
 
 }  // namespace raqo::optimizer

@@ -198,12 +198,10 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     if (__builtin_popcount(mask) < 2) continue;
     ++subproblems;
     // Pass 1: only joins along graph edges.
-    extend_with_bound(mask, options_.avoid_cross_products);
+    extend_with_bound(mask, /*require_edge=*/true);
     // Pass 2 (fallback): allow cross products when the subset is
     // otherwise unreachable.
-    if (!dp[mask].valid && options_.avoid_cross_products) {
-      extend_with_bound(mask, /*require_edge=*/false);
-    }
+    if (!dp[mask].valid) extend_with_bound(mask, /*require_edge=*/false);
   }
 
   // Flush the enumeration counters before either exit below. Counters

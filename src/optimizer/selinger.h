@@ -17,10 +17,6 @@ struct SelingerOptions {
   /// Scalarization weight: 1.0 optimizes pure execution time, 0.0 pure
   /// monetary cost.
   double time_weight = 1.0;
-  /// Joins are only placed along join-graph edges; when a query subset is
-  /// unreachable without a cross product, a cross-product fallback pass
-  /// runs for that subset.
-  bool avoid_cross_products = true;
   /// Dynamic programming over subsets is exponential; refuse beyond this.
   int max_tables = 20;
   /// Scratch arena for the 2^n DP memo, the adjacency table and the
@@ -45,7 +41,9 @@ struct SelingerOptions {
 /// optimizer for left-deep join trees [13], one of the two query planners
 /// the paper integrates cost-based RAQO with (Section VII-A). Operator
 /// implementations (SMJ/BHJ) are chosen per join through the pluggable
-/// cost evaluator, which may or may not perform resource planning.
+/// cost evaluator, which may or may not perform resource planning. Joins
+/// are placed only along join-graph edges; a subset unreachable that way
+/// gets a cross-product fallback pass.
 class SelingerPlanner {
  public:
   explicit SelingerPlanner(SelingerOptions options = SelingerOptions())

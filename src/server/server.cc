@@ -39,15 +39,26 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
 // Metric-name prefix for one tenant's server.tenant.* series. Tenant
 // strings arrive from untrusted sockets, so anything outside a safe
 // identifier alphabet is folded to '_' and the key is length-capped.
+// When that changed the name, '_' and the FNV-1a-32 hash of the raw
+// name follow, so tenants that fold alike ("acme.eu", "acme eu") keep
+// separate series; a safe, short name is its own key.
 std::string TenantMetricPrefix(const std::string& tenant) {
+  constexpr size_t kMaxKeyChars = 64;
   std::string key;
   key.reserve(tenant.size());
+  bool changed = tenant.size() > kMaxKeyChars;
+  uint32_t hash = 2166136261u;
   for (char c : tenant) {
     const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                       (c >= '0' && c <= '9') || c == '_' || c == '-';
     key.push_back(safe ? c : '_');
+    changed |= !safe;
+    hash = (hash ^ static_cast<unsigned char>(c)) * 16777619u;
   }
-  if (key.size() > 64) key.resize(64);
+  if (changed) {
+    if (key.size() > kMaxKeyChars) key.resize(kMaxKeyChars);
+    key += StrPrintf("_%08x", static_cast<unsigned>(hash));
+  }
   return "server.tenant." + key + ".";
 }
 
@@ -100,15 +111,10 @@ Status PlanningServer::Start() {
   // Durable cache: recover before the first socket is bound, so by the
   // time a client can connect the shared cache already holds its
   // pre-restart state (the warm hit rate is there from request one).
-  if (!options_.persist_dir.empty()) {
-    persist::PersistOptions popts;
-    popts.dir = options_.persist_dir;
-    popts.fsync_policy = options_.persist_fsync;
-    popts.group_commit_bytes = options_.persist_group_commit_bytes;
-    popts.compact_threshold_bytes = options_.persist_compact_threshold_bytes;
+  if (!options_.persistence.dir.empty()) {
     RAQO_ASSIGN_OR_RETURN(
-        persistence_,
-        persist::CachePersistence::Open(popts, service_->shared_cache()));
+        persistence_, persist::CachePersistence::Open(
+                          options_.persistence, service_->shared_cache()));
   }
 
   // Listener plan: every reactor accepts on its own listener. With
@@ -171,9 +177,9 @@ Status PlanningServer::Start() {
     reactors_.push_back(std::move(r));
   }
 
-  workers_ = std::make_unique<ThreadPool>(options_.num_workers);
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_->Submit([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   for (auto& r : reactors_) {
     Reactor* reactor = r.get();
@@ -213,15 +219,15 @@ void PlanningServer::Wait() {
   }
   // The reactors drained (every admitted request was answered before
   // they exited, unless the drain timed out); now the worker queue is
-  // quiet, so stop the pool. This also covers Start() paths that created
-  // workers but failed before spawning threads.
-  if (workers_ != nullptr) {
+  // quiet, so stop the workers.
+  if (!workers_.empty()) {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       workers_stop_.store(true, std::memory_order_release);
     }
     queue_cv_.notify_all();
-    workers_.reset();  // joins the pool
+    for (std::thread& worker : workers_) worker.join();
+    workers_.clear();
   }
   // Workers are gone: no insert can race the final journal sync. The
   // object stays alive (recovery stats remain readable); Close() is
@@ -833,7 +839,7 @@ void PlanningServer::FlushTelemetry() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker threads (run on the PR-1 ThreadPool)
+// Worker threads
 // ---------------------------------------------------------------------------
 
 void PlanningServer::PostCompletion(int reactor, uint64_t conn_id,

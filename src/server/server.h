@@ -16,7 +16,6 @@
 
 #include "common/net.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "persist/cache_persist.h"
 #include "server/service.h"
 
@@ -55,7 +54,7 @@ struct ServerOptions {
   /// connections across them; when the kernel refuses SO_REUSEPORT,
   /// Start() logs it and runs one reactor. 0 = min(4, hardware threads).
   int num_reactors = 0;
-  /// Planner worker threads (one PR-1 ThreadPool).
+  /// Planner worker threads.
   int num_workers = 4;
   /// Admission control: requests admitted but not yet picked up by a
   /// worker, bounded per tenant (traffic without a `tenant` field shares
@@ -96,19 +95,13 @@ struct ServerOptions {
   /// registry and tracer as metrics.json / trace.json into this
   /// directory before the server stops.
   std::string telemetry_dir;
-  /// When non-empty (and the service shares a cache), the shared plan
-  /// cache is durable: Start() replays `persist_dir`'s snapshot and
-  /// journal into it before serving — a restarted node answers its
-  /// first request at the pre-restart hit rate — and every insert is
-  /// journaled while serving (docs/PERSISTENCE.md).
-  std::string persist_dir;
-  /// Journal fsync policy (persist/journal.h).
-  persist::FsyncPolicy persist_fsync = persist::FsyncPolicy::kGroupCommit;
-  /// Group-commit granularity in journal bytes.
-  size_t persist_group_commit_bytes = 64 * 1024;
-  /// Journal size that triggers snapshot + truncation; 0 disables
-  /// automatic compaction.
-  int64_t persist_compact_threshold_bytes = 4 << 20;
+  /// When `persistence.dir` is non-empty (and the service shares a
+  /// cache), the shared plan cache is durable: Start() replays the
+  /// directory's snapshot and journal into it before serving — a
+  /// restarted node answers its first request at the pre-restart hit
+  /// rate — and every insert is journaled while serving
+  /// (docs/PERSISTENCE.md).
+  persist::PersistOptions persistence;
 };
 
 /// Point-in-time counters of server activity (also exported as
@@ -157,10 +150,10 @@ struct ReactorStats {
 };
 
 /// The RAQO planning server: N reactor threads, each running its own
-/// epoll loop over the connections pinned to it, feeding a PR-1
-/// ThreadPool of planner workers that execute length-prefixed JSON
-/// request frames (server/protocol.h) against the shared
-/// PlanningService. Production behaviors, not demo ones:
+/// epoll loop over the connections pinned to it, feeding planner worker
+/// threads that execute length-prefixed JSON request frames
+/// (server/protocol.h) against the shared PlanningService. Production
+/// behaviors, not demo ones:
 ///
 ///  - sharded I/O plane: each reactor owns its own listening socket
 ///    (SO_REUSEPORT), epoll instance, and wakeup eventfd. A connection's
@@ -222,8 +215,8 @@ class PlanningServer {
 
   ServerStats stats() const;
 
-  /// The durable-cache layer (nullptr unless options.persist_dir was
-  /// set and the service shares a cache). Valid after Start() until
+  /// The durable-cache layer (nullptr unless options.persistence.dir
+  /// was set and the service shares a cache). Valid after Start() until
   /// destruction; what recovery found is in recovery_stats().
   const persist::CachePersistence* persistence() const {
     return persistence_.get();
@@ -346,8 +339,6 @@ class PlanningServer {
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
 
-  std::unique_ptr<ThreadPool> workers_;
-
   std::atomic<bool> started_{false};
   std::atomic<bool> threads_started_{false};
   std::atomic<bool> draining_{false};
@@ -373,6 +364,10 @@ class PlanningServer {
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;
+
+  /// Planner workers running WorkerLoop(); declared after the admission
+  /// state they read, and joined by Wait().
+  std::vector<std::thread> workers_;
 };
 
 /// Admission state of one tenant, guarded by queue_mu_. Values live in

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 #include "catalog/tpch.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/strings.h"
 #include "core/concurrent_workload_runner.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
@@ -251,7 +253,8 @@ TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
 // the four TPC-H queries and 34 random 10-table schemas per seed, the
 // optimal joint cost must not depend on the order the tables are listed
 // in, must never rise when the resource grid grows, and must be
-// reproduced bit-for-bit by planning resources for the chosen plan.
+// reproduced bit-for-bit by planning resources for the chosen plan. The
+// optimal time must not fall when every table grows.
 
 struct MetamorphicCase {
   std::string label;
@@ -347,6 +350,81 @@ TEST_P(SeededPropertyTest, ReplanningResourcesReproducesOptimalCost) {
                                 << replanned.status().ToString();
     EXPECT_EQ(replanned->cost.seconds, joint->cost.seconds) << c.label;
     EXPECT_EQ(replanned->cost.dollars, joint->cost.dollars) << c.label;
+  }
+}
+
+// `source` with every table's row count multiplied by `k`. Join edges
+// and their selectivities are copied unchanged, so every intermediate
+// result grows too.
+std::shared_ptr<const catalog::Catalog> ScaledCatalog(
+    const catalog::Catalog& source, double k) {
+  auto scaled = std::make_shared<catalog::Catalog>();
+  for (TableId id : source.AllTableIds()) {
+    catalog::TableDef def = source.table(id);
+    def.row_count *= k;
+    const Result<TableId> added = scaled->AddTable(std::move(def));
+    EXPECT_TRUE(added.ok() && *added == id) << source.table(id).name;
+  }
+  for (const catalog::JoinEdge& e : source.join_graph().edges()) {
+    EXPECT_TRUE(
+        scaled->AddJoin(e.left, e.right, e.selectivity, e.predicate).ok());
+  }
+  return scaled;
+}
+
+TEST_P(SeededPropertyTest, ScalingTablesUpNeverLowersOptimalTime) {
+  constexpr double kScales[] = {1.5, 10.0};
+  const resource::ClusterConditions grid =
+      resource::ClusterConditions::PaperDefault();
+
+  // Precondition: growing both inputs of a join never lowers its
+  // predicted time, at any grid cell. Weight signs alone do not show
+  // this: the trained SMJ model has small negative weights on ss*nc,
+  // ss/cs and ls/cs.
+  Rng rng(GetParam() + 7);
+  for (int sample = 0; sample < 20; ++sample) {
+    const double ls = std::pow(10.0, rng.Uniform(-2.0, 3.0));
+    const double ss = ls * std::pow(10.0, rng.Uniform(-4.0, 0.0));
+    for (plan::JoinImpl impl : {plan::JoinImpl::kSortMergeJoin,
+                                plan::JoinImpl::kBroadcastHashJoin}) {
+      const cost::OperatorCostModel& model = HiveModels().ForImpl(impl);
+      for (double k : kScales) {
+        int64_t violations = 0;
+        std::string first;
+        grid.ForEachConfig([&](const resource::ResourceConfig& config) {
+          const double cs = config.container_size_gb();
+          const double nc = config.num_containers();
+          const double before = model.PredictSeconds({ss, ls, cs, nc});
+          const double after =
+              model.PredictSeconds({k * ss, k * ls, cs, nc});
+          if (after < before && violations++ == 0) {
+            first = StrPrintf("%s at ss=%g ls=%g cs=%g nc=%g: %.17g s, x%g "
+                              "gives %.17g s",
+                              plan::JoinImplName(impl), ss, ls, cs, nc,
+                              before, k, after);
+          }
+          return true;
+        });
+        ASSERT_EQ(violations, 0) << first;
+      }
+    }
+  }
+
+  for (const MetamorphicCase& c : MetamorphicCases(GetParam())) {
+    core::RaqoPlanner planner(c.catalog.get(), HiveModels(), grid);
+    const Result<core::JointPlan> base = planner.Plan(c.tables);
+    ASSERT_TRUE(base.ok()) << c.label << ": " << base.status().ToString();
+    for (double k : kScales) {
+      const std::shared_ptr<const catalog::Catalog> scaled_catalog =
+          ScaledCatalog(*c.catalog, k);
+      core::RaqoPlanner scaled_planner(scaled_catalog.get(), HiveModels(),
+                                       grid);
+      const Result<core::JointPlan> scaled = scaled_planner.Plan(c.tables);
+      ASSERT_TRUE(scaled.ok()) << c.label << " x" << k << ": "
+                               << scaled.status().ToString();
+      EXPECT_GE(scaled->cost.seconds, base->cost.seconds)
+          << c.label << " with every table x" << k;
+    }
   }
 }
 

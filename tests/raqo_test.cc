@@ -122,7 +122,7 @@ TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
       eval.CostJoin(Ctx(plan::JoinImpl::kBroadcastHashJoin, 8, 100));
   ASSERT_TRUE(feasible.ok());
   EXPECT_GE(feasible->resources->container_size_gb() *
-                eval.options().bhj_capacity_factor,
+                optimizer::kBhjCapacityFactor,
             8.0 - 1e-9);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -1691,6 +1692,45 @@ TEST(PlanningServerTest, DrainFlushesPerTenantMetrics) {
   }
 }
 
+TEST(PlanningServerTest, TenantsWhoseNamesFoldAlikeKeepSeparateMetrics) {
+  // All three names fold to the metric key "fold_alike". The metrics
+  // registry is process-wide, so no other test uses these names.
+  const std::vector<std::string> tenants = {"fold.alike", "fold_alike",
+                                            "fold alike"};
+  const bool metrics_were_on = obs::DefaultMetrics().enabled();
+  obs::DefaultMetrics().set_enabled(true);
+  {
+    TestServer ts;
+    PlanningClient client = ts.Connect();
+    for (const std::string& tenant : tenants) {
+      PlanRequest request;
+      request.id = tenant;
+      request.tenant = tenant;
+      request.tables = {"orders", "lineitem"};
+      Result<PlanResponse> response = client.Call(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(response->ok()) << response->error;
+    }
+    client.Close();
+  }
+  obs::DefaultMetrics().set_enabled(metrics_were_on);
+
+  std::vector<std::string> series;
+  const obs::MetricsSnapshot snapshot = obs::DefaultMetrics().Snapshot();
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.starts_with("server.tenant.fold") &&
+        name.ends_with(".admitted")) {
+      series.push_back(name);
+      EXPECT_EQ(value, 1) << name;
+    }
+  }
+  EXPECT_EQ(series.size(), tenants.size());
+  // A name that is already safe keeps its plain key.
+  EXPECT_NE(std::find(series.begin(), series.end(),
+                      "server.tenant.fold_alike.admitted"),
+            series.end());
+}
+
 // ---------------------------------------------------------------------
 // Client options and response-drop accounting
 
@@ -2286,8 +2326,8 @@ TEST(PlanningServerTest, PersistDirSurvivesServerRestart) {
           .string();
   std::filesystem::remove_all(dir);
   ServerOptions options;
-  options.persist_dir = dir;
-  options.persist_fsync = persist::FsyncPolicy::kEachRecord;
+  options.persistence.dir = dir;
+  options.persistence.fsync_policy = persist::FsyncPolicy::kEachRecord;
 
   PlanRequest plan_request;
   plan_request.id = "before-restart";
