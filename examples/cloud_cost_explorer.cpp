@@ -24,8 +24,6 @@ int main() {
   core::RaqoPlannerOptions options;
   options.algorithm = core::PlannerAlgorithm::kFastRandomized;
   options.randomized.iterations = 20;
-  // Plan resources for a blend of time and money so the frontier spreads.
-  options.evaluator.time_weight = 0.7;
   resource::PricingModel pricing(0.05);  // $/GB-hour
   core::RaqoPlanner planner(&catalog, *models,
                             resource::ClusterConditions::PaperDefault(),

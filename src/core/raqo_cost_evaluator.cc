@@ -129,15 +129,19 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   }
 
   const double ls_gb = context.larger_gb();
-  auto objective = [&](const resource::ResourceConfig& config) {
+  // The join's cost on one configuration: the search objective, a cache
+  // hit's answer and the returned cost all price through here.
+  auto price = [&](const resource::ResourceConfig& config) {
     cost::JoinFeatures features;
     features.smaller_gb = ss_gb;
     features.larger_gb = ls_gb;
     features.container_size_gb = config.container_size_gb();
     features.num_containers = config.num_containers();
     const double seconds = model.PredictSeconds(features);
-    const double dollars = pricing_.Cost(config, seconds);
-    return cost::CostVector{seconds, dollars}.Weighted(options_.time_weight);
+    return cost::CostVector{seconds, pricing_.Cost(config, seconds)};
+  };
+  auto objective = [&](const resource::ResourceConfig& config) {
+    return price(config).Weighted(options_.time_weight);
   };
 
   // Cache lookup first (Section VI-C), keyed by the data characteristic.
@@ -145,21 +149,12 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   if (cache != nullptr) {
     if (std::optional<CachedResourcePlan> hit =
             cache->Lookup(model.name(), ss_gb, ls_gb)) {
-      // Weighted-average hits can produce off-grid configurations; snap
-      // back onto the allocatable grid.
+      // A hit planned for other data may lie off the grid (weighted
+      // average) or below the containers this build side needs; snap it
+      // onto the grid this join is searched on.
       const resource::ResourceConfig config =
-          cluster_.SnapToGrid(hit->config);
-      cost::JoinFeatures features;
-      features.smaller_gb = ss_gb;
-      features.larger_gb = ls_gb;
-      features.container_size_gb = config.container_size_gb();
-      features.num_containers = config.num_containers();
-      const double seconds = model.PredictSeconds(features);
-      optimizer::OperatorCost out;
-      out.cost.seconds = seconds;
-      out.cost.dollars = pricing_.Cost(config, seconds);
-      out.resources = config;
-      return out;
+          search_cluster.SnapToGrid(hit->config);
+      return optimizer::OperatorCost{price(config), config};
     }
   }
 
@@ -267,17 +262,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     cache->Insert(model.name(), entry);
   }
 
-  cost::JoinFeatures features;
-  features.smaller_gb = ss_gb;
-  features.larger_gb = ls_gb;
-  features.container_size_gb = planned->config.container_size_gb();
-  features.num_containers = planned->config.num_containers();
-  const double seconds = model.PredictSeconds(features);
-  optimizer::OperatorCost out;
-  out.cost.seconds = seconds;
-  out.cost.dollars = pricing_.Cost(planned->config, seconds);
-  out.resources = planned->config;
-  return out;
+  return optimizer::OperatorCost{price(planned->config), planned->config};
 }
 
 }  // namespace raqo::core

@@ -50,11 +50,9 @@ Result<JointPlan> RaqoPlanner::RunPlanner(
   // on before (the concurrent runner steals queries dynamically, so any
   // cross-query leakage would make results scheduling-dependent).
   evaluator_.BeginQuery();
+  arena_.Reset();
   optimizer::SelingerOptions selinger = options_.selinger;
-  if (selinger.arena == nullptr) {
-    arena_.Reset();
-    selinger.arena = &arena_;
-  }
+  selinger.arena = &arena_;
   Result<optimizer::PlannedQuery> planned =
       options_.algorithm == PlannerAlgorithm::kSelinger
           ? optimizer::SelingerPlanner(selinger)
@@ -138,8 +136,7 @@ Result<JointPlan> RaqoPlanner::PlanResourcesForPlan(
   JointPlan out;
   out.plan = plan.Clone();
   RAQO_ASSIGN_OR_RETURN(
-      out.cost, optimizer::EvaluatePlanCost(*out.plan, estimator, evaluator_,
-                                            /*attach_resources=*/true));
+      out.cost, optimizer::EvaluatePlanCost(*out.plan, estimator, evaluator_));
   out.stats.operator_cost_calls = evaluator_.operator_cost_calls();
   out.stats.resource_configs_explored =
       evaluator_.resource_configs_explored();
@@ -196,14 +193,17 @@ Result<optimizer::MultiObjectiveResult> RaqoPlanner::PlanFrontier(
     merged.stats.resource_configs_explored +=
         partial.stats.resource_configs_explored;
     for (optimizer::ParetoEntry& entry : partial.frontier) {
-      bool dominated = false;
+      // Skip an entry some kept one matches or dominates: weight passes
+      // that find the same cost vector contribute it once.
+      bool covered = false;
       for (const optimizer::ParetoEntry& existing : merged.frontier) {
-        if (existing.cost.Dominates(entry.cost)) {
-          dominated = true;
+        if (existing.cost.seconds <= entry.cost.seconds &&
+            existing.cost.dollars <= entry.cost.dollars) {
+          covered = true;
           break;
         }
       }
-      if (dominated) continue;
+      if (covered) continue;
       merged.frontier.erase(
           std::remove_if(merged.frontier.begin(), merged.frontier.end(),
                          [&](const optimizer::ParetoEntry& e) {

@@ -111,10 +111,9 @@ class RaqoPlanner {
   RaqoPlannerOptions options_;
   RaqoCostEvaluator evaluator_;
   /// Planner-owned scratch arena, reset at the start of every planning
-  /// run and lent to the DP enumerators (unless the caller injected an
-  /// arena through the Selinger options). Once its block has grown to
-  /// the workload's largest memo, per-query planning stops touching the
-  /// global allocator for enumeration state entirely.
+  /// run and lent to the Selinger enumerator. Once its block has grown
+  /// to the workload's largest memo, per-query planning stops touching
+  /// the global allocator for enumeration state entirely.
   Arena arena_;
 };
 

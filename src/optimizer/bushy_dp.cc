@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 
+#include "common/arena.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,7 +25,7 @@ struct DpEntry {
   std::optional<resource::ResourceConfig> resources;
 };
 
-// The memo lives in the planner arena, which runs no destructors.
+// The memo lives in the run-local arena, which runs no destructors.
 static_assert(std::is_trivially_destructible_v<DpEntry>,
               "DP entries must stay trivially destructible (arena scratch)");
 
@@ -38,10 +39,10 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
     return Status::InvalidArgument("cannot plan an empty table set");
   }
   const int n = static_cast<int>(tables.size());
-  if (n > options_.max_tables) {
+  if (n > kMaxBushyDpTables) {
     return Status::Unsupported(
         "bushy DP enumeration limited to " +
-        std::to_string(options_.max_tables) +
+        std::to_string(kMaxBushyDpTables) +
         " tables; use the randomized planner for larger queries");
   }
   {
@@ -72,16 +73,13 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
   // the metrics registry once per planning run.
   int64_t subproblems = 0;
   int64_t pruned = 0;
-  int64_t bound_pruned = 0;
 
-  // DP scratch (memo, adjacency, connectivity, deferral list) is arena
-  // scratch: trivially destructible, dropped wholesale per query.
-  Arena local_arena;
-  Arena* arena =
-      options_.arena != nullptr ? options_.arena : &local_arena;
+  // DP scratch (memo, adjacency, connectivity) lives in a run-local
+  // arena: trivially destructible, dropped wholesale on return.
+  Arena arena;
 
   ArenaVector<uint32_t> adjacency(static_cast<size_t>(n), 0,
-                                  ArenaAllocator<uint32_t>(arena));
+                                  ArenaAllocator<uint32_t>(&arena));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (i != j &&
@@ -110,7 +108,7 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
 
   const uint32_t full = (uint32_t{1} << n) - 1;
   ArenaVector<DpEntry> dp(static_cast<size_t>(full) + 1, DpEntry{},
-                          ArenaAllocator<DpEntry>(arena));
+                          ArenaAllocator<DpEntry>(&arena));
   for (int i = 0; i < n; ++i) {
     DpEntry& e = dp[uint32_t{1} << i];
     e.valid = true;
@@ -123,7 +121,7 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
   // to the per-operator cost model (which does not price the exploding
   // output — the blow-up only surfaces as later operators' inputs).
   ArenaVector<bool> is_connected(static_cast<size_t>(full) + 1, false,
-                                 ArenaAllocator<bool>(arena));
+                                 ArenaAllocator<bool>(&arena));
   for (uint32_t mask = 1; mask <= full; ++mask) {
     const uint32_t seed = mask & (~mask + 1);
     uint32_t reached = seed;
@@ -178,16 +176,6 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
     }
   };
 
-  // Incumbent-bound pruning with deferred evaluation (the same
-  // bit-identity construction as the Selinger planner): splits whose
-  // parts already cost more than `cost_upper_bound` cannot lie on an
-  // optimal tree, so their evaluator calls are skipped unless the
-  // subset would otherwise stay unreachable. Reachability depends only
-  // on candidate feasibility, so evaluating the deferred splits exactly
-  // when the subset is still invalid keeps reachability — and every
-  // at-or-under-bound memo entry — identical to the unbounded run.
-  ArenaVector<uint32_t> deferred{ArenaAllocator<uint32_t>(arena)};
-
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if (__builtin_popcount(mask) < 2) continue;
     ++subproblems;
@@ -196,7 +184,6 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
     // symmetric in the input sizes).
     const uint32_t lowest = mask & (~mask + 1);
     const bool need_cross = !is_connected[mask];
-    deferred.clear();
     for (uint32_t sub = (mask - 1) & mask; sub != 0;
          sub = (sub - 1) & mask) {
       if (!(sub & lowest)) continue;
@@ -209,18 +196,7 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
         ++pruned;
         continue;
       }
-      if (dp[sub].valid && dp[mask ^ sub].valid &&
-          (dp[sub].scalar > options_.cost_upper_bound ||
-           dp[mask ^ sub].scalar > options_.cost_upper_bound)) {
-        deferred.push_back(sub);
-        continue;
-      }
       try_split(mask, sub);
-    }
-    if (dp[mask].valid) {
-      bound_pruned += static_cast<int64_t>(deferred.size());
-    } else {
-      for (uint32_t sub : deferred) try_split(mask, sub);
     }
   }
 
@@ -231,7 +207,6 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
   if (span.recording()) {
     span.SetAttr("subproblems", subproblems);
     span.SetAttr("pruned", pruned);
-    span.SetAttr("bound_pruned", bound_pruned);
     span.SetAttr("memo_entries", memo_entries);
     span.SetAttr("plans_considered", stats.plans_considered);
   }
@@ -242,8 +217,6 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
         obs::DefaultMetrics().GetCounter("planner.bushy_dp.subproblems");
     static obs::Counter* pruned_total =
         obs::DefaultMetrics().GetCounter("planner.bushy_dp.pruned");
-    static obs::Counter* bound_pruned_total =
-        obs::DefaultMetrics().GetCounter("planner.bushy_dp.bound_pruned");
     static obs::Counter* plans_total = obs::DefaultMetrics().GetCounter(
         "planner.bushy_dp.plans_considered");
     static obs::Gauge* memo_size =
@@ -251,7 +224,6 @@ Result<PlannedQuery> BushyDpPlanner::Plan(
     runs->Add(1);
     subproblems_total->Add(subproblems);
     pruned_total->Add(pruned);
-    bound_pruned_total->Add(bound_pruned);
     plans_total->Add(stats.plans_considered);
     memo_size->Set(static_cast<double>(memo_entries));
   }

@@ -1,34 +1,23 @@
 #ifndef RAQO_OPTIMIZER_BUSHY_DP_H_
 #define RAQO_OPTIMIZER_BUSHY_DP_H_
 
-#include <limits>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/arena.h"
 #include "common/result.h"
 #include "optimizer/cost_evaluator.h"
 #include "optimizer/planner_result.h"
 
 namespace raqo::optimizer {
 
+/// Subset-pair enumeration is O(3^n): the bushy DP answers Unsupported
+/// for queries joining more tables than this.
+inline constexpr int kMaxBushyDpTables = 14;
+
 /// Options of the bushy dynamic-programming planner.
 struct BushyDpOptions {
   /// Scalarization weight: 1.0 optimizes execution time, 0.0 money.
   double time_weight = 1.0;
-  /// Subset-pair enumeration is O(3^n); refuse beyond this.
-  int max_tables = 14;
-  /// Scratch arena for the DP memo and connectivity tables (borrowed,
-  /// must outlive the call; nullptr uses a run-local arena). The
-  /// returned plan is never arena-allocated, so the owner may Reset()
-  /// the arena between queries (docs/PERF.md).
-  Arena* arena = nullptr;
-  /// Known upper bound on the optimal plan's scalarized cost. Splits
-  /// whose parts already cost strictly more are deferred and only
-  /// evaluated if the subset would otherwise stay unreachable — same
-  /// bit-identity contract as SelingerOptions::cost_upper_bound.
-  /// +infinity disables the pruning.
-  double cost_upper_bound = std::numeric_limits<double>::infinity();
 };
 
 /// An exhaustive bottom-up optimizer over *bushy* join trees (DPsub-style

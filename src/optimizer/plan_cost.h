@@ -11,13 +11,13 @@ namespace raqo::optimizer {
 
 /// Costs a whole plan tree as the sum of its join operators' costs
 /// (Section VI-A: joins sit at shuffle boundaries; other operators are
-/// pipelined and not charged separately). When `attach_resources` is set,
-/// the resource configuration the evaluator chose for each join is
-/// recorded on the plan node, turning the tree into a joint
-/// query/resource plan. Fails when any operator is infeasible.
+/// pipelined and not charged separately). The resource configuration
+/// the evaluator chose for each join is recorded on the plan node,
+/// turning the tree into a joint query/resource plan. Fails when any
+/// operator is infeasible.
 Result<cost::CostVector> EvaluatePlanCost(
     plan::PlanNode& plan, plan::CardinalityEstimator& estimator,
-    PlanCostEvaluator& evaluator, bool attach_resources = true);
+    PlanCostEvaluator& evaluator);
 
 /// Read-only variant: costs the plan without mutating it.
 Result<cost::CostVector> EvaluatePlanCostConst(

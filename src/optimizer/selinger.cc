@@ -41,10 +41,10 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     return Status::InvalidArgument("cannot plan an empty table set");
   }
   const int n = static_cast<int>(tables.size());
-  if (n > options_.max_tables) {
+  if (n > kMaxSelingerTables) {
     return Status::Unsupported(
         "Selinger enumeration limited to " +
-        std::to_string(options_.max_tables) +
+        std::to_string(kMaxSelingerTables) +
         " tables; use the randomized planner for larger queries");
   }
   {
@@ -76,7 +76,6 @@ Result<PlannedQuery> SelingerPlanner::Plan(
   // the metrics registry once per planning run.
   int64_t subproblems = 0;
   int64_t pruned = 0;
-  int64_t bound_pruned = 0;
 
   // All DP scratch lives in the arena: one bump-pointer region filled
   // per query, dropped wholesale afterwards (the caller resets a shared
@@ -108,7 +107,7 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     return set;
   };
 
-  const uint32_t full = (n == 32) ? 0xFFFFFFFFu : ((uint32_t{1} << n) - 1);
+  const uint32_t full = (uint32_t{1} << n) - 1;
   ArenaVector<DpEntry> dp(static_cast<size_t>(full) + 1, DpEntry{},
                           ArenaAllocator<DpEntry>(arena));
   for (int i = 0; i < n; ++i) {
@@ -154,20 +153,8 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     }
   };
 
-  // Incumbent-bound pruning with deferred evaluation. Extensions whose
-  // prefix already costs more than `cost_upper_bound` cannot lie on an
-  // optimal chain (prefix scalars never exceed totals), so their
-  // evaluator calls are skipped — *unless* the subset would otherwise
-  // end up unreachable. Reachability depends only on candidate
-  // feasibility, never on costs, so evaluating the deferred candidates
-  // exactly when the subset is still invalid reproduces the unbounded
-  // run's reachability — and with it the cross-product fallback
-  // triggering — bit for bit. Entries at or under the bound are built
-  // from the same candidates in the same order either way; entries
-  // over the bound may differ, but no optimal chain ever goes through
-  // one as long as the bound really is an upper bound on the optimum.
-  auto extend_with_bound = [&](uint32_t mask, bool require_edge) {
-    uint32_t deferred = 0;
+  // Builds dp[mask] from every valid prefix that lacks one of its tables.
+  auto extend = [&](uint32_t mask, bool require_edge) {
     for (int t = 0; t < n; ++t) {
       const uint32_t bit = uint32_t{1} << t;
       if (!(mask & bit)) continue;
@@ -178,19 +165,7 @@ Result<PlannedQuery> SelingerPlanner::Plan(
         ++pruned;  // cross product skipped
         continue;
       }
-      if (dp[prev].scalar > options_.cost_upper_bound) {
-        deferred |= bit;
-        continue;
-      }
       try_extend(mask, prev, t);
-    }
-    if (dp[mask].valid) {
-      bound_pruned += __builtin_popcount(deferred);
-    } else {
-      for (uint32_t rest = deferred; rest != 0; rest &= rest - 1) {
-        const int t = __builtin_ctz(rest);
-        try_extend(mask, mask ^ (uint32_t{1} << t), t);
-      }
     }
   };
 
@@ -198,10 +173,10 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     if (__builtin_popcount(mask) < 2) continue;
     ++subproblems;
     // Pass 1: only joins along graph edges.
-    extend_with_bound(mask, /*require_edge=*/true);
+    extend(mask, /*require_edge=*/true);
     // Pass 2 (fallback): allow cross products when the subset is
     // otherwise unreachable.
-    if (!dp[mask].valid) extend_with_bound(mask, /*require_edge=*/false);
+    if (!dp[mask].valid) extend(mask, /*require_edge=*/false);
   }
 
   // Flush the enumeration counters before either exit below. Counters
@@ -212,7 +187,6 @@ Result<PlannedQuery> SelingerPlanner::Plan(
   if (span.recording()) {
     span.SetAttr("subproblems", subproblems);
     span.SetAttr("pruned", pruned);
-    span.SetAttr("bound_pruned", bound_pruned);
     span.SetAttr("memo_entries", memo_entries);
     span.SetAttr("plans_considered", stats.plans_considered);
   }
@@ -223,8 +197,6 @@ Result<PlannedQuery> SelingerPlanner::Plan(
         obs::DefaultMetrics().GetCounter("planner.selinger.subproblems");
     static obs::Counter* pruned_total =
         obs::DefaultMetrics().GetCounter("planner.selinger.pruned");
-    static obs::Counter* bound_pruned_total =
-        obs::DefaultMetrics().GetCounter("planner.selinger.bound_pruned");
     static obs::Counter* plans_total = obs::DefaultMetrics().GetCounter(
         "planner.selinger.plans_considered");
     static obs::Gauge* memo_size =
@@ -232,7 +204,6 @@ Result<PlannedQuery> SelingerPlanner::Plan(
     runs->Add(1);
     subproblems_total->Add(subproblems);
     pruned_total->Add(pruned);
-    bound_pruned_total->Add(bound_pruned);
     plans_total->Add(stats.plans_considered);
     memo_size->Set(static_cast<double>(memo_entries));
   }

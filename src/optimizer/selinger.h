@@ -1,7 +1,6 @@
 #ifndef RAQO_OPTIMIZER_SELINGER_H_
 #define RAQO_OPTIMIZER_SELINGER_H_
 
-#include <limits>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -12,29 +11,20 @@
 
 namespace raqo::optimizer {
 
+/// Dynamic programming over subsets is exponential: the Selinger planner
+/// answers Unsupported for queries joining more tables than this.
+inline constexpr int kMaxSelingerTables = 20;
+
 /// Options of the System R-style planner.
 struct SelingerOptions {
   /// Scalarization weight: 1.0 optimizes pure execution time, 0.0 pure
   /// monetary cost.
   double time_weight = 1.0;
-  /// Dynamic programming over subsets is exponential; refuse beyond this.
-  int max_tables = 20;
   /// Scratch arena for the 2^n DP memo, the adjacency table and the
   /// back-pointer chain (borrowed, must outlive the call; nullptr uses a
   /// run-local arena). The returned plan is never arena-allocated, so
   /// the owner may Reset() the arena between queries (docs/PERF.md).
   Arena* arena = nullptr;
-  /// Known upper bound on the optimal plan's scalarized cost — an
-  /// incumbent, e.g. the cost of a previously planned join order for the
-  /// same query. Extensions from DP prefixes costing strictly more are
-  /// deferred and only evaluated if the subset would otherwise stay
-  /// unreachable, so subset reachability — and with it the cross-product
-  /// fallback — fires exactly as in the unbounded run. Prefix costs
-  /// never exceed plan totals (operator costs are non-negative), hence
-  /// any bound >= the true optimum leaves the returned plan bit-identical
-  /// while skipping the evaluator calls that dominate planning time.
-  /// +infinity disables the pruning.
-  double cost_upper_bound = std::numeric_limits<double>::infinity();
 };
 
 /// The traditional Selinger (System R) bottom-up dynamic-programming

@@ -1,5 +1,6 @@
 #include "persist/cache_persist.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,14 @@ Result<core::CacheEntryRecord> ParseCacheEntry(const JsonValue& doc) {
       cost == nullptr || cs == nullptr || nc == nullptr) {
     return Status::InvalidArgument(
         "cache entry record is missing a required field");
+  }
+  // JsonNumber writes a non-finite double as null, so an entry holding
+  // one could be stored but never sent back by cache_dump.
+  for (const JsonValue* number : {key, larger, cost, cs, nc}) {
+    if (!std::isfinite(number->number_value())) {
+      return Status::InvalidArgument(
+          "cache entry record holds a non-finite number");
+    }
   }
   core::CacheEntryRecord record;
   record.model = model->string_value();

@@ -23,8 +23,8 @@ namespace raqo::persist {
 std::string SerializeCacheEntry(const std::string& model,
                                 const core::CachedResourcePlan& plan);
 
-/// Inverse of SerializeCacheEntry. InvalidArgument on malformed JSON or
-/// missing fields.
+/// Inverse of SerializeCacheEntry. InvalidArgument on malformed JSON,
+/// missing fields or non-finite numbers.
 Result<core::CacheEntryRecord> ParseCacheEntry(std::string_view payload);
 /// Same, from an already-parsed document (the wire path parses whole
 /// cache_dump/cache_load messages and hands the entry objects here, so

@@ -35,15 +35,16 @@ TEST(BushyDpTest, SingleTableAndValidation) {
 }
 
 TEST(BushyDpTest, RespectsTableLimit) {
-  catalog::Catalog cat = catalog::BuildTpchCatalog(1.0);
-  BushyDpOptions options;
-  options.max_tables = 2;
-  BushyDpPlanner planner(options);
+  catalog::RandomSchemaOptions schema;
+  schema.num_tables = kMaxBushyDpTables + 1;
+  catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
+  BushyDpPlanner planner;
   FixedResourceEvaluator eval = MakeEvaluator();
   Result<PlannedQuery> r = planner.Plan(
-      cat, *catalog::TpchQueryTables(cat, TpchQuery::kQ3), eval);
+      cat, *catalog::RandomQueryTables(cat, kMaxBushyDpTables + 1, 1), eval);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnsupported());
+  EXPECT_EQ(eval.operator_cost_calls(), 0);
 }
 
 TEST(BushyDpTest, PlansAllTpchQueriesValidly) {

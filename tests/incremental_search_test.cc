@@ -26,8 +26,6 @@
 #include "cost/features.h"
 #include "cost/model_bounds.h"
 #include "obs/metrics.h"
-#include "optimizer/bushy_dp.h"
-#include "optimizer/fixed_resource_evaluator.h"
 #include "optimizer/selinger.h"
 #include "resource/cluster_conditions.h"
 #include "sim/profile_runner.h"
@@ -476,92 +474,6 @@ TEST(SwitchAwareEvaluatorTest, TpchPlansIdenticalAndCountersMove) {
   EXPECT_GT(pruned->Value(), pruned_before);
   EXPECT_GT(reused->Value(), reused_before);
   EXPECT_GE(replanned->Value(), replanned_before);
-}
-
-// ---------------------------------------------------------------------
-// DP incumbent bounds: seeding Selinger/bushy with a known upper bound
-// must leave the chosen plan bit-identical (deferred evaluation keeps
-// subset reachability — and the cross-product fallback — unchanged).
-
-TEST_P(SeededIncrementalSearchTest, SelingerBoundPreservesPlanExactly) {
-  catalog::RandomSchemaOptions schema;
-  schema.num_tables = 12;
-  schema.seed = GetParam();
-  catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
-  optimizer::FixedResourceEvaluator evaluator(
-      HiveModels(), resource::ResourceConfig(4.0, 40.0));
-  Rng rng(GetParam() * 131 + 29);
-
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::vector<TableId> tables = *catalog::RandomQueryTables(
-        cat, static_cast<int>(rng.UniformInt(3, 9)),
-        GetParam() * 100 + static_cast<uint64_t>(trial));
-    optimizer::SelingerOptions options;
-    options.time_weight = rng.Bernoulli(0.5) ? 1.0 : 0.6;
-
-    const Result<optimizer::PlannedQuery> unbounded =
-        optimizer::SelingerPlanner(options).Plan(cat, tables, evaluator);
-    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-
-    // Bound exactly at the optimum (the warm-start case), slightly
-    // above it, and far above it: all must reproduce the plan.
-    const double optimum = unbounded->cost.Weighted(options.time_weight);
-    Arena arena;
-    for (double bound : {optimum, optimum * 1.0001, optimum * 1000.0}) {
-      optimizer::SelingerOptions bounded = options;
-      bounded.cost_upper_bound = bound;
-      arena.Reset();
-      bounded.arena = &arena;
-      const Result<optimizer::PlannedQuery> got =
-          optimizer::SelingerPlanner(bounded).Plan(cat, tables, evaluator);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->plan->ToString(), unbounded->plan->ToString())
-          << "bound=" << bound;
-      EXPECT_EQ(got->cost.seconds, unbounded->cost.seconds);
-      EXPECT_EQ(got->cost.dollars, unbounded->cost.dollars);
-      EXPECT_LE(got->stats.operator_cost_calls,
-                unbounded->stats.operator_cost_calls);
-    }
-  }
-}
-
-TEST_P(SeededIncrementalSearchTest, BushyDpBoundPreservesPlanExactly) {
-  catalog::RandomSchemaOptions schema;
-  schema.num_tables = 10;
-  schema.seed = GetParam() + 1000;
-  catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
-  optimizer::FixedResourceEvaluator evaluator(
-      HiveModels(), resource::ResourceConfig(4.0, 40.0));
-  Rng rng(GetParam() * 17 + 5);
-
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::vector<TableId> tables = *catalog::RandomQueryTables(
-        cat, static_cast<int>(rng.UniformInt(3, 8)),
-        GetParam() * 55 + static_cast<uint64_t>(trial));
-    optimizer::BushyDpOptions options;
-
-    const Result<optimizer::PlannedQuery> unbounded =
-        optimizer::BushyDpPlanner(options).Plan(cat, tables, evaluator);
-    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-
-    const double optimum = unbounded->cost.Weighted(options.time_weight);
-    Arena arena;
-    for (double bound : {optimum, optimum * 2.0}) {
-      optimizer::BushyDpOptions bounded = options;
-      bounded.cost_upper_bound = bound;
-      arena.Reset();
-      bounded.arena = &arena;
-      const Result<optimizer::PlannedQuery> got =
-          optimizer::BushyDpPlanner(bounded).Plan(cat, tables, evaluator);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->plan->ToString(), unbounded->plan->ToString())
-          << "bound=" << bound;
-      EXPECT_EQ(got->cost.seconds, unbounded->cost.seconds);
-      EXPECT_EQ(got->cost.dollars, unbounded->cost.dollars);
-      EXPECT_LE(got->stats.operator_cost_calls,
-                unbounded->stats.operator_cost_calls);
-    }
-  }
 }
 
 }  // namespace

@@ -61,16 +61,21 @@ TEST(PlanCostTest, SumsJoinCostsAndAttachesResources) {
   Result<cost::CostVector> total = EvaluatePlanCost(*plan, est, eval);
   ASSERT_TRUE(total.ok());
   EXPECT_GT(total->seconds, 0.0);
-  int with_resources = 0;
-  plan->VisitJoins([&](const plan::PlanNode& j) {
-    if (j.resources().has_value()) ++with_resources;
-  });
-  EXPECT_EQ(with_resources, 2);
-  // Const variant returns the same value.
+  auto joins_with_resources = [](const plan::PlanNode& root) {
+    int count = 0;
+    root.VisitJoins([&](const plan::PlanNode& j) {
+      if (j.resources().has_value()) ++count;
+    });
+    return count;
+  };
+  EXPECT_EQ(joins_with_resources(*plan), 2);
+  // Const variant returns the same value and attaches nothing.
+  auto fresh = *plan::BuildLeftDeep(q3, plan::JoinImpl::kSortMergeJoin);
   FixedResourceEvaluator eval2 = MakeEvaluator();
-  Result<cost::CostVector> again = EvaluatePlanCostConst(*plan, est, eval2);
+  Result<cost::CostVector> again = EvaluatePlanCostConst(*fresh, est, eval2);
   ASSERT_TRUE(again.ok());
   EXPECT_DOUBLE_EQ(again->seconds, total->seconds);
+  EXPECT_EQ(joins_with_resources(*fresh), 0);
 }
 
 TEST(SelingerTest, SingleTableIsScan) {
@@ -138,15 +143,17 @@ TEST(SelingerTest, OptimalAmongLeftDeepPermutations) {
 }
 
 TEST(SelingerTest, RespectsTableLimit) {
-  catalog::Catalog cat = catalog::BuildTpchCatalog(1.0);
-  SelingerOptions options;
-  options.max_tables = 2;
-  SelingerPlanner planner(options);
+  catalog::RandomSchemaOptions schema;
+  schema.num_tables = kMaxSelingerTables + 1;
+  catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
+  SelingerPlanner planner;
   FixedResourceEvaluator eval = MakeEvaluator();
   Result<PlannedQuery> result = planner.Plan(
-      cat, *catalog::TpchQueryTables(cat, TpchQuery::kQ3), eval);
+      cat, *catalog::RandomQueryTables(cat, kMaxSelingerTables + 1, 1),
+      eval);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsUnsupported());
+  EXPECT_EQ(eval.operator_cost_calls(), 0);
 }
 
 TEST(SelingerTest, RejectsEmptyAndDuplicates) {

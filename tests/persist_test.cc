@@ -22,6 +22,7 @@
 #include "core/plan_cache.h"
 #include "persist/cache_persist.h"
 #include "persist/journal.h"
+#include "server/protocol.h"
 
 namespace raqo {
 namespace {
@@ -417,6 +418,30 @@ TEST(CacheEntryCodecTest, MissingFieldsAreRejected) {
                    "{\"model\":7,\"key\":1,\"larger\":2,\"cost\":3,"
                    "\"cs\":4,\"nc\":5}")
                    .ok());
+}
+
+TEST(CacheEntryCodecTest, NonFiniteNumbersAreRejected) {
+  // 1e999 parses as infinity, which SerializeCacheEntry would write as
+  // null: an entry that could be loaded but never dumped again.
+  const std::vector<std::string> fields = {"key", "larger", "cost", "cs",
+                                           "nc"};
+  for (const std::string& field : fields) {
+    for (const std::string value : {"1e999", "-1e999"}) {
+      std::string entry = "{\"model\":\"m\"";
+      for (const std::string& name : fields) {
+        entry += ",\"" + name + "\":" + (name == field ? value : "2");
+      }
+      entry += "}";
+      Result<CacheEntryRecord> parsed = persist::ParseCacheEntry(entry);
+      ASSERT_FALSE(parsed.ok()) << entry;
+      EXPECT_TRUE(parsed.status().IsInvalidArgument()) << entry;
+      const std::string load =
+          "{\"type\": \"cache_load\", \"cache\": {\"version\": " +
+          std::to_string(server::kCacheWireVersion) + ", \"entries\": [" +
+          entry + "]}}";
+      EXPECT_FALSE(server::ParsePlanRequest(load).ok()) << load;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -124,6 +124,54 @@ TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
   EXPECT_GE(feasible->resources->container_size_gb() *
                 optimizer::kBhjCapacityFactor,
             8.0 - 1e-9);
+
+  // A cache hit planned for a smaller build side must not answer with a
+  // container too small for this one. Planned for money, 1.138 GB fits
+  // 1 GB containers; 1.145 GB, 0.007 GB away, needs 2 GB ones.
+  for (CacheLookupMode mode : {CacheLookupMode::kNearestNeighbor,
+                               CacheLookupMode::kWeightedAverage}) {
+    RaqoEvaluatorOptions options;
+    options.use_cache = true;
+    options.cache_mode = mode;
+    options.cache_threshold_gb = 0.01;
+    options.time_weight = 0.0;
+    RaqoCostEvaluator cached(SimModels(), ClusterConditions::PaperDefault(),
+                             resource::PricingModel(), options);
+    auto small =
+        cached.CostJoin(Ctx(plan::JoinImpl::kBroadcastHashJoin, 1.138, 50));
+    ASSERT_TRUE(small.ok());
+    EXPECT_EQ(small->resources->container_size_gb(), 1.0);
+    auto hit =
+        cached.CostJoin(Ctx(plan::JoinImpl::kBroadcastHashJoin, 1.145, 50));
+    ASSERT_TRUE(hit.ok());
+    EXPECT_EQ(cached.cache_stats().hits, 1) << CacheLookupModeName(mode);
+    EXPECT_EQ(hit->resources->container_size_gb(), 2.0)
+        << CacheLookupModeName(mode);
+  }
+  // The same holds in exact mode for an entry a peer on a finer grid
+  // planned (as cache_load would insert it): its 1.25 GB containers snap
+  // onto this grid, whose smallest container for 1.15625 GB is 2 GB.
+  auto shared = std::make_shared<ResourcePlanCache>(
+      CacheLookupMode::kExact, 0.0, CacheIndexKind::kSortedArray, 1);
+  CachedResourcePlan peer;
+  peer.key_gb = 1.15625;
+  peer.larger_gb = 50.0;
+  peer.config = ResourceConfig(1.25, 40);
+  peer.cost = 1.0;
+  const cost::JoinCostModels models = SimModels();
+  shared->Insert(models.ForImpl(plan::JoinImpl::kBroadcastHashJoin).name(),
+                 peer);
+  RaqoEvaluatorOptions exact;
+  exact.use_cache = true;
+  exact.cache_mode = CacheLookupMode::kExact;
+  RaqoCostEvaluator replica(SimModels(), ClusterConditions::PaperDefault(),
+                            resource::PricingModel(), exact);
+  replica.ShareCache(shared);
+  auto answered =
+      replica.CostJoin(Ctx(plan::JoinImpl::kBroadcastHashJoin, 1.15625, 50));
+  ASSERT_TRUE(answered.ok());
+  EXPECT_EQ(replica.resource_configs_explored(), 0);  // answered by the hit
+  EXPECT_EQ(answered->resources->container_size_gb(), 2.0);
 }
 
 TEST(RaqoEvaluatorTest, CacheShortCircuitsRepeatedLookups) {
@@ -258,6 +306,16 @@ TEST(RaqoPlannerTest, MoneyBudgetUseCase) {
   Result<optimizer::MultiObjectiveResult> frontier = planner.PlanFrontier(q3);
   ASSERT_TRUE(frontier.ok());
   ASSERT_FALSE(frontier->frontier.empty());
+  // No entry is matched or dominated by another: weight passes that find
+  // the same cost vector contribute one point.
+  for (const optimizer::ParetoEntry& a : frontier->frontier) {
+    for (const optimizer::ParetoEntry& b : frontier->frontier) {
+      if (&a == &b) continue;
+      EXPECT_FALSE(a.cost.seconds <= b.cost.seconds &&
+                   a.cost.dollars <= b.cost.dollars)
+          << a.cost.ToString() << " covers " << b.cost.ToString();
+    }
+  }
   const double cheapest = frontier->CheapestEntry()->cost.dollars;
   // A generous budget admits a plan...
   Result<JointPlan> affordable =
