@@ -1,14 +1,19 @@
-// A miniature RAQO planning service: a batch of TPC-H queries fanned
-// across worker threads that share one thread-safe resource-plan cache.
-// The concurrent run returns exactly the plans the sequential runner
-// would (exact-match cache mode keeps planning deterministic), while the
-// shared cache lets later queries reuse resource plans computed by any
-// worker — the across-query reuse of Figure 15(b), now concurrent.
+// A miniature RAQO planning service: a batch of TPC-H queries sent by
+// four threads that call PlanningService::Handle on one service, the way
+// the planning server's workers do. The threads share the service's
+// thread-safe resource-plan cache; in exact-match mode every thread gets
+// exactly the plans one planner would return, while later queries reuse
+// resource plans computed by any thread — the across-query reuse of
+// Figure 15(b), now concurrent.
 
+#include <atomic>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "catalog/tpch.h"
-#include "core/concurrent_workload_runner.h"
+#include "common/stopwatch.h"
+#include "server/service.h"
 #include "sim/profile_runner.h"
 
 int main() {
@@ -22,60 +27,75 @@ int main() {
     return 1;
   }
 
-  // The workload: every TPC-H join query. It is submitted twice, as two
-  // separate batches — the shared cache persists across Run calls, so
-  // the second round hits the resource plans the first round cached.
-  // (Putting both rounds in one batch would let a query race its own
-  // resubmission on another worker before the cache is warm.)
+  // The workload: every TPC-H join query as a table-list request. It is
+  // submitted twice, as two separate batches — the shared cache
+  // persists across batches, so the second round hits the resource plans
+  // the first round cached. (Putting both rounds in one batch would let
+  // a query race its own resubmission on another thread before the
+  // cache is warm.)
   auto make_round = [&](const char* suffix) {
-    std::vector<core::WorkloadQuery> workload;
+    std::vector<server::PlanRequest> requests;
     for (catalog::TpchQuery q :
          {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
           catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
-      core::WorkloadQuery query;
-      query.label = std::string(catalog::TpchQueryName(q)) + suffix;
-      query.tables = *catalog::TpchQueryTables(catalog, q);
-      workload.push_back(std::move(query));
+      server::PlanRequest request;
+      request.id = std::string(catalog::TpchQueryName(q)) + suffix;
+      const std::vector<catalog::TableId> tables =
+          *catalog::TpchQueryTables(catalog, q);
+      for (catalog::TableId table : tables) {
+        request.tables.push_back(catalog.table(table).name);
+      }
+      requests.push_back(std::move(request));
     }
-    return workload;
+    return requests;
   };
 
-  core::RaqoPlannerOptions planner_options;
-  planner_options.evaluator.use_cache = true;
-  planner_options.evaluator.cache_mode = core::CacheLookupMode::kExact;
-  planner_options.clear_cache_between_queries = false;
-
-  core::ConcurrentRunnerOptions service_options;
-  service_options.num_threads = 4;
-
-  core::ConcurrentWorkloadRunner service(
+  server::PlanningServiceOptions options;
+  options.planner.evaluator.use_cache = true;
+  options.planner.evaluator.cache_mode = core::CacheLookupMode::kExact;
+  options.planner.clear_cache_between_queries = false;
+  const server::PlanningService service(
       &catalog, *models, resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), planner_options, service_options);
+      resource::PricingModel(), options);
+  constexpr int kThreads = 4;
 
   std::printf("%-22s %12s %10s  %s\n", "query", "est. seconds",
               "#res-iter", "joint plan");
   size_t total_queries = 0;
   double total_ms = 0.0;
   for (const char* suffix : {"", " (resubmitted)"}) {
-    Result<core::WorkloadReport> report = service.Run(make_round(suffix));
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-      return 1;
+    const std::vector<server::PlanRequest> requests = make_round(suffix);
+    std::vector<server::PlanResponse> responses(requests.size());
+    std::atomic<size_t> cursor{0};
+    const auto work = [&] {
+      for (size_t i = cursor++; i < requests.size(); i = cursor++) {
+        responses[i] = service.Handle(requests[i]);
+      }
+    };
+    const Stopwatch watch;
+    std::vector<std::thread> threads;
+    for (int t = 1; t < kThreads; ++t) threads.emplace_back(work);
+    work();
+    for (std::thread& thread : threads) thread.join();
+    total_ms += watch.ElapsedMillis();
+    for (const server::PlanResponse& r : responses) {
+      if (!r.ok()) {
+        std::fprintf(stderr, "%s: %s %s\n", r.id.c_str(), r.status.c_str(),
+                     r.error.c_str());
+        return 1;
+      }
+      std::printf("%-22s %12.2f %10lld  %s\n", r.id.c_str(), r.cost.seconds,
+                  (long long)r.stats.resource_configs_explored,
+                  r.plan.c_str());
     }
-    for (const core::QueryRunReport& q : report->queries) {
-      std::printf("%-22s %12.2f %10lld  %s\n", q.label.c_str(),
-                  q.cost.seconds, (long long)q.resource_configs_explored,
-                  q.plan.c_str());
-    }
-    total_queries += report->queries.size();
-    total_ms += report->wall_clock_ms;
+    total_queries += responses.size();
   }
   const core::CacheStats cache = service.shared_cache_stats();
   std::printf(
       "\n%zu queries on %d threads in %.1f ms; shared cache: %lld hits / "
-      "%lld misses, %zu entries\n",
-      total_queries, service.num_threads(), total_ms,
-      (long long)cache.hits, (long long)cache.misses,
-      service.shared_cache_size());
+      "%lld misses, %lld entries\n",
+      total_queries, kThreads, total_ms, (long long)cache.hits,
+      (long long)cache.misses,
+      (long long)service.shared_cache()->entry_count());
   return 0;
 }

@@ -1,9 +1,10 @@
-// Plans a TPC-H workload on the concurrent planning service with the
-// observability layer fully on, then exports the telemetry:
+// Plans a TPC-H workload on the planning service, from four threads
+// calling PlanningService::Handle, with the observability layer fully
+// on, then exports the telemetry:
 //
 //   metrics.json — snapshot of every counter/gauge/histogram
 //   trace.json   — Chrome trace_event spans; open in chrome://tracing
-//                  or https://ui.perfetto.dev to see per-worker
+//                  or https://ui.perfetto.dev to see per-thread
 //                  planner.query > planner.selinger >
 //                  planner.resource.* > cache.lookup nesting
 //
@@ -11,17 +12,20 @@
 // spans themselves, plus the per-shard breakdown of the shared cache.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "catalog/tpch.h"
-#include "core/concurrent_workload_runner.h"
+#include "common/stopwatch.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/service.h"
 #include "sim/profile_runner.h"
 
 int main() {
@@ -42,38 +46,56 @@ int main() {
   obs::DefaultTracer().Clear();
   obs::DefaultTracer().set_enabled(true);
 
-  // The workload: every TPC-H join query, twice — the second round hits
-  // the resource plans the first round cached, which shows up as fast
-  // cache.lookup spans in place of resource-search spans.
-  std::vector<core::WorkloadQuery> workload;
+  // The workload: every TPC-H join query as a table-list request, twice
+  // — the second round hits the resource plans the first round cached,
+  // which shows up as fast cache.lookup spans in place of resource-search
+  // spans.
+  std::vector<server::PlanRequest> requests;
   for (const char* suffix : {"", " (again)"}) {
     for (catalog::TpchQuery q :
          {catalog::TpchQuery::kQ12, catalog::TpchQuery::kQ3,
           catalog::TpchQuery::kQ2, catalog::TpchQuery::kAll}) {
-      core::WorkloadQuery query;
-      query.label = std::string(catalog::TpchQueryName(q)) + suffix;
-      query.tables = *catalog::TpchQueryTables(catalog, q);
-      workload.push_back(std::move(query));
+      server::PlanRequest request;
+      request.id = std::string(catalog::TpchQueryName(q)) + suffix;
+      const std::vector<catalog::TableId> tables =
+          *catalog::TpchQueryTables(catalog, q);
+      for (catalog::TableId table : tables) {
+        request.tables.push_back(catalog.table(table).name);
+      }
+      requests.push_back(std::move(request));
     }
   }
 
-  core::RaqoPlannerOptions planner_options;
-  planner_options.evaluator.use_cache = true;
-  planner_options.evaluator.cache_mode = core::CacheLookupMode::kExact;
-  planner_options.clear_cache_between_queries = false;
-
-  core::ConcurrentRunnerOptions service_options;
-  service_options.num_threads = 4;
-
-  core::ConcurrentWorkloadRunner service(
+  server::PlanningServiceOptions options;
+  options.planner.evaluator.use_cache = true;
+  options.planner.evaluator.cache_mode = core::CacheLookupMode::kExact;
+  options.planner.clear_cache_between_queries = false;
+  const server::PlanningService service(
       &catalog, *models, resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), planner_options, service_options);
+      resource::PricingModel(), options);
+  constexpr int kThreads = 4;
 
-  Result<core::WorkloadReport> report = service.Run(workload);
+  // The threads take requests from one cursor and call Handle.
+  std::vector<server::PlanResponse> responses(requests.size());
+  std::atomic<size_t> cursor{0};
+  const auto work = [&] {
+    for (size_t i = cursor++; i < requests.size(); i = cursor++) {
+      responses[i] = service.Handle(requests[i]);
+    }
+  };
+  const Stopwatch watch;
+  std::vector<std::thread> threads;
+  for (int t = 1; t < kThreads; ++t) threads.emplace_back(work);
+  work();
+  for (std::thread& thread : threads) thread.join();
+  const double wall_ms = watch.ElapsedMillis();
   obs::DefaultTracer().set_enabled(false);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
+  for (const server::PlanResponse& r : responses) {
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s: %s %s\n", r.id.c_str(), r.status.c_str(),
+                   r.error.c_str());
+      return 1;
+    }
   }
 
   const std::vector<obs::FinishedSpan> spans =
@@ -94,8 +116,8 @@ int main() {
   std::printf(
       "\nplanned %zu queries on %d threads in %.1f ms (%lld spans, "
       "%lld dropped)\n",
-      report->queries.size(), service.num_threads(),
-      report->wall_clock_ms, (long long)obs::DefaultTracer().total_finished(),
+      responses.size(), kThreads, wall_ms,
+      (long long)obs::DefaultTracer().total_finished(),
       (long long)obs::DefaultTracer().dropped());
 
   // Where the time went, from the spans themselves. Durations are
@@ -134,7 +156,7 @@ int main() {
   std::printf("%6s %8s %9s %9s %11s %13s\n", "shard", "entries", "lookups",
               "inserts", "contended", "lock-wait us");
   const std::vector<core::ShardStats> shards =
-      service.shared_cache_shard_stats();
+      service.shared_cache()->shard_stats();
   for (size_t i = 0; i < shards.size(); ++i) {
     const core::ShardStats& s = shards[i];
     std::printf("%6zu %8zu %9lld %9lld %11lld %13.1f\n", i, s.entries,

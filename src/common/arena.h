@@ -27,8 +27,9 @@ namespace raqo {
 ///   - returned plans (PlanNode trees) stay heap-allocated: they outlive
 ///     the query and their unique_ptr children run real destructors.
 ///
-/// Not thread-safe: an arena belongs to one planner thread at a time,
-/// matching the per-worker-planner design of the concurrent runner.
+/// Not thread-safe: an arena belongs to one planner, and a planner to
+/// one thread at a time (each PlanningService::Handle call plans on a
+/// private RaqoPlanner).
 class Arena {
  public:
   static constexpr size_t kDefaultBlockBytes = 64 * 1024;

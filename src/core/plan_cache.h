@@ -158,8 +158,7 @@ class CacheEventListener {
                         const CachedResourcePlan& plan) = 0;
 };
 
-/// Lock stripes of the shared caches the planning service and the
-/// concurrent workload runner build.
+/// Lock stripes of the planning service's shared cache.
 inline constexpr size_t kDefaultCacheStripes = 8;
 
 /// The resource-plan cache: per cost model (SMJ, BHJ, ...) an index of

@@ -112,8 +112,9 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// Marks a query boundary: drops the per-model warm-start memory of
   /// the switch-aware search so every query plans from a cold incumbent.
   /// Warm starts never change results — this only keeps the per-query
-  /// `configs_explored` stats independent of which queries a worker
-  /// planned before (the concurrent runner steals queries dynamically).
+  /// `configs_explored` stats independent of which queries this
+  /// evaluator planned before, so a reused planner counts what a fresh
+  /// one would.
   void BeginQuery();
 
   /// True when the switch-aware search prunes with a validated bound

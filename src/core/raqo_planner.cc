@@ -46,9 +46,8 @@ Result<JointPlan> RaqoPlanner::RunPlanner(
     const std::vector<catalog::TableId>& tables,
     optimizer::PlanCostEvaluator& evaluator) {
   // Fresh warm-start state and a recycled scratch arena per run: plans
-  // and counters for a query never depend on what this planner worked
-  // on before (the concurrent runner steals queries dynamically, so any
-  // cross-query leakage would make results scheduling-dependent).
+  // and per-query counters never depend on what this planner worked on
+  // before, so a reused planner answers exactly like a fresh one.
   evaluator_.BeginQuery();
   arena_.Reset();
   optimizer::SelingerOptions selinger = options_.selinger;

@@ -209,11 +209,10 @@ Result<ResourcePlanResult> HillClimbResourcePlanner::PlanResources(
     const resource::ClusterConditions& cluster) const {
   // Algorithm 1, lines 1-3: step sizes come from the cluster's discrete
   // grid; candidate steps are one backward and one forward; the climb
-  // starts from the smallest resources unless overridden.
+  // starts from the smallest resources.
   const resource::ResourceConfig& step = cluster.step();
   static constexpr double kCandidates[] = {-1.0, 1.0};
-  resource::ResourceConfig curr =
-      has_start_ ? cluster.SnapToGrid(start_) : cluster.min();
+  resource::ResourceConfig curr = cluster.min();
 
   ResourcePlanResult result;
   int64_t explored = 0;

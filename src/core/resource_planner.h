@@ -106,20 +106,12 @@ class BruteForceResourcePlanner : public ResourcePlanner {
 /// brute force on the paper's grids.
 class HillClimbResourcePlanner : public ResourcePlanner {
  public:
-  /// `start`: override of the climb's starting point; defaults to the
-  /// cluster minimum ("users want to minimize the resources used").
-  HillClimbResourcePlanner() = default;
-  explicit HillClimbResourcePlanner(resource::ResourceConfig start)
-      : start_(start), has_start_(true) {}
-
+  /// The climb starts at the cluster minimum ("users want to minimize
+  /// the resources used").
   Result<ResourcePlanResult> PlanResources(
       const ResourceCostFn& cost,
       const resource::ClusterConditions& cluster) const override;
   const char* name() const override { return "hill-climb"; }
-
- private:
-  resource::ResourceConfig start_;
-  bool has_start_ = false;
 };
 
 /// The switch-point-aware incremental grid search: exhaustive-equivalent

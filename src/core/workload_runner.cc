@@ -6,10 +6,10 @@
 
 namespace raqo::core {
 
-WorkloadRunner::WorkloadRunner(RaqoPlanner* planner) : planner_(planner) {
-  RAQO_CHECK(planner != nullptr);
-}
+namespace {
 
+/// Fills the plan/join_resources fields of a report entry from a planned
+/// joint plan.
 void DescribePlanInReport(const JointPlan& plan, QueryRunReport* entry) {
   entry->plan = plan.plan->ToString();
   plan.plan->VisitJoins([&](const plan::PlanNode& join) {
@@ -19,11 +19,8 @@ void DescribePlanInReport(const JointPlan& plan, QueryRunReport* entry) {
   });
 }
 
+/// Sums the per-query entries of `report` into its `total_*` fields.
 void AccumulateReportTotals(WorkloadReport* report) {
-  report->total_wall_ms = 0.0;
-  report->total_resource_configs_explored = 0;
-  report->total_cache_hits = 0;
-  report->total_cache_misses = 0;
   for (const QueryRunReport& entry : report->queries) {
     report->total_wall_ms += entry.wall_ms;
     report->total_resource_configs_explored +=
@@ -31,6 +28,12 @@ void AccumulateReportTotals(WorkloadReport* report) {
     report->total_cache_hits += entry.cache_hits;
     report->total_cache_misses += entry.cache_misses;
   }
+}
+
+}  // namespace
+
+WorkloadRunner::WorkloadRunner(RaqoPlanner* planner) : planner_(planner) {
+  RAQO_CHECK(planner != nullptr);
 }
 
 Result<WorkloadReport> WorkloadRunner::Run(

@@ -19,8 +19,8 @@ struct QueryRunReport {
   std::string label;
   cost::CostVector cost;
   /// Compact rendering of the chosen plan (table ids), e.g.
-  /// "SMJ(BHJ(t0, t2), t5)"; lets callers check plan identity across
-  /// runner implementations without holding the plan trees.
+  /// "SMJ(BHJ(t0, t2), t5)"; lets callers compare plans across runs
+  /// without holding the plan trees.
   std::string plan;
   /// Resource configuration of every join, in the plan's post-order
   /// (VisitJoins order) — the joint half of the joint plan.
@@ -31,15 +31,9 @@ struct QueryRunReport {
   int64_t cache_misses = 0;
 };
 
-/// Fills the plan/join_resources fields of a report entry from a planned
-/// joint plan (shared by the sequential and concurrent runners).
-void DescribePlanInReport(const JointPlan& plan, QueryRunReport* entry);
-
 /// Aggregate outcome of a workload run. The `total_*` fields are always
 /// exactly the sums of the per-query reports (an invariant the test
-/// suite checks for every runner); `wall_clock_ms` is the end-to-end
-/// elapsed time of the run, which for a concurrent runner is less than
-/// the summed per-query planning time.
+/// suite checks).
 struct WorkloadReport {
   std::vector<QueryRunReport> queries;
   double total_wall_ms = 0.0;
@@ -48,15 +42,7 @@ struct WorkloadReport {
   int64_t total_cache_misses = 0;
   /// End-to-end elapsed wall-clock time of the whole run.
   double wall_clock_ms = 0.0;
-  /// Hit/miss delta of the workload-scoped shared cache over this run
-  /// (zeros when no shared cache is in play). Kept separate from the
-  /// per-query totals so the sum invariant above stays exact.
-  CacheStats shared_cache;
 };
-
-/// Sums the per-query entries of `report` into its `total_*` fields
-/// (clearing any previous totals first).
-void AccumulateReportTotals(WorkloadReport* report);
 
 /// Drives a sequence of queries through one RAQO planner, the way an
 /// enterprise workload hits an optimizer service. With across-query

@@ -42,8 +42,9 @@ struct PlanningServiceOptions {
 /// The request handler of the planning server: resolves a PlanRequest
 /// against the catalog, runs the RAQO planner, and renders a
 /// PlanResponse. Handle() is const and thread-safe — any number of
-/// worker threads may call it concurrently; each call plans on a private
-/// RaqoPlanner, the shape of core::ConcurrentWorkloadRunner.
+/// threads (the server's workers or the caller's own) may call it
+/// concurrently; each call plans on a private RaqoPlanner on the calling
+/// thread and starts no thread of its own.
 ///
 /// The service owns one thread-safe resource-plan cache for the across-
 /// query caching of Figure 15(b), served to remote clients. A caching

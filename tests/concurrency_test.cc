@@ -1,12 +1,13 @@
-// Concurrency invariants of the planning service layer: the thread
-// pool, the lock-striped resource-plan cache, and the concurrent
-// workload runner.
+// Concurrency invariants of the planning service layer: the
+// lock-striped resource-plan cache, and N threads calling
+// PlanningService::Handle on one service.
 // Every property here must hold under any thread interleaving; run the
 // suite under -DRAQO_SANITIZE=thread to let TSan check the data-race
 // side of that claim (see docs/CONCURRENCY.md).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -23,10 +24,10 @@
 #include "catalog/random_schema.h"
 #include "catalog/tpch.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "core/concurrent_workload_runner.h"
+#include "concurrent_handle.h"
 #include "core/plan_cache.h"
 #include "core/workload_runner.h"
+#include "server/service.h"
 #include "sim/profile_runner.h"
 
 namespace raqo {
@@ -39,34 +40,6 @@ const cost::JoinCostModels& Models() {
   static const cost::JoinCostModels* models = new cost::JoinCostModels(
       *sim::TrainModelsFromSimulator(sim::EngineProfile::Hive()));
   return *models;
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after draining the queue
-  EXPECT_EQ(counter.load(), 64);
 }
 
 // ---------------------------------------------------------------------
@@ -349,8 +322,8 @@ TEST(ConcurrentCacheTest, ExactModeGuardsTheFullDataCharacteristic) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent workload runner (satellite property (a)): report equals
-// the sequential runner's, merged in submission order.
+// N threads calling PlanningService::Handle on one service answer every
+// request exactly as one planner planning the workload in order would.
 
 std::vector<core::WorkloadQuery> RandomWorkload(const catalog::Catalog& cat,
                                                 int num_queries,
@@ -373,11 +346,21 @@ core::RaqoPlannerOptions ServiceOptions(bool cache) {
   options.algorithm = core::PlannerAlgorithm::kSelinger;
   options.evaluator.use_cache = cache;
   // Exact-match lookups keep concurrent cache hits bit-identical to
-  // fresh planning, so the service stays deterministic (see the runner's
-  // class comment); similarity modes trade that for more reuse.
+  // fresh planning, so the service stays deterministic (see
+  // PlanningService's class comment); similarity modes trade that for
+  // more reuse.
   options.evaluator.cache_mode = core::CacheLookupMode::kExact;
   options.clear_cache_between_queries = !cache;
   return options;
+}
+
+server::PlanningService MakeService(const catalog::Catalog& cat,
+                                    bool cache) {
+  server::PlanningServiceOptions options;
+  options.planner = ServiceOptions(cache);
+  return server::PlanningService(&cat, Models(),
+                                 resource::ClusterConditions::PaperDefault(),
+                                 resource::PricingModel(), options);
 }
 
 TEST(ConcurrentWorkloadRunnerTest, MatchesSequentialRunnerWithoutCache) {
@@ -391,31 +374,17 @@ TEST(ConcurrentWorkloadRunnerTest, MatchesSequentialRunnerWithoutCache) {
   core::RaqoPlanner planner(&cat, Models(),
                             resource::ClusterConditions::PaperDefault(),
                             resource::PricingModel(), ServiceOptions(false));
-  core::WorkloadRunner sequential(&planner);
-  const Result<core::WorkloadReport> seq = sequential.Run(workload);
-  ASSERT_TRUE(seq.ok());
+  const std::vector<server::PlanResponse> seq =
+      PlanSequentially(planner, cat, workload);
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, workload);
 
   for (int threads : {1, 2, 4, 8}) {
-    core::ConcurrentRunnerOptions concurrency;
-    concurrency.num_threads = threads;
-    core::ConcurrentWorkloadRunner service(
-        &cat, Models(), resource::ClusterConditions::PaperDefault(),
-        resource::PricingModel(), ServiceOptions(false), concurrency);
-    const Result<core::WorkloadReport> par = service.Run(workload);
-    ASSERT_TRUE(par.ok()) << threads;
-    ASSERT_EQ(par->queries.size(), seq->queries.size());
-    for (size_t i = 0; i < workload.size(); ++i) {
-      EXPECT_EQ(par->queries[i].label, seq->queries[i].label);
-      EXPECT_EQ(par->queries[i].cost.seconds, seq->queries[i].cost.seconds);
-      EXPECT_EQ(par->queries[i].cost.dollars, seq->queries[i].cost.dollars);
-      EXPECT_EQ(par->queries[i].plan, seq->queries[i].plan);
-      ASSERT_EQ(par->queries[i].join_resources.size(),
-                seq->queries[i].join_resources.size());
-      for (size_t j = 0; j < par->queries[i].join_resources.size(); ++j) {
-        EXPECT_EQ(par->queries[i].join_resources[j],
-                  seq->queries[i].join_resources[j]);
-      }
-    }
+    SCOPED_TRACE(threads);
+    // A fresh service per level, so no response is answered from an
+    // earlier level's response cache.
+    const server::PlanningService service = MakeService(cat, false);
+    ExpectSamePlans(HandleOnThreads(service, requests, threads), seq);
   }
 }
 
@@ -424,16 +393,20 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
   schema.num_tables = 12;
   schema.seed = 11;
   catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
-  // Heavy repetition so the shared cache actually gets hit across
-  // workers: the run must last long enough for the pool's workers to
-  // join even on a loaded host, or the calling thread (worker 0) can
-  // plan every query itself and only ever hit its own entries.
+  // Heavy repetition so threads hit the shared cache with entries other
+  // threads inserted. Each repeat lists its tables in another rotation,
+  // which makes it a new statement to the response cache, so most
+  // repeats are planned through the shared cache instead.
   std::vector<core::WorkloadQuery> workload = RandomWorkload(cat, 8, 21);
   const size_t unique = workload.size();
   for (int rep = 0; rep < 12; ++rep) {
     for (size_t i = 0; i < unique; ++i) {
       core::WorkloadQuery copy = workload[i];
       copy.label += "-rep" + std::to_string(rep);
+      std::rotate(copy.tables.begin(),
+                  copy.tables.begin() +
+                      static_cast<long>((rep + 1) % copy.tables.size()),
+                  copy.tables.end());
       workload.push_back(std::move(copy));
     }
   }
@@ -441,103 +414,32 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
   core::RaqoPlanner planner(&cat, Models(),
                             resource::ClusterConditions::PaperDefault(),
                             resource::PricingModel(), ServiceOptions(false));
-  core::WorkloadRunner sequential(&planner);
-  const Result<core::WorkloadReport> seq = sequential.Run(workload);
-  ASSERT_TRUE(seq.ok());
+  const std::vector<server::PlanResponse> seq =
+      PlanSequentially(planner, cat, workload);
+  int64_t seq_explored = 0;
+  for (const server::PlanResponse& answer : seq) {
+    seq_explored += answer.stats.resource_configs_explored;
+  }
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, workload);
 
-  core::ConcurrentRunnerOptions concurrency;
-  concurrency.num_threads = 4;
-  core::ConcurrentWorkloadRunner service(
-      &cat, Models(), resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), ServiceOptions(true), concurrency);
-  ASSERT_TRUE(service.has_shared_cache());
-  const Result<core::WorkloadReport> par = service.Run(workload);
-  ASSERT_TRUE(par.ok());
-
-  ASSERT_EQ(par->queries.size(), seq->queries.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    EXPECT_EQ(par->queries[i].cost.seconds, seq->queries[i].cost.seconds)
-        << workload[i].label;
-    EXPECT_EQ(par->queries[i].plan, seq->queries[i].plan);
-    ASSERT_EQ(par->queries[i].join_resources.size(),
-              seq->queries[i].join_resources.size());
-    for (size_t j = 0; j < par->queries[i].join_resources.size(); ++j) {
-      EXPECT_EQ(par->queries[i].join_resources[j],
-                seq->queries[i].join_resources[j]);
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const server::PlanningService service = MakeService(cat, true);
+    const std::vector<server::PlanResponse> par =
+        HandleOnThreads(service, requests, threads);
+    ExpectSamePlans(par, seq);
+    // The repeated queries produced real cache traffic.
+    EXPECT_GT(service.shared_cache_stats().hits, 0);
+    EXPECT_GT(service.shared_cache()->entry_count(), 0);
+    // Fewer resource iterations than the cache-less sequential baseline:
+    // across-query reuse worked.
+    int64_t explored = 0;
+    for (const server::PlanResponse& response : par) {
+      explored += response.stats.resource_configs_explored;
     }
+    EXPECT_LT(explored, seq_explored);
   }
-  // The repeated queries produced real contention-time cache traffic.
-  EXPECT_GT(par->shared_cache.hits, 0);
-  EXPECT_GT(service.shared_cache_size(), 0u);
-  // Fewer resource iterations than the cache-less sequential baseline:
-  // across-query reuse worked.
-  EXPECT_LT(par->total_resource_configs_explored,
-            seq->total_resource_configs_explored);
-}
-
-TEST(ConcurrentWorkloadRunnerTest, TotalsEqualSumOfPerQueryReports) {
-  catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
-  std::vector<core::WorkloadQuery> workload = {
-      {"Q3", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
-      {"Q2", *catalog::TpchQueryTables(cat, TpchQuery::kQ2)},
-      {"Q3-again", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
-      {"Q12", *catalog::TpchQueryTables(cat, TpchQuery::kQ12)},
-  };
-  // Both runners, cache on and off, must satisfy the sum invariant.
-  for (const bool cache : {false, true}) {
-    core::RaqoPlanner planner(&cat, Models(),
-                              resource::ClusterConditions::PaperDefault(),
-                              resource::PricingModel(),
-                              ServiceOptions(cache));
-    core::WorkloadRunner sequential(&planner);
-    core::ConcurrentRunnerOptions concurrency;
-    concurrency.num_threads = 3;
-    core::ConcurrentWorkloadRunner service(
-        &cat, Models(), resource::ClusterConditions::PaperDefault(),
-        resource::PricingModel(), ServiceOptions(cache), concurrency);
-    for (const Result<core::WorkloadReport>& report :
-         {sequential.Run(workload), service.Run(workload)}) {
-      ASSERT_TRUE(report.ok());
-      double wall = 0.0;
-      int64_t iters = 0;
-      int64_t hits = 0;
-      int64_t misses = 0;
-      for (const core::QueryRunReport& q : report->queries) {
-        wall += q.wall_ms;
-        iters += q.resource_configs_explored;
-        hits += q.cache_hits;
-        misses += q.cache_misses;
-      }
-      EXPECT_DOUBLE_EQ(report->total_wall_ms, wall);
-      EXPECT_EQ(report->total_resource_configs_explored, iters);
-      EXPECT_EQ(report->total_cache_hits, hits);
-      EXPECT_EQ(report->total_cache_misses, misses);
-      EXPECT_GT(report->wall_clock_ms, 0.0);
-    }
-  }
-}
-
-TEST(ConcurrentWorkloadRunnerTest, ReportsLowestIndexErrorDeterministically) {
-  catalog::Catalog cat = catalog::BuildTpchCatalog(1.0);
-  std::vector<core::WorkloadQuery> workload = {
-      {"ok", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
-      {"bad-dup", {0, 0}},
-      {"ok-2", *catalog::TpchQueryTables(cat, TpchQuery::kQ2)},
-      {"bad-dup-2", {1, 1}},
-  };
-  core::ConcurrentRunnerOptions concurrency;
-  concurrency.num_threads = 4;
-  core::ConcurrentWorkloadRunner service(
-      &cat, Models(), resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), ServiceOptions(false), concurrency);
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    const Result<core::WorkloadReport> report = service.Run(workload);
-    ASSERT_FALSE(report.ok());
-    // Always the index-1 failure, regardless of scheduling.
-    EXPECT_TRUE(report.status().IsInvalidArgument())
-        << report.status().ToString();
-  }
-  EXPECT_FALSE(service.Run({}).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -584,8 +486,9 @@ TEST(WriteBehindCacheTest, BatchedAndWriteThroughPlansAndCachesMatch) {
 }
 
 // ---------------------------------------------------------------------
-// Thread accounting: the runner's worker pool is its only source of
-// threads, and repeated Run calls must not spawn anything.
+// Thread accounting: the service starts no thread. Building it and
+// answering requests run on the calling thread, so the only planning
+// threads are the server's workers or the caller's own.
 
 #ifdef __linux__
 int CountProcessThreads() {
@@ -600,49 +503,30 @@ int CountProcessThreads() {
 
 TEST(ThreadAccountingTest, RunnerCreatesOnlyItsWorkerPool) {
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
-  std::vector<core::WorkloadQuery> workload = {
+  const std::vector<core::WorkloadQuery> workload = {
       {"Q3", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
       {"Q2", *catalog::TpchQueryTables(cat, TpchQuery::kQ2)},
       {"Q12", *catalog::TpchQueryTables(cat, TpchQuery::kQ12)},
       {"Q3-again", *catalog::TpchQueryTables(cat, TpchQuery::kQ3)},
   };
-  core::RaqoPlannerOptions planner_options = ServiceOptions(true);
-  core::ConcurrentRunnerOptions concurrency;
-  concurrency.num_threads = 4;
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, workload);
 
   const int before = CountProcessThreads();
-  core::ConcurrentWorkloadRunner service(
-      &cat, Models(), resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), planner_options, concurrency);
-  const int after_ctor = CountProcessThreads();
-  // Exactly one worker pool (num_threads - 1: the caller is worker 0);
-  // resource searches run on the workers, so there is no search pool.
-  EXPECT_EQ(after_ctor - before, 4 - 1);
+  const server::PlanningService service = MakeService(cat, true);
+  EXPECT_EQ(CountProcessThreads(), before) << "the service started threads";
 
-  const Result<core::WorkloadReport> first = service.Run(workload);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(CountProcessThreads(), after_ctor) << "Run spawned threads";
+  const std::vector<server::PlanResponse> first =
+      HandleOnThreads(service, requests, 1);
+  EXPECT_EQ(CountProcessThreads(), before) << "Handle started threads";
 
-  // Reuse: a second Run on the same planners and pool returns the same
-  // plans (the shared exact cache may serve more hits, which must not
-  // change any plan).
-  const Result<core::WorkloadReport> second = service.Run(workload);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(CountProcessThreads(), after_ctor);
-  ASSERT_EQ(second->queries.size(), first->queries.size());
-  for (size_t i = 0; i < first->queries.size(); ++i) {
-    EXPECT_EQ(second->queries[i].plan, first->queries[i].plan);
-    EXPECT_EQ(second->queries[i].cost.seconds,
-              first->queries[i].cost.seconds);
-    EXPECT_EQ(second->queries[i].cost.dollars,
-              first->queries[i].cost.dollars);
-    ASSERT_EQ(second->queries[i].join_resources.size(),
-              first->queries[i].join_resources.size());
-    for (size_t j = 0; j < first->queries[i].join_resources.size(); ++j) {
-      EXPECT_EQ(second->queries[i].join_resources[j],
-                first->queries[i].join_resources[j]);
-    }
-  }
+  // A second round on the same service returns the same plans (the
+  // shared exact cache and the response cache may answer more of it,
+  // which must not change any plan).
+  const std::vector<server::PlanResponse> second =
+      HandleOnThreads(service, requests, 1);
+  EXPECT_EQ(CountProcessThreads(), before);
+  ExpectSamePlans(second, first);
 }
 #endif  // __linux__
 

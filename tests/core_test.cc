@@ -82,19 +82,6 @@ TEST(HillClimbTest, ClimbsToMaximumWhenMoreIsBetter) {
   EXPECT_EQ(r->config, ResourceConfig(4, 6));
 }
 
-TEST(HillClimbTest, RespectsExplicitStart) {
-  HillClimbResourcePlanner planner(ResourceConfig(9, 90));
-  auto increasing = [](const ResourceConfig& c) {
-    return c.total_memory_gb();
-  };
-  Result<ResourcePlanResult> r =
-      planner.PlanResources(increasing, ClusterConditions::PaperDefault());
-  ASSERT_TRUE(r.ok());
-  // Strictly decreasing objective toward the minimum: the greedy walk
-  // ends at the global minimum corner.
-  EXPECT_EQ(r->config, ResourceConfig(1, 1));
-}
-
 TEST(HillClimbTest, StopsAtLocalOptimum) {
   // Two separated wells; the climber starting at min falls into the
   // nearer (worse) one — hill climbing is local by design.

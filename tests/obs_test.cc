@@ -23,12 +23,13 @@
 
 #include "catalog/random_schema.h"
 #include "common/stopwatch.h"
-#include "core/concurrent_workload_runner.h"
+#include "concurrent_handle.h"
 #include "core/plan_cache.h"
 #include "core/workload_runner.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/service.h"
 #include "sim/profile_runner.h"
 
 namespace raqo {
@@ -581,99 +582,94 @@ TEST(CacheStatsTest, InsertRecordsSpanHistogramAndLayoutEntryBytes) {
   EXPECT_EQ(bytes_gauge, static_cast<double>(nearest.approx_bytes()));
 }
 
+server::PlanningService CachedExactService(const catalog::Catalog& cat) {
+  server::PlanningServiceOptions options;
+  options.planner = CachedExactOptions();
+  return server::PlanningService(&cat, Models(),
+                                 resource::ClusterConditions::PaperDefault(),
+                                 resource::PricingModel(), options);
+}
+
 TEST(InstrumentedPipelineTest, ObservabilityDoesNotChangeChosenPlans) {
   catalog::RandomSchemaOptions schema;
   schema.num_tables = 10;
   schema.seed = 17;
   catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
-  const std::vector<core::WorkloadQuery> workload = SmallWorkload(cat);
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, SmallWorkload(cat));
 
   auto run = [&] {
-    core::ConcurrentRunnerOptions concurrency;
-    concurrency.num_threads = 4;
-    core::ConcurrentWorkloadRunner service(
-        &cat, Models(), resource::ClusterConditions::PaperDefault(),
-        resource::PricingModel(), CachedExactOptions(), concurrency);
-    return service.Run(workload);
+    const server::PlanningService service = CachedExactService(cat);
+    return HandleOnThreads(service, requests, 4);
   };
 
   const auto before = SetObservability(false, false);
-  const Result<core::WorkloadReport> dark = run();
+  const std::vector<server::PlanResponse> dark = run();
   SetObservability(true, true);
   obs::DefaultTracer().Clear();
-  const Result<core::WorkloadReport> lit = run();
+  const std::vector<server::PlanResponse> lit = run();
   SetObservability(before.first, before.second);
   obs::DefaultTracer().Clear();
 
-  ASSERT_TRUE(dark.ok());
-  ASSERT_TRUE(lit.ok());
-  ASSERT_EQ(lit->queries.size(), dark->queries.size());
-  for (size_t i = 0; i < dark->queries.size(); ++i) {
-    EXPECT_EQ(lit->queries[i].cost.seconds, dark->queries[i].cost.seconds);
-    EXPECT_EQ(lit->queries[i].cost.dollars, dark->queries[i].cost.dollars);
-    EXPECT_EQ(lit->queries[i].plan, dark->queries[i].plan);
-    ASSERT_EQ(lit->queries[i].join_resources.size(),
-              dark->queries[i].join_resources.size());
-    for (size_t j = 0; j < dark->queries[i].join_resources.size(); ++j) {
-      EXPECT_EQ(lit->queries[i].join_resources[j],
-                dark->queries[i].join_resources[j]);
-    }
+  for (const server::PlanResponse& response : dark) {
+    ASSERT_TRUE(response.ok()) << response.error;
   }
+  ExpectSamePlans(lit, dark);
 }
 
 TEST(InstrumentedPipelineTest, ConcurrentInstrumentedRunProducesCoherentTelemetry) {
   // The TSan target: every observability hot path (counters, histograms,
-  // span ring, per-shard stats) exercised from four planner threads at
-  // once. Correctness assertions are on the telemetry itself.
+  // span ring, per-shard stats) exercised from four threads calling
+  // Handle on one service at once. Correctness assertions are on the
+  // telemetry itself.
   catalog::RandomSchemaOptions schema;
   schema.num_tables = 8;
   schema.seed = 23;
   catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
-  const std::vector<core::WorkloadQuery> workload = SmallWorkload(cat);
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, SmallWorkload(cat));
 
   const auto before = SetObservability(true, true);
   obs::DefaultMetrics().ResetAll();
   obs::DefaultTracer().Clear();
 
-  core::ConcurrentRunnerOptions concurrency;
-  concurrency.num_threads = 4;
-  core::ConcurrentWorkloadRunner service(
-      &cat, Models(), resource::ClusterConditions::PaperDefault(),
-      resource::PricingModel(), CachedExactOptions(), concurrency);
-  const Result<core::WorkloadReport> report = service.Run(workload);
+  const server::PlanningService service = CachedExactService(cat);
+  const std::vector<server::PlanResponse> responses =
+      HandleOnThreads(service, requests, 4);
 
   const std::vector<obs::FinishedSpan> spans = obs::DefaultTracer().Snapshot();
   const obs::MetricsSnapshot metrics = obs::DefaultMetrics().Snapshot();
   SetObservability(before.first, before.second);
   obs::DefaultTracer().Clear();
 
-  ASSERT_TRUE(report.ok());
+  for (const server::PlanResponse& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.error;
+  }
 
-  // One runner.query and one planner.query span per workload entry.
-  int64_t runner_spans = 0;
+  // Every request is either answered from the response cache or
+  // planned, and each planned request leaves one planner.query span.
+  int64_t hits = 0;
+  int64_t misses = 0;
+  for (const auto& [name, value] : metrics.counters) {
+    if (name == "server.response_cache.hit") hits = value;
+    if (name == "server.response_cache.miss") misses = value;
+  }
+  EXPECT_EQ(hits + misses, static_cast<int64_t>(requests.size()));
   int64_t planner_spans = 0;
   for (const obs::FinishedSpan& s : spans) {
-    if (s.name == "runner.query") ++runner_spans;
     if (s.name == "planner.query") ++planner_spans;
   }
-  EXPECT_EQ(runner_spans, static_cast<int64_t>(workload.size()));
-  EXPECT_EQ(planner_spans, static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(planner_spans, misses);
+  EXPECT_GT(planner_spans, 0);
 
   // The exporters handle the real telemetry, not just synthetic spans.
   EXPECT_TRUE(JsonValidator(obs::MetricsToJson(metrics)).Valid());
   EXPECT_TRUE(JsonValidator(obs::SpansToChromeTraceJson(spans)).Valid());
 
-  // Counter cross-check: the runner counted every query.
-  int64_t runner_queries = 0;
-  for (const auto& [name, value] : metrics.counters) {
-    if (name == "runner.queries") runner_queries = value;
-  }
-  EXPECT_EQ(runner_queries, static_cast<int64_t>(workload.size()));
-
   // Shared-cache shard stats account for the service's lookups.
   const core::CacheStats cache = service.shared_cache_stats();
   const std::vector<core::ShardStats> shards =
-      service.shared_cache_shard_stats();
+      service.shared_cache()->shard_stats();
   ASSERT_EQ(shards.size(), core::kDefaultCacheStripes);
   int64_t shard_lookups = 0;
   for (const core::ShardStats& s : shards) shard_lookups += s.lookups;

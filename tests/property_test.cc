@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
-#include "core/concurrent_workload_runner.h"
+#include "concurrent_handle.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
 #include "optimizer/bushy_dp.h"
@@ -25,6 +25,7 @@
 #include "plan/plan_builder.h"
 #include "plan/table_set.h"
 #include "resource/cluster_conditions.h"
+#include "server/service.h"
 #include "sim/profile_runner.h"
 #include "sim/simulator.h"
 #include "trace/queue_sim.h"
@@ -188,9 +189,10 @@ TEST_P(SeededPropertyTest, PlannerFuzzOnRandomSchemas) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrency determinism: for any seed, the concurrent workload runner
-// picks the same per-query cost, plan, and join resource configurations
-// as the sequential runner.
+// Concurrency determinism: for any seed, N threads calling
+// PlanningService::Handle on one service pick the same per-query cost,
+// plan, and join resource configurations as one planner planning the
+// workload in order.
 
 TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
   catalog::RandomSchemaOptions schema;
@@ -213,7 +215,7 @@ TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
   }
 
   // Shared exact-match caching keeps concurrent planning bit-identical
-  // to sequential planning (see ConcurrentWorkloadRunner's contract).
+  // to sequential planning (see PlanningService's contract).
   core::RaqoPlannerOptions options;
   options.evaluator.use_cache = true;
   options.evaluator.cache_mode = core::CacheLookupMode::kExact;
@@ -221,30 +223,19 @@ TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
 
   core::RaqoPlanner planner(&cat, *models, cluster,
                             resource::PricingModel(), options);
-  core::WorkloadRunner sequential(&planner);
-  const Result<core::WorkloadReport> seq = sequential.Run(workload);
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  const std::vector<server::PlanResponse> seq =
+      PlanSequentially(planner, cat, workload);
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, workload);
 
-  core::ConcurrentRunnerOptions concurrency;
-  concurrency.num_threads = 4;
-  core::ConcurrentWorkloadRunner service(&cat, *models, cluster,
-                                         resource::PricingModel(), options,
-                                         concurrency);
-  const Result<core::WorkloadReport> par = service.Run(workload);
-  ASSERT_TRUE(par.ok()) << par.status().ToString();
-
-  ASSERT_EQ(par->queries.size(), seq->queries.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    EXPECT_EQ(par->queries[i].cost.seconds, seq->queries[i].cost.seconds)
-        << workload[i].label;
-    EXPECT_EQ(par->queries[i].cost.dollars, seq->queries[i].cost.dollars);
-    EXPECT_EQ(par->queries[i].plan, seq->queries[i].plan);
-    ASSERT_EQ(par->queries[i].join_resources.size(),
-              seq->queries[i].join_resources.size());
-    for (size_t j = 0; j < par->queries[i].join_resources.size(); ++j) {
-      EXPECT_EQ(par->queries[i].join_resources[j],
-                seq->queries[i].join_resources[j]);
-    }
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    server::PlanningServiceOptions service_options;
+    service_options.planner = options;
+    const server::PlanningService service(&cat, *models, cluster,
+                                          resource::PricingModel(),
+                                          service_options);
+    ExpectSamePlans(HandleOnThreads(service, requests, threads), seq);
   }
 }
 

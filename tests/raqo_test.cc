@@ -394,6 +394,30 @@ TEST(RaqoPlannerTest, CacheReducesResourceIterationsAcrossJoins) {
   EXPECT_GT(pb->stats.cache_hits, 0);
 }
 
+TEST(RaqoPlannerTest, ReusedPlannerMatchesFreshPlanner) {
+  // A planner that already planned other queries answers each query
+  // exactly like a fresh planner, down to the per-query search counters:
+  // RunPlanner drops the previous query's warm starts before planning.
+  catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
+  RaqoPlanner reused = MakePlanner(&cat);
+  for (TpchQuery query : {TpchQuery::kAll, TpchQuery::kQ2, TpchQuery::kQ3,
+                          TpchQuery::kQ12}) {
+    SCOPED_TRACE(catalog::TpchQueryName(query));
+    const std::vector<TableId> tables =
+        *catalog::TpchQueryTables(cat, query);
+    RaqoPlanner fresh = MakePlanner(&cat);
+    const Result<JointPlan> expected = fresh.Plan(tables);
+    const Result<JointPlan> actual = reused.Plan(tables);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(actual->plan->ToString(), expected->plan->ToString());
+    EXPECT_EQ(actual->cost.seconds, expected->cost.seconds);
+    EXPECT_EQ(actual->cost.dollars, expected->cost.dollars);
+    EXPECT_EQ(actual->stats.resource_configs_explored,
+              expected->stats.resource_configs_explored);
+  }
+}
+
 TEST(RaqoPlannerTest, AlgorithmNames) {
   EXPECT_STREQ(PlannerAlgorithmName(PlannerAlgorithm::kSelinger),
                "Selinger");

@@ -99,11 +99,12 @@ class WorkloadRunnerTest : public ::testing::Test {
  protected:
   WorkloadRunnerTest() : cat_(catalog::BuildTpchCatalog(100.0)) {}
 
-  core::RaqoPlanner MakePlanner(bool across_query_cache) {
+  core::RaqoPlanner MakePlanner(bool across_query_cache,
+                                bool use_cache = true) {
     static const cost::JoinCostModels* models = new cost::JoinCostModels(
         *sim::TrainModelsFromSimulator(sim::EngineProfile::Hive()));
     core::RaqoPlannerOptions options;
-    options.evaluator.use_cache = true;
+    options.evaluator.use_cache = use_cache;
     options.evaluator.cache_mode = core::CacheLookupMode::kNearestNeighbor;
     options.evaluator.cache_threshold_gb = 0.05;
     options.clear_cache_between_queries = !across_query_cache;
@@ -124,21 +125,34 @@ class WorkloadRunnerTest : public ::testing::Test {
 };
 
 TEST_F(WorkloadRunnerTest, ReportsPerQueryAndTotals) {
-  core::RaqoPlanner planner = MakePlanner(false);
-  core::WorkloadRunner runner(&planner);
-  Result<core::WorkloadReport> report = runner.Run(Workload());
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->queries.size(), 3u);
-  EXPECT_EQ(report->queries[0].label, "Q3");
-  double wall = 0.0;
-  int64_t iters = 0;
-  for (const auto& q : report->queries) {
-    EXPECT_GT(q.cost.seconds, 0.0);
-    wall += q.wall_ms;
-    iters += q.resource_configs_explored;
+  // The totals are exactly the sums of the per-query reports, with the
+  // cache off and with a cache kept warm across queries.
+  for (const bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    core::RaqoPlanner planner = MakePlanner(cache, cache);
+    core::WorkloadRunner runner(&planner);
+    Result<core::WorkloadReport> report = runner.Run(Workload());
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report->queries.size(), 3u);
+    EXPECT_EQ(report->queries[0].label, "Q3");
+    double wall = 0.0;
+    int64_t iters = 0;
+    int64_t hits = 0;
+    int64_t misses = 0;
+    for (const auto& q : report->queries) {
+      EXPECT_GT(q.cost.seconds, 0.0);
+      wall += q.wall_ms;
+      iters += q.resource_configs_explored;
+      hits += q.cache_hits;
+      misses += q.cache_misses;
+    }
+    EXPECT_DOUBLE_EQ(report->total_wall_ms, wall);
+    EXPECT_EQ(report->total_resource_configs_explored, iters);
+    EXPECT_EQ(report->total_cache_hits, hits);
+    EXPECT_EQ(report->total_cache_misses, misses);
+    EXPECT_EQ(hits > 0, cache);
+    EXPECT_GT(report->wall_clock_ms, 0.0);
   }
-  EXPECT_DOUBLE_EQ(report->total_wall_ms, wall);
-  EXPECT_EQ(report->total_resource_configs_explored, iters);
 }
 
 TEST_F(WorkloadRunnerTest, AcrossQueryCachingSavesWork) {
