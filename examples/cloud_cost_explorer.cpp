@@ -52,15 +52,17 @@ int main() {
   const double cheapest = frontier->CheapestEntry()->cost.dollars;
   for (double budget : {cheapest * 0.5, cheapest * 1.2, cheapest * 3.0,
                         cheapest * 10.0}) {
-    Result<core::JointPlan> pick = planner.PlanForMoneyBudget(query, budget);
+    Result<const optimizer::ParetoEntry*> pick =
+        frontier->FastestWithin(budget);
     if (!pick.ok()) {
       std::printf("  budget $%.4f: %s\n", budget,
                   pick.status().ToString().c_str());
       continue;
     }
+    const optimizer::ParetoEntry& entry = **pick;
     std::printf("  budget $%.4f: %.1f s for $%.4f -> %s\n", budget,
-                pick->cost.seconds, pick->cost.dollars,
-                pick->plan->ToString(&catalog).c_str());
+                entry.cost.seconds, entry.cost.dollars,
+                entry.plan->ToString(&catalog).c_str());
   }
   return 0;
 }

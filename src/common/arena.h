@@ -11,8 +11,8 @@
 namespace raqo {
 
 /// A bump allocator for planner scratch memory. The join-enumeration
-/// inner loops (Selinger's 2^n memo, bushy DP's connectivity tables, the
-/// reconstruction chain) are allocated afresh for every query; routing
+/// inner loops (the subset DP's 2^n memo and adjacency table, the bushy
+/// DP's connectivity table) are allocated afresh for every query; routing
 /// them through the global allocator costs a malloc/free pair per
 /// structure per query and scatters the memo across the heap. An Arena
 /// hands out pointers by bumping a cursor through large blocks and frees

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/stopwatch.h"
-#include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/fixed_resource_evaluator.h"
@@ -150,20 +149,8 @@ Result<JointPlan> RaqoPlanner::PlanForMoneyBudget(
   }
   RAQO_ASSIGN_OR_RETURN(optimizer::MultiObjectiveResult multi,
                         PlanFrontier(tables));
-  const optimizer::ParetoEntry* best = nullptr;
-  for (optimizer::ParetoEntry& entry : multi.frontier) {
-    if (entry.cost.dollars <= max_dollars &&
-        (best == nullptr || entry.cost.seconds < best->cost.seconds)) {
-      best = &entry;
-    }
-  }
-  if (best == nullptr) {
-    const optimizer::ParetoEntry* cheapest = multi.CheapestEntry();
-    return Status::NotFound(StrPrintf(
-        "no plan fits the $%.4f budget; the cheapest frontier plan costs "
-        "$%.4f",
-        max_dollars, cheapest != nullptr ? cheapest->cost.dollars : 0.0));
-  }
+  RAQO_ASSIGN_OR_RETURN(const optimizer::ParetoEntry* best,
+                        multi.FastestWithin(max_dollars));
   JointPlan out;
   out.plan = best->plan->Clone();
   out.cost = best->cost;

@@ -54,7 +54,7 @@ Result<RobustnessReport> EvaluatePlanRobustness(
       }
       return cost.status();
     }
-    const double scalar = cost->Weighted(options.time_weight);
+    const double scalar = cost->Weighted(options.evaluator.time_weight);
     report.per_perturbation_cost.push_back(scalar);
     feasible_sum += scalar;
     ++feasible_count;

@@ -27,9 +27,9 @@ struct RobustnessOptions {
   /// "as planned" down to "a quarter of the containers are left".
   std::vector<ClusterPerturbation> perturbations = {
       {1.0, 1.0}, {1.0, 0.5}, {0.5, 1.0}, {0.5, 0.5}, {1.0, 0.25}};
-  /// Scalarization for the per-perturbation cost.
-  double time_weight = 1.0;
-  /// Resource re-planning under each perturbation.
+  /// Resource re-planning under each perturbation. Its `time_weight`
+  /// also scalarizes the per-perturbation cost, so resources are scored
+  /// under the objective they were planned for.
   RaqoEvaluatorOptions evaluator;
 };
 

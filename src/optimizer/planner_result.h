@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "cost/cost_vector.h"
 #include "plan/plan_node.h"
 
@@ -46,10 +47,12 @@ struct MultiObjectiveResult {
   std::vector<ParetoEntry> frontier;
   PlanningStats stats;
 
-  /// Frontier entry with the lowest execution time (nullptr if empty).
-  const ParetoEntry* FastestEntry() const;
   /// Frontier entry with the lowest monetary cost (nullptr if empty).
   const ParetoEntry* CheapestEntry() const;
+  /// The fastest frontier entry costing at most `max_dollars` (the
+  /// paper's c => (p, r) pick); NotFound, naming the cheapest entry's
+  /// price, when none fits.
+  Result<const ParetoEntry*> FastestWithin(double max_dollars) const;
 };
 
 }  // namespace raqo::optimizer

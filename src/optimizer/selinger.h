@@ -20,10 +20,10 @@ struct SelingerOptions {
   /// Scalarization weight: 1.0 optimizes pure execution time, 0.0 pure
   /// monetary cost.
   double time_weight = 1.0;
-  /// Scratch arena for the 2^n DP memo, the adjacency table and the
-  /// back-pointer chain (borrowed, must outlive the call; nullptr uses a
-  /// run-local arena). The returned plan is never arena-allocated, so
-  /// the owner may Reset() the arena between queries (docs/PERF.md).
+  /// Scratch arena for the 2^n DP memo and the adjacency table
+  /// (borrowed, must outlive the call; nullptr uses a run-local arena).
+  /// The returned plan is never arena-allocated, so the owner may
+  /// Reset() the arena between queries (docs/PERF.md).
   Arena* arena = nullptr;
 };
 

@@ -293,15 +293,23 @@ TEST(FastRandomizedTest, SingleTableAndErrors) {
 
 TEST(MultiObjectiveResultTest, FastestAndCheapest) {
   MultiObjectiveResult r;
-  EXPECT_EQ(r.FastestEntry(), nullptr);
+  EXPECT_EQ(r.CheapestEntry(), nullptr);
+  EXPECT_TRUE(r.FastestWithin(1e9).status().IsNotFound());
   ParetoEntry a;
   a.cost = {10, 5};
   ParetoEntry b;
   b.cost = {20, 1};
   r.frontier.push_back(std::move(a));
   r.frontier.push_back(std::move(b));
-  EXPECT_DOUBLE_EQ(r.FastestEntry()->cost.seconds, 10);
+  EXPECT_DOUBLE_EQ((*r.FastestWithin(5))->cost.seconds, 10);
+  EXPECT_DOUBLE_EQ((*r.FastestWithin(4.99))->cost.seconds, 20);
   EXPECT_DOUBLE_EQ(r.CheapestEntry()->cost.dollars, 1);
+  // Below the cheapest entry nothing fits, and the message says so.
+  Result<const ParetoEntry*> none = r.FastestWithin(0.5);
+  EXPECT_TRUE(none.status().IsNotFound());
+  EXPECT_EQ(none.status().message(),
+            "no plan fits the $0.5000 budget; the cheapest frontier plan "
+            "costs $1.0000");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "catalog/table.h"
 #include "catalog/tpch.h"
@@ -246,6 +247,13 @@ struct GridPoint {
   double cs;
   int nc;
 };
+
+// Prints a point by value (cs1_nc5), which also names the test ids.
+// gtest's fallback prints the struct's raw bytes, and its padding bytes
+// differ from build to build.
+void PrintTo(const GridPoint& p, std::ostream* os) {
+  *os << "cs" << p.cs << "_nc" << p.nc;
+}
 
 class ExecModelGridTest : public ::testing::TestWithParam<GridPoint> {};
 
