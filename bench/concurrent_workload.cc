@@ -9,7 +9,8 @@
 // 1- and 4-thread runs of a round form a pair. Per level the bench
 // reports the median wall time with its min-max spread, the threads'
 // total CPU time, the effective parallelism (CPU / wall), per-request
-// p50/p95/p99 and the shared cache's hits and misses. Every run at every
+// p50/p95/p99, the shared cache's hits and misses, and how many of its
+// stripe acquisitions blocked after spinning. Every run at every
 // level must return the plans, costs and per-join resources of the first
 // 1-thread run.
 //
@@ -70,6 +71,8 @@ struct Run {
   double cpu_ms = 0.0;  ///< summed over the run's threads
   std::vector<double> request_ms;
   core::CacheStats cache;
+  /// Shared-cache stripe acquisitions that blocked (after spinning).
+  int64_t blocked = 0;
   std::vector<server::PlanResponse> responses;
 };
 
@@ -102,6 +105,9 @@ Run RunLevel(const catalog::Catalog& cat, const cost::JoinCostModels& models,
   run.wall_ms = wall.ElapsedMillis();
   for (double ms : cpu_ms) run.cpu_ms += ms;
   run.cache = service.shared_cache_stats();
+  for (const core::ShardStats& stripe : service.shared_cache()->shard_stats()) {
+    run.blocked += stripe.contended_acquires;
+  }
   return run;
 }
 
@@ -183,11 +189,11 @@ int main(int argc, char** argv) {
   bench::Table table({"threads", "median wall (ms)", "min-max (ms)",
                       "pair speedup", "CPU (ms)", "parallelism",
                       "p50/p95/p99 (ms)", "cache hits", "cache misses",
-                      "plans identical"});
+                      "blocked acquires", "plans identical"});
   int diverged_runs = 0;
   for (const auto& [threads, level] : runs) {  // ascending thread counts
     std::vector<double> wall, cpu, parallelism, speedup, hits, misses,
-        request_ms;
+        blocked, request_ms;
     for (size_t r = 0; r < level.size(); ++r) {
       wall.push_back(level[r].wall_ms);
       cpu.push_back(level[r].cpu_ms);
@@ -195,6 +201,7 @@ int main(int argc, char** argv) {
       speedup.push_back(runs.at(1)[r].wall_ms / level[r].wall_ms);
       hits.push_back(static_cast<double>(level[r].cache.hits));
       misses.push_back(static_cast<double>(level[r].cache.misses));
+      blocked.push_back(static_cast<double>(level[r].blocked));
       request_ms.insert(request_ms.end(), level[r].request_ms.begin(),
                         level[r].request_ms.end());
     }
@@ -213,6 +220,7 @@ int main(int argc, char** argv) {
                             latency.p99),
                   bench::Int(static_cast<int64_t>(Median(hits))),
                   bench::Int(static_cast<int64_t>(Median(misses))),
+                  bench::Int(static_cast<int64_t>(Median(blocked))),
                   diverged[threads] == 0 ? "yes" : "NO"});
     if (!json_levels.empty()) json_levels += ", ";
     json_levels += StrPrintf(
@@ -220,7 +228,7 @@ int main(int argc, char** argv) {
         "\"max_wall_ms\": %s, \"median_pair_speedup\": %s, "
         "\"median_cpu_ms\": %s, \"median_parallelism\": %s, %s, "
         "\"median_cache_hits\": %lld, \"median_cache_misses\": %lld, "
-        "\"plans_identical\": %s}",
+        "\"median_blocked_acquires\": %lld, \"plans_identical\": %s}",
         threads, JsonNumber(Median(wall)).c_str(),
         JsonNumber(min_wall).c_str(), JsonNumber(max_wall).c_str(),
         JsonNumber(median_speedup).c_str(), JsonNumber(Median(cpu)).c_str(),
@@ -228,6 +236,7 @@ int main(int argc, char** argv) {
         bench::LatencyJsonFields(latency, "ms").c_str(),
         static_cast<long long>(Median(hits)),
         static_cast<long long>(Median(misses)),
+        static_cast<long long>(Median(blocked)),
         diverged[threads] == 0 ? "true" : "false");
   }
   table.Print();

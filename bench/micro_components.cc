@@ -10,9 +10,11 @@
 
 #include "catalog/tpch.h"
 #include "common/rng.h"
+#include "core/grid_sweep.h"
 #include "core/plan_cache.h"
 #include "core/raqo_cost_evaluator.h"
 #include "core/resource_planner.h"
+#include "cost/model_bounds.h"
 #include "optimizer/fixed_resource_evaluator.h"
 #include "optimizer/selinger.h"
 #include "sim/exec_model.h"
@@ -265,6 +267,111 @@ void BM_SelingerTpchAll(benchmark::State& state) {
 }
 BENCHMARK(BM_SelingerTpchAll);
 
+// The switch-aware search's cost by layer on the paper-default 10x100
+// grid, for a simulator-trained SMJ model at fixed data sizes: the
+// term-array objective the evaluator sweeps with, the per-cell price
+// (PredictSeconds, pricing, weighting) it replaced, one row's block
+// bounds, and one fill of the term arrays (once per search). Counters
+// "per_cell", "per_probe" and "per_fill" give the time per unit of work.
+struct GridFixture {
+  resource::ClusterConditions grid =
+      resource::ClusterConditions::PaperDefault();
+  core::GridGeometry g{grid};
+  resource::PricingModel pricing;
+  const cost::OperatorCostModel& model = Models().smj;
+  double ss = 3.0;
+  double ls = 77.0;
+  double time_weight = 0.7;
+  cost::SeparableGridSeconds seconds;
+
+  GridFixture() { seconds.Fill(model, ss, ls, grid); }
+  int64_t cells() const { return g.cs_points * g.nc_points; }
+};
+
+/// Reports the time per unit of work (`units` per iteration) as counter
+/// `name`, in seconds with an SI prefix.
+void PerUnit(benchmark::State& state, const char* name, int64_t units) {
+  state.counters[name] = benchmark::Counter(
+      static_cast<double>(units),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// Each row in runs of kSweepBlockCells cells, as the sweep prices an
+// unpruned block.
+void BM_GridCellTermArrays(benchmark::State& state) {
+  GridFixture f;
+  const core::SeparableObjective objective(f.seconds, f.pricing,
+                                           f.time_weight, true);
+  double costs[core::kSweepBlockCells];
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int64_t i = 0; i < f.g.cs_points; ++i) {
+      for (int64_t j0 = 0; j0 < f.g.nc_points; j0 += core::kSweepBlockCells) {
+        const int64_t j1 = std::min(j0 + core::kSweepBlockCells, f.g.nc_points);
+        objective.Cells(i, j0, j1, costs);
+        for (int64_t j = j0; j < j1; ++j) sum += costs[j - j0];
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  PerUnit(state, "per_cell", f.cells());
+}
+BENCHMARK(BM_GridCellTermArrays);
+
+void BM_GridCellPriced(benchmark::State& state) {
+  GridFixture f;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int64_t i = 0; i < f.g.cs_points; ++i) {
+      for (int64_t j = 0; j < f.g.nc_points; ++j) {
+        const resource::ResourceConfig config = f.g.CellAt(i, j);
+        cost::JoinFeatures features;
+        features.smaller_gb = f.ss;
+        features.larger_gb = f.ls;
+        features.container_size_gb = config.container_size_gb();
+        features.num_containers = config.num_containers();
+        const double seconds = f.model.PredictSeconds(features);
+        sum += cost::CostVector{seconds, f.pricing.Cost(config, seconds)}
+                   .Weighted(f.time_weight);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  PerUnit(state, "per_cell", f.cells());
+}
+BENCHMARK(BM_GridCellPriced);
+
+// One row's block bounds, all at once as the sweep asks for them.
+void BM_GridBlockBounds(benchmark::State& state) {
+  GridFixture f;
+  const core::SeparableObjective objective(f.seconds, f.pricing,
+                                           f.time_weight, true);
+  std::vector<double> bounds(
+      static_cast<size_t>(f.seconds.NumBlocks(core::kSweepBlockCells)));
+  int64_t i = 0;
+  for (auto _ : state) {
+    objective.BlockBounds(i, core::kSweepBlockCells, bounds.data());
+    benchmark::DoNotOptimize(bounds.data());
+    i = i + 1 < f.g.cs_points ? i + 1 : 0;
+  }
+  PerUnit(state, "per_probe", static_cast<int64_t>(bounds.size()));
+}
+BENCHMARK(BM_GridBlockBounds);
+
+// New data sizes each time, so every fill expands its columns.
+void BM_GridTermArrayFill(benchmark::State& state) {
+  GridFixture f;
+  double ss = f.ss;
+  for (auto _ : state) {
+    ss = ss < 8.0 ? ss + 0.125 : 0.5;
+    f.seconds.Fill(f.model, ss, f.ls, f.grid);
+    benchmark::ClobberMemory();
+  }
+  PerUnit(state, "per_fill", 1);
+}
+BENCHMARK(BM_GridTermArrayFill);
+
 void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
   core::RaqoCostEvaluator eval(Models(),
                                resource::ClusterConditions::PaperDefault());
@@ -277,6 +384,9 @@ void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
     ctx.left_bytes = catalog::GbToBytes(ss);
     benchmark::DoNotOptimize(eval.CostJoin(ctx));
   }
+  state.counters["cells/search"] = benchmark::Counter(
+      static_cast<double>(eval.resource_configs_explored()),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RaqoEvaluatorCostJoin);
 

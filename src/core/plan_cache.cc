@@ -165,13 +165,35 @@ ResourcePlanCache::Stripe& ResourcePlanCache::StripeFor(double smaller_gb,
   return stripes_[(PairHash(smaller_gb, larger_gb) >> 32) % stripes_.size()];
 }
 
+namespace {
+
+/// Tells the core this thread is spinning, where the platform has a hint
+/// for it.
+void SpinPause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// try_lock retries before a contended stripe acquire blocks. A stripe
+/// is held for one table probe or insert, far shorter than a sleep and
+/// wake-up through the kernel.
+constexpr int kStripeSpins = 64;
+
+}  // namespace
+
 std::unique_lock<std::mutex> ResourcePlanCache::LockStripe(
     const Stripe& stripe) {
   std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
+  for (int spin = 0; spin < kStripeSpins && !lock.owns_lock(); ++spin) {
+    SpinPause();
+    lock.try_lock();
+  }
   if (!lock.owns_lock()) {
-    // Contended: another planner thread holds this stripe. Only now is
-    // the clock read, so the uncontended path stays wait-free of timing
-    // overhead.
+    // Still held after spinning: block. Only now is the clock read, so
+    // the uncontended path stays free of timing overhead.
     Stopwatch waited;
     lock.lock();
     stripe.contended_acquires.fetch_add(1, std::memory_order_relaxed);
@@ -186,29 +208,30 @@ std::optional<CachedResourcePlan> ResourcePlanCache::Lookup(
     const std::string& model_name, double key_gb,
     std::optional<double> larger_gb) {
   const bool metrics_on = obs::MetricsOn();
-  const bool tracing_on = obs::TracingOn();
-  if (!metrics_on && !tracing_on) {
-    return LookupImpl(model_name, key_gb, larger_gb);
-  }
-
-  Stopwatch timer;
-  obs::Span span = obs::DefaultTracer().StartSpan("cache.lookup");
-  std::optional<CachedResourcePlan> result =
-      LookupImpl(model_name, key_gb, larger_gb);
-  if (span.recording()) {
-    span.SetAttr("model", model_name);
-    span.SetAttr("key_gb", key_gb);
-    span.SetAttr("hit", static_cast<int64_t>(result.has_value()));
+  std::optional<CachedResourcePlan> result;
+  if (!obs::TracingOn()) {
+    result = LookupImpl(model_name, key_gb, larger_gb);
+  } else {
+    Stopwatch timer;
+    obs::Span span = obs::DefaultTracer().StartSpan("cache.lookup");
+    result = LookupImpl(model_name, key_gb, larger_gb);
+    if (span.recording()) {
+      span.SetAttr("model", model_name);
+      span.SetAttr("key_gb", key_gb);
+      span.SetAttr("hit", static_cast<int64_t>(result.has_value()));
+    }
+    if (metrics_on) {
+      static obs::Histogram* latency =
+          obs::DefaultMetrics().GetHistogram("cache.lookup.wall_us");
+      latency->Record(timer.ElapsedMicros());
+    }
   }
   if (metrics_on) {
     static obs::Counter* hit_count =
         obs::DefaultMetrics().GetCounter("cache.lookup.hit");
     static obs::Counter* miss_count =
         obs::DefaultMetrics().GetCounter("cache.lookup.miss");
-    static obs::Histogram* latency =
-        obs::DefaultMetrics().GetHistogram("cache.lookup.wall_us");
     (result.has_value() ? hit_count : miss_count)->Add(1);
-    latency->Record(timer.ElapsedMicros());
   }
   return result;
 }
@@ -316,9 +339,7 @@ std::vector<CachedResourcePlan> ResourcePlanCache::FindNeighbors(
 
 void ResourcePlanCache::Insert(const std::string& model_name,
                                const CachedResourcePlan& plan) {
-  const bool metrics_on = obs::MetricsOn();
-  const bool tracing_on = obs::TracingOn();
-  if (!metrics_on && !tracing_on) {
+  if (!obs::TracingOn()) {
     InsertImpl(model_name, plan);
   } else {
     Stopwatch timer;
@@ -329,7 +350,7 @@ void ResourcePlanCache::Insert(const std::string& model_name,
       span.SetAttr("key_gb", plan.key_gb);
       span.SetAttr("larger_gb", plan.larger_gb);
     }
-    if (metrics_on) {
+    if (obs::MetricsOn()) {
       static obs::Histogram* latency =
           obs::DefaultMetrics().GetHistogram("cache.insert.wall_us");
       latency->Record(timer.ElapsedMicros());

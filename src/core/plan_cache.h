@@ -96,9 +96,10 @@ enum class CacheIndexKind {
 /// Per-stripe activity counters of a ResourcePlanCache (a point-in-time
 /// snapshot when read off a live cache). `lookups` counts each Lookup
 /// once, in the stripe of its key, so the stripes sum to
-/// CacheStats::lookups(). `lock_wait_ns` accumulates only time spent
-/// blocked behind another thread: uncontended acquisitions go through a
-/// try_lock fast path that never reads the clock.
+/// CacheStats::lookups(). `contended_acquires` counts the acquisitions
+/// that still found the stripe held after a short spin and blocked, and
+/// `lock_wait_ns` the time they spent blocked: uncontended and spun
+/// acquisitions go through try_lock and never read the clock.
 struct ShardStats {
   size_t entries = 0;
   int64_t lookups = 0;
@@ -195,10 +196,11 @@ class ResourcePlanCache {
   /// 0. The similarity modes ignore the guard — they approximate by
   /// design.
   ///
-  /// When the observability layer is on, each call records a
-  /// `cache.lookup` span plus hit/miss counters and a latency histogram
-  /// under the same prefix (obs/metrics.h); with both metrics and
-  /// tracing off the instrumentation is a pair of relaxed loads.
+  /// With metrics on, each call bumps the `cache.lookup.hit` or `.miss`
+  /// counter. Only with tracing on does it also read the clock, record a
+  /// `cache.lookup` span and the `cache.lookup.wall_us` histogram
+  /// (obs/metrics.h); with both off the instrumentation is a pair of
+  /// relaxed loads.
   std::optional<CachedResourcePlan> Lookup(
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb = std::nullopt);
@@ -208,9 +210,9 @@ class ResourcePlanCache {
   /// that starts after Insert returns. Exact mode keeps one entry per
   /// (key_gb, larger_gb) pair; the similarity modes one per key_gb.
   ///
-  /// Instrumented like Lookup: a `cache.insert` span and a
-  /// `cache.insert.wall_us` histogram, or a pair of relaxed loads when
-  /// metrics and tracing are both off.
+  /// Under tracing, records a `cache.insert` span and the
+  /// `cache.insert.wall_us` histogram (the histogram also needs metrics
+  /// on); otherwise the instrumentation is one relaxed load.
   void Insert(const std::string& model_name, const CachedResourcePlan& plan);
 
   /// Drops every entry (the paper clears the cache between queries unless
@@ -292,9 +294,10 @@ class ResourcePlanCache {
   /// The stripe owning the (smaller, larger) pair.
   Stripe& StripeFor(double smaller_gb, double larger_gb);
 
-  /// Acquires `stripe.mu`, charging blocked time to the stripe's wait
-  /// counters. try_lock first so the common uncontended path costs no
-  /// clock read.
+  /// Acquires `stripe.mu`: try_lock, then a short spin of try_lock
+  /// retries with a pause hint, and only then a blocking lock, whose
+  /// wait is charged to the stripe's counters. The uncontended path
+  /// costs no clock read.
   static std::unique_lock<std::mutex> LockStripe(const Stripe& stripe);
 
   CacheLookupMode mode_;

@@ -24,6 +24,79 @@ std::vector<double> ExpandFeatures(const JoinFeatures& f, FeatureSet set) {
   return std::vector<double>(buffer, buffer + n);
 }
 
+namespace {
+
+// Each feature set's expressions, grouped by the resource axis they read
+// (FeatureAxisOf). A group writes its features in index order into `t`
+// and returns how many it wrote; `v` is the group's axis value (unused by
+// data groups). ExpandFeaturesInto and ExpandAxisFeatures both evaluate
+// these, so every expression is written once and the two agree bit for
+// bit. kPaper's cs*nc reads both axes and belongs to no group.
+
+size_t PaperData(double ss, double /*ls*/, double /*v*/, double* t) {
+  t[0] = ss;
+  t[1] = ss * ss;
+  return 2;
+}
+size_t PaperSize(double /*ss*/, double /*ls*/, double cs, double* t) {
+  t[0] = cs;
+  t[1] = cs * cs;
+  return 2;
+}
+size_t PaperCount(double /*ss*/, double /*ls*/, double nc, double* t) {
+  t[0] = nc;
+  t[1] = nc * nc;
+  return 2;
+}
+
+size_t ExtendedData(double ss, double ls, double /*v*/, double* t) {
+  t[0] = ss;
+  t[1] = ls;
+  return 2;
+}
+size_t ExtendedCount(double ss, double ls, double nc, double* t) {
+  const double safe_nc = std::max(nc, 1e-9);
+  t[0] = ss / safe_nc;
+  t[1] = ls / safe_nc;
+  t[2] = ss * nc;
+  t[3] = nc;
+  return 4;
+}
+size_t ExtendedSize(double ss, double ls, double cs, double* t) {
+  const double safe_cs = std::max(cs, 1e-9);
+  t[0] = cs;
+  t[1] = ss / safe_cs;
+  t[2] = ls / safe_cs;
+  t[3] = 1.0 / safe_cs;
+  return 4;
+}
+
+size_t PeakedData(double ss, double /*ls*/, double /*v*/, double* t) {
+  t[0] = ss;
+  return 1;
+}
+size_t PeakedSize(double /*ss*/, double /*ls*/, double cs, double* t) {
+  t[0] = cs * (14.0 - cs);  // peaks at cs = 7, inside the paper grid
+  return 1;
+}
+size_t PeakedCount(double /*ss*/, double /*ls*/, double nc, double* t) {
+  t[0] = nc;
+  return 1;
+}
+
+/// One group at each of `n` axis values, transposed into out[r * n + k].
+template <size_t (*Group)(double, double, double, double*)>
+void ExpandEach(double ss, double ls, const double* values, size_t n,
+                double* out) {
+  double t[kMaxFeatures];
+  for (size_t k = 0; k < n; ++k) {
+    const size_t m = Group(ss, ls, values != nullptr ? values[k] : 0.0, t);
+    for (size_t r = 0; r < m; ++r) out[r * n + k] = t[r];
+  }
+}
+
+}  // namespace
+
 size_t ExpandFeaturesInto(const JoinFeatures& f, FeatureSet set,
                           double* out) {
   const double ss = f.smaller_gb;
@@ -31,34 +104,45 @@ size_t ExpandFeaturesInto(const JoinFeatures& f, FeatureSet set,
   const double cs = f.container_size_gb;
   const double nc = f.num_containers;
   if (set == FeatureSet::kPaper) {
-    out[0] = ss;
-    out[1] = ss * ss;
-    out[2] = cs;
-    out[3] = cs * cs;
-    out[4] = nc;
-    out[5] = nc * nc;
+    PaperData(ss, ls, 0.0, out);
+    PaperSize(ss, ls, cs, out + 2);
+    PaperCount(ss, ls, nc, out + 4);
     out[6] = cs * nc;
     return kNumPaperFeatures;
   }
   if (set == FeatureSet::kPeakedProbe) {
-    out[0] = ss;
-    out[1] = cs * (14.0 - cs);  // peaks at cs = 7, inside the paper grid
-    out[2] = nc;
+    PeakedData(ss, ls, 0.0, out);
+    PeakedSize(ss, ls, cs, out + 1);
+    PeakedCount(ss, ls, nc, out + 2);
     return kNumPeakedProbeFeatures;
   }
-  const double safe_nc = std::max(nc, 1e-9);
-  const double safe_cs = std::max(cs, 1e-9);
-  out[0] = ss;
-  out[1] = ls;
-  out[2] = ss / safe_nc;
-  out[3] = ls / safe_nc;
-  out[4] = ss * nc;
-  out[5] = nc;
-  out[6] = cs;
-  out[7] = ss / safe_cs;
-  out[8] = ls / safe_cs;
-  out[9] = 1.0 / safe_cs;
+  ExtendedData(ss, ls, 0.0, out);
+  ExtendedCount(ss, ls, nc, out + 2);
+  ExtendedSize(ss, ls, cs, out + 6);
   return kNumExtendedFeatures;
+}
+
+void ExpandAxisFeatures(FeatureSet set, FeatureAxis axis, double ss,
+                        double ls, const double* values, size_t n,
+                        double* out) {
+  RAQO_CHECK(axis != FeatureAxis::kBoth)
+      << "features reading both resource axes have no per-axis expansion";
+  if (axis == FeatureAxis::kData) {
+    RAQO_CHECK(n == 1) << "data features take one value";
+    values = nullptr;
+  }
+  // Rows follow FeatureSet, columns FeatureAxis (kData, kContainerSize,
+  // kNumContainers).
+  using Expand = void (*)(double, double, const double*, size_t, double*);
+  static constexpr Expand kGroups[3][3] = {
+      {ExpandEach<PaperData>, ExpandEach<PaperSize>, ExpandEach<PaperCount>},
+      {ExpandEach<ExtendedData>, ExpandEach<ExtendedSize>,
+       ExpandEach<ExtendedCount>},
+      {ExpandEach<PeakedData>, ExpandEach<PeakedSize>,
+       ExpandEach<PeakedCount>},
+  };
+  kGroups[static_cast<size_t>(set)][static_cast<size_t>(axis)](ss, ls, values,
+                                                               n, out);
 }
 
 const std::vector<std::string>& FeatureNames(FeatureSet set) {
@@ -127,6 +211,22 @@ const std::vector<FeatureResourceTrend>& FeatureResourceTrends(
       return *peaked;
   }
   return *paper;
+}
+
+FeatureAxis FeatureAxisOf(const FeatureResourceTrend& trend) {
+  const bool by_size = trend.container_size != FeatureTrend::kConstant;
+  const bool by_count = trend.num_containers != FeatureTrend::kConstant;
+  if (by_size && by_count) return FeatureAxis::kBoth;
+  if (by_size) return FeatureAxis::kContainerSize;
+  if (by_count) return FeatureAxis::kNumContainers;
+  return FeatureAxis::kData;
+}
+
+bool FeatureSetSeparable(FeatureSet set) {
+  for (const FeatureResourceTrend& trend : FeatureResourceTrends(set)) {
+    if (FeatureAxisOf(trend) == FeatureAxis::kBoth) return false;
+  }
+  return true;
 }
 
 bool FeatureSetResourceMonotone(FeatureSet set) {

@@ -98,6 +98,36 @@ const std::vector<FeatureResourceTrend>& FeatureResourceTrends(
 /// extremes over a box at the box corners.
 bool FeatureSetResourceMonotone(FeatureSet set);
 
+/// The resource inputs one expanded feature reads, read off its
+/// FeatureResourceTrend: none (a data term), the container size alone,
+/// the container count alone, or both. The first three values index
+/// per-axis tables, so their order is fixed.
+enum class FeatureAxis : uint8_t {
+  kData,
+  kContainerSize,
+  kNumContainers,
+  kBoth,
+};
+FeatureAxis FeatureAxisOf(const FeatureResourceTrend& trend);
+
+/// True when no feature of `set` reads both resource dimensions. Over a
+/// resource grid every term is then a data, per-row (container size) or
+/// per-column (container count) term, so a prediction can be assembled
+/// from per-axis arrays (cost::SeparableGridSeconds). kExtended and
+/// kPeakedProbe are separable; kPaper, with its cs*nc term, is not.
+bool FeatureSetSeparable(FeatureSet set);
+
+/// Expands the features of `set` whose FeatureAxisOf is `axis`, for data
+/// sizes `ss` and `ls`, at each of the `n` values of that axis in
+/// `values` (for kData, `values` is ignored and `n` must be 1). The r-th
+/// such feature in index order, at values[k], is written to
+/// out[r * n + k]. ExpandFeaturesInto evaluates the same expressions, so
+/// each value equals the one it writes for that feature. `axis` must not
+/// be kBoth.
+void ExpandAxisFeatures(FeatureSet set, FeatureAxis axis, double ss,
+                        double ls, const double* values, size_t n,
+                        double* out);
+
 }  // namespace raqo::cost
 
 #endif  // RAQO_COST_FEATURES_H_

@@ -54,6 +54,7 @@ Result<PlannedQuery> SubsetDp::Run(const catalog::Catalog& catalog,
   // resets a lent arena; the local one frees on scope exit.
   adjacency_.assign(static_cast<size_t>(n), 0);
   memo_.assign(static_cast<size_t>(full()) + 1, Entry{});
+  bytes_.assign(static_cast<size_t>(full()) + 1, -1.0);
   for (int i = 0; i < n; ++i) {
     memo_[uint32_t{1} << i].valid = true;  // a scan costs nothing
     for (int j = 0; j < n; ++j) {
@@ -102,8 +103,8 @@ void SubsetDp::CostSplit(uint32_t mask, uint32_t left) {
   const uint32_t right = mask ^ left;
   if (!memo_[left].valid || !memo_[right].valid) return;
   JoinContext context;
-  context.left_bytes = estimator_->Estimate(SetOf(left)).bytes();
-  context.right_bytes = estimator_->Estimate(SetOf(right)).bytes();
+  context.left_bytes = BytesOf(left);
+  context.right_bytes = BytesOf(right);
   for (int impl_idx = 0; impl_idx < plan::kNumJoinImpls; ++impl_idx) {
     context.impl = static_cast<plan::JoinImpl>(impl_idx);
     ++stats_.plans_considered;
@@ -135,6 +136,12 @@ plan::TableSet SubsetDp::SetOf(uint32_t mask) const {
     set.Add((*tables_)[static_cast<size_t>(__builtin_ctz(rest))]);
   }
   return set;
+}
+
+double SubsetDp::BytesOf(uint32_t mask) {
+  double& bytes = bytes_[mask];
+  if (bytes < 0.0) bytes = estimator_->Estimate(SetOf(mask)).bytes();
+  return bytes;
 }
 
 std::unique_ptr<plan::PlanNode> SubsetDp::Rebuild(uint32_t mask) const {

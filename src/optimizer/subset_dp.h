@@ -91,6 +91,9 @@ class SubsetDp {
                 "DP entries must stay trivially destructible (arena scratch)");
 
   plan::TableSet SetOf(uint32_t mask) const;
+  /// The estimated bytes of subset `mask`, estimated at its first use
+  /// and kept for the rest of the run.
+  double BytesOf(uint32_t mask);
   std::unique_ptr<plan::PlanNode> Rebuild(uint32_t mask) const;
 
   const SubsetDpConfig config_;
@@ -101,6 +104,8 @@ class SubsetDp {
   plan::CardinalityEstimator* estimator_ = nullptr;
   ArenaVector<Entry> memo_{ArenaAllocator<Entry>(arena_)};
   ArenaVector<uint32_t> adjacency_{ArenaAllocator<uint32_t>(arena_)};
+  /// Per subset: its estimated bytes, or -1 before its first use.
+  ArenaVector<double> bytes_{ArenaAllocator<double>(arena_)};
   PlanningStats stats_;
   int64_t subproblems_ = 0;
   int64_t pruned_ = 0;

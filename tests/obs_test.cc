@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "catalog/random_schema.h"
+#include "catalog/tpch.h"
 #include "common/stopwatch.h"
 #include "concurrent_handle.h"
 #include "core/plan_cache.h"
+#include "core/raqo_planner.h"
 #include "core/workload_runner.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -580,6 +582,73 @@ TEST(CacheStatsTest, InsertRecordsSpanHistogramAndLayoutEntryBytes) {
   EXPECT_EQ(exact.approx_bytes(), 3 * (kPlanBytes + 8));
   EXPECT_EQ(nearest.approx_bytes(), kPlanBytes);
   EXPECT_EQ(bytes_gauge, static_cast<double>(nearest.approx_bytes()));
+}
+
+TEST(InstrumentedPipelineTest, PerCallClocksRunOnlyUnderTracing) {
+  // With metrics on and tracing off (the default), cache lookups and
+  // inserts and resource searches bump their counters but read no clock:
+  // their wall-time histograms stay still. Tracing brings the histograms
+  // (and the spans) back.
+  catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
+  obs::MetricsRegistry& metrics = obs::DefaultMetrics();
+  obs::Histogram* const timed[] = {
+      metrics.GetHistogram("cache.lookup.wall_us"),
+      metrics.GetHistogram("cache.insert.wall_us"),
+      metrics.GetHistogram("planner.resource.wall_us")};
+  obs::Counter* const counted[] = {
+      metrics.GetCounter("planner.resource.searches"),
+      metrics.GetCounter("cache.lookup.hit"),
+      metrics.GetCounter("cache.lookup.miss")};
+  struct Reading {
+    int64_t timed[3];
+    int64_t counted[3];
+  };
+  auto read = [&] {
+    Reading r;
+    for (int k = 0; k < 3; ++k) {
+      r.timed[k] = timed[k]->Count();
+      r.counted[k] = counted[k]->Value();
+    }
+    return r;
+  };
+  // Two passes over TPC-H Q3 and All on one planner that keeps its exact
+  // cache across queries, so the second pass hits.
+  auto plan = [&] {
+    core::RaqoPlanner planner(&cat, Models(),
+                              resource::ClusterConditions::PaperDefault(),
+                              resource::PricingModel(), CachedExactOptions());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (catalog::TpchQuery q :
+           {catalog::TpchQuery::kQ3, catalog::TpchQuery::kAll}) {
+        ASSERT_TRUE(planner.Plan(*catalog::TpchQueryTables(cat, q)).ok());
+      }
+    }
+  };
+
+  const auto before = SetObservability(true, false);
+  obs::DefaultTracer().Clear();
+  const Reading start = read();
+  plan();
+  const Reading metered = read();
+  SetObservability(true, true);
+  plan();
+  const Reading traced = read();
+  const std::vector<obs::FinishedSpan> spans = obs::DefaultTracer().Snapshot();
+  SetObservability(before.first, before.second);
+  obs::DefaultTracer().Clear();
+
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(metered.timed[k], start.timed[k]) << "histogram " << k;
+    EXPECT_GT(traced.timed[k], metered.timed[k]) << "histogram " << k;
+    EXPECT_GT(metered.counted[k], start.counted[k]) << "counter " << k;
+    EXPECT_GT(traced.counted[k], metered.counted[k]) << "counter " << k;
+  }
+  std::set<std::string> span_names;
+  for (const obs::FinishedSpan& span : spans) span_names.insert(span.name);
+  for (const char* name :
+       {"cache.lookup", "cache.insert", "planner.resource.grid"}) {
+    EXPECT_TRUE(span_names.count(name) > 0) << name;
+  }
 }
 
 server::PlanningService CachedExactService(const catalog::Catalog& cat) {
