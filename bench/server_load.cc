@@ -1,9 +1,11 @@
 // Closed-loop load generator for the RAQO planning server: an
 // in-process server on a loopback port, then ramped concurrency levels
 // (1 -> 64 connections) of clients that each fire requests
-// back-to-back and wait for every answer. Reports throughput and
-// p50/p99 latency per level, plus the shared plan-cache hit rate, and
-// writes the same numbers machine-readably to BENCH_server.json.
+// back-to-back and wait for every answer, for at least 1 s per level.
+// Reports throughput, p50/p99 latency and the answers a reactor gave
+// from the response cache per level, plus the shared plan-cache hit
+// rate, and writes the same numbers machine-readably to
+// BENCH_server.json.
 //
 // Modes:
 //   (default)      quota-free, single anonymous tenant — byte-identical
@@ -17,9 +19,11 @@
 //                  reactor as the baseline and once with --reactors,
 //                  recording both ladders and the peak-throughput
 //                  speedup into BENCH_server.json.
-//   --smoke        short CI gate: 2 tenants, shortened ramp, asserts
-//                  zero protocol errors and a non-zero count of
-//                  per-tenant quota rejections.
+//   --smoke        short CI gate: 2 tenants, shortened ramp and a fixed
+//                  16 requests per connection instead of 1 s levels;
+//                  asserts zero protocol errors, a non-zero count of
+//                  per-tenant quota rejections, and that every ladder
+//                  had answers given on a reactor.
 //   --restart-recovery
 //                  durability scenario instead of the ladder: warm a
 //                  server whose cache journals to disk, kill it, restart
@@ -34,6 +38,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -63,6 +68,8 @@ struct LevelResult {
   int64_t quota_rejected = 0;
   /// OK responses the service answered from its response cache.
   int64_t response_cache_hits = 0;
+  /// Of those, the ones a reactor gave without a hand-off to a worker.
+  int64_t reactor_answers = 0;
   double wall_ms = 0.0;
   double throughput_rps = 0.0;
   // End-to-end request latency percentiles (bench::SummarizeLatencies,
@@ -96,11 +103,12 @@ std::string LevelsJson(const std::vector<LevelResult>& levels) {
     json += StrPrintf(
         "{\"connections\": %d, \"requests\": %lld, \"errors\": %lld, "
         "\"quota_rejected\": %lld, \"wall_ms\": %s, \"throughput_rps\": %s, "
-        "\"response_cache_hit_ratio\": %s, %s}",
+        "\"response_cache_hit_ratio\": %s, \"reactor_answers\": %lld, %s}",
         level.connections, (long long)level.requests, (long long)level.errors,
         (long long)level.quota_rejected, JsonNumber(level.wall_ms).c_str(),
         JsonNumber(level.throughput_rps).c_str(),
         JsonNumber(response_cache_hit_ratio).c_str(),
+        (long long)level.reactor_answers,
         bench::LatencyJsonFields(level.latency_us, "us").c_str());
   }
   return json + "]";
@@ -109,7 +117,8 @@ std::string LevelsJson(const std::vector<LevelResult>& levels) {
 void PrintLevels(const std::vector<LevelResult>& levels, int tenants) {
   std::vector<std::string> headers = {"connections", "requests", "errors",
                                       "wall (ms)", "throughput (req/s)",
-                                      "p50 (us)", "p95 (us)", "p99 (us)"};
+                                      "p50 (us)", "p95 (us)", "p99 (us)",
+                                      "reactor answers"};
   if (tenants > 0) headers.insert(headers.begin() + 3, "quota rejected");
   bench::Table table(headers);
   for (const LevelResult& level : levels) {
@@ -119,7 +128,8 @@ void PrintLevels(const std::vector<LevelResult>& levels, int tenants) {
         bench::Num(level.throughput_rps, "%.0f"),
         bench::Num(level.latency_us.p50, "%.0f"),
         bench::Num(level.latency_us.p95, "%.0f"),
-        bench::Num(level.latency_us.p99, "%.0f")};
+        bench::Num(level.latency_us.p99, "%.0f"),
+        bench::Int(level.reactor_answers)};
     if (tenants > 0) {
       row.insert(row.begin() + 3, bench::Int(level.quota_rejected));
     }
@@ -129,11 +139,13 @@ void PrintLevels(const std::vector<LevelResult>& levels, int tenants) {
 }
 
 // One full ladder against a freshly started server: every ramp level
-// opens `connections` closed-loop clients that each fire
-// `requests_per_client` requests back-to-back.
+// opens `connections` closed-loop clients that each fire requests
+// back-to-back, at least `requests_per_client` of them and until the
+// level has run for `min_level_time`.
 LadderResult RunLadder(const server::PlanningService& service, int tenants,
                        int num_reactors, const std::vector<int>& ramp,
                        int requests_per_client,
+                       std::chrono::milliseconds min_level_time,
                        const std::vector<std::vector<std::string>>& mix) {
   server::ServerOptions server_options;
   server_options.port = 0;
@@ -164,8 +176,10 @@ LadderResult RunLadder(const server::PlanningService& service, int tenants,
     std::atomic<int64_t> errors{0};
     std::atomic<int64_t> quota_rejected{0};
     std::atomic<int64_t> response_cache_hits{0};
+    const int64_t reactor_answers_before = server.stats().reactor_answers;
 
     const auto level_start = std::chrono::steady_clock::now();
+    const auto level_end = level_start + min_level_time;
     for (int c = 0; c < connections; ++c) {
       clients.emplace_back([&, c] {
         server::ClientOptions client_options;
@@ -181,7 +195,9 @@ LadderResult RunLadder(const server::PlanningService& service, int tenants,
         }
         std::vector<double> mine;
         mine.reserve(static_cast<size_t>(requests_per_client));
-        for (int i = 0; i < requests_per_client; ++i) {
+        for (int i = 0; i < requests_per_client ||
+                        std::chrono::steady_clock::now() < level_end;
+             ++i) {
           server::PlanRequest request;
           request.id = StrPrintf("c%d.%d", c, i);
           request.tables = mix[static_cast<size_t>(c + i) % mix.size()];
@@ -226,6 +242,8 @@ LadderResult RunLadder(const server::PlanningService& service, int tenants,
     level.errors = errors.load();
     level.quota_rejected = quota_rejected.load();
     level.response_cache_hits = response_cache_hits.load();
+    level.reactor_answers =
+        server.stats().reactor_answers - reactor_answers_before;
     level.wall_ms = wall_ms;
     level.throughput_rps =
         wall_ms > 0.0 ? 1000.0 * static_cast<double>(level.requests) / wall_ms
@@ -544,6 +562,9 @@ int main(int argc, char** argv) {
   }
 
   const int requests_per_client = smoke ? 16 : 24;
+  // Each level of a full run lasts at least a second, so its throughput
+  // and tail latency are not a few milliseconds of scheduling noise.
+  const std::chrono::milliseconds min_level_time(smoke ? 0 : 1000);
   std::vector<int> ramp;
   if (sweep) {
     ramp = smoke ? std::vector<int>{8, 32}
@@ -558,7 +579,8 @@ int main(int argc, char** argv) {
   LadderResult baseline;
   if (sweep) {
     bench::Section("Single-reactor baseline ladder");
-    baseline = RunLadder(service, tenants, 1, ramp, requests_per_client, mix);
+    baseline = RunLadder(service, tenants, 1, ramp, requests_per_client,
+                         min_level_time, mix);
     PrintLevels(baseline.levels, tenants);
   }
 
@@ -567,8 +589,8 @@ int main(int argc, char** argv) {
       "connection%s)",
       requests_per_client,
       tenants > 0 ? StrPrintf(", %d tenants", tenants).c_str() : ""));
-  LadderResult main_run =
-      RunLadder(service, tenants, reactors, ramp, requests_per_client, mix);
+  LadderResult main_run = RunLadder(service, tenants, reactors, ramp,
+                                    requests_per_client, min_level_time, mix);
   std::printf("reactors: %d\n", main_run.num_reactors);
   PrintLevels(main_run.levels, tenants);
 
@@ -666,6 +688,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "smoke: expected quota rejections for tenant t0, saw none\n");
     return 1;
+  }
+  // Tenant t1 has no in-flight cap and repeats four statements, so once
+  // they are stored a reactor answers its requests itself.
+  for (const LadderResult* ladder : {&baseline, &main_run}) {
+    if (!smoke || ladder->levels.empty()) continue;
+    int64_t reactor_answers = 0;
+    for (const LevelResult& level : ladder->levels) {
+      reactor_answers += level.reactor_answers;
+    }
+    if (reactor_answers == 0) {
+      std::fprintf(stderr,
+                   "smoke: no request was answered on a reactor with %d "
+                   "reactor(s)\n",
+                   ladder->num_reactors);
+      return 1;
+    }
   }
   return total_errors == 0 ? 0 : 1;
 }

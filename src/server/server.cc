@@ -520,13 +520,20 @@ void PlanningServer::ExtractFrames(Reactor& r, Connection* conn) {
                                             options_.max_frame_bytes)));
       return;
     }
-    // AdmitOrReject may append rejections to write_buf but never touches
-    // read_buf, so the consumed/rest bookkeeping stays valid.
+    // AdmitOrReject may append rejections and stored answers to
+    // write_buf but never touches read_buf, so the consumed/rest
+    // bookkeeping stays valid.
     AdmitOrReject(r, conn, std::string(payload));
     consumed += frame_size;
     if (r.conns.find(conn_id) == r.conns.end()) return;  // closed
   }
   if (consumed > 0) conn->read_buf.erase(0, consumed);
+}
+
+const TenantQuota& PlanningServer::QuotaOf(const std::string& tenant) const {
+  const auto it = options_.tenant_quotas.find(tenant);
+  return it != options_.tenant_quotas.end() ? it->second
+                                            : options_.default_tenant_quota;
 }
 
 PlanningServer::TenantState* PlanningServer::FindOrCreateTenant(
@@ -536,10 +543,7 @@ PlanningServer::TenantState* PlanningServer::FindOrCreateTenant(
   if (tenants_.size() >= options_.max_tenants) return nullptr;
   TenantState& state = tenants_[tenant];
   state.name = tenant;
-  auto quota = options_.tenant_quotas.find(tenant);
-  state.quota = quota != options_.tenant_quotas.end()
-                    ? quota->second
-                    : options_.default_tenant_quota;
+  state.quota = QuotaOf(tenant);
   if (!tenant.empty()) {
     // Registered once per tenant; the registry keeps the objects alive,
     // so these pointers stay valid for the server's lifetime. Anonymous
@@ -581,13 +585,38 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
   }
   std::string tenant = PeekTopLevelString(payload, "tenant");
 
+  // Parse and look up now, before queue_mu_: neither step holds it. A
+  // cache frame, which can carry hundreds of entries, is parsed by the
+  // worker instead. The reactor answers a stored statement itself
+  // unless the tenant's concurrency is metered (max_inflight), an
+  // earlier request on this connection is still at a worker (answers on
+  // one connection never overtake each other), or the frame asks to
+  // hold a worker (debug_sleep_ms under test hooks). Those, and misses,
+  // go to a worker with the parsed request.
+  PendingRequest pending;
+  std::optional<PlanResponse> stored;
+  const std::string type = PeekTopLevelString(payload, "type");
+  if (type == "cache_dump" || type == "cache_load") {
+    pending.payload = std::move(payload);
+  } else {
+    Result<PlanRequest> request = ParsePlanRequest(payload);
+    if (request.ok() && conn->outstanding == 0 &&
+        QuotaOf(tenant).max_inflight == 0 &&
+        !(options_.enable_test_hooks && request->debug_sleep_ms > 0)) {
+      stored = service_->LookupStored(*request,
+                                      &pending.response_key.emplace());
+    }
+    pending.request = std::move(request);
+  }
+
   const char* reject_status = nullptr;
   std::string reject_message;
   int64_t ServerStats::*reject_stat = nullptr;
   const char* reject_counter = nullptr;
   {
     // The one lock shared across reactors: the admission decision.
-    // Everything else on this path is reactor-local.
+    // Everything else on this path is reactor-local, but for the
+    // response cache's own lock in the lookup above.
     std::lock_guard<std::mutex> lock(queue_mu_);
     TenantState* state = FindOrCreateTenant(tenant);
     if (state == nullptr) {
@@ -622,13 +651,18 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
           options_.max_queue, tenant.c_str());
       reject_stat = &ServerStats::rejected_queue_full;
       reject_counter = "server.rejected.queue_full";
+    } else if (stored.has_value()) {
+      // Admitted and answered at once, so in-flight never rises.
+      state->stats.admitted++;
+      if (obs::MetricsOn() && state->admitted_counter != nullptr) {
+        state->admitted_counter->Add();
+      }
+      ChargeTenant(*state, /*ok=*/true, stored->cost.dollars);
     } else {
-      PendingRequest pending;
       pending.conn_id = conn->id;
       pending.reactor = r.index;
       pending.id = std::move(id);
-      pending.tenant = tenant;
-      pending.payload = std::move(payload);
+      pending.tenant = std::move(tenant);
       pending.admitted_at = std::chrono::steady_clock::now();
       state->queue.push_back(std::move(pending));
       ++total_queued_;
@@ -662,19 +696,37 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
                   std::move(id), reject_stat, reject_counter);
     return;
   }
+  if (stored.has_value()) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.requests_admitted++;
+      stats_.reactor_answers++;
+    }
+    if (obs::MetricsOn()) {
+      static obs::Counter* requests =
+          obs::DefaultMetrics().GetCounter("server.requests");
+      static obs::Counter* ok_responses =
+          obs::DefaultMetrics().GetCounter("server.responses.ok");
+      static obs::Counter* reactor_answers =
+          obs::DefaultMetrics().GetCounter("server.reactor_answers");
+      requests->Add();
+      ok_responses->Add();
+      reactor_answers->Add();
+    }
+    // Buffered behind anything this tick already buffered for the
+    // connection. A stored answer never waited in a queue, so its
+    // queue_wait_us is 0. May close the connection.
+    SendRawResponse(r, conn, SerializePlanResponse(*stored));
+    return;
+  }
   conn->outstanding++;
   r.outstanding++;
   Bump(&ServerStats::requests_admitted);
   queue_cv_.notify_one();
 }
 
-void PlanningServer::SettleTenant(const std::string& tenant, bool ok,
+void PlanningServer::ChargeTenant(TenantState& state, bool ok,
                                   double dollars) {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return;
-  TenantState& state = it->second;
-  state.inflight--;
   if (ok) {
     state.stats.responses_ok++;
     state.dollars_spent += dollars;
@@ -683,6 +735,15 @@ void PlanningServer::SettleTenant(const std::string& tenant, bool ok,
     state.inflight_gauge->Set(static_cast<double>(state.inflight));
     state.dollars_gauge->Set(state.dollars_spent);
   }
+}
+
+void PlanningServer::SettleTenant(const std::string& tenant, bool ok,
+                                  double dollars) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) return;
+  it->second.inflight--;
+  ChargeTenant(it->second, ok, dollars);
 }
 
 void PlanningServer::QueueResponse(Reactor& r, Connection* conn,
@@ -904,7 +965,9 @@ void PlanningServer::WorkerLoop() {
     }
 
     PlanResponse response;
-    Result<PlanRequest> request = ParsePlanRequest(pending.payload);
+    Result<PlanRequest> request = pending.request.has_value()
+                                      ? std::move(*pending.request)
+                                      : ParsePlanRequest(pending.payload);
     if (!request.ok()) {
       Bump(&ServerStats::protocol_errors);
       response = ErrorResponse(kWireInvalidArgument,
@@ -931,7 +994,10 @@ void PlanningServer::WorkerLoop() {
           std::this_thread::sleep_for(
               std::chrono::milliseconds(request->debug_sleep_ms));
         }
-        response = service_->Handle(*request);
+        response = pending.response_key.has_value()
+                       ? service_->PlanAndOffer(
+                             *request, std::move(*pending.response_key))
+                       : service_->Handle(*request);
       }
     }
     response.queue_wait_us = queue_wait_us;

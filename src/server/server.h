@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -31,6 +32,9 @@ namespace raqo::server {
 struct TenantQuota {
   /// Max admitted-but-unanswered requests (queued + executing) the
   /// tenant may hold at once; one more is rejected RESOURCE_EXHAUSTED.
+  /// A tenant with a cap has its concurrency metered, so every one of
+  /// its requests goes through a worker: a reactor never answers it
+  /// from the response cache.
   int64_t max_inflight = 0;
   /// Cumulative dollar budget. Every successful response's
   /// `cost.dollars` is charged against it; once spending reaches the
@@ -49,7 +53,9 @@ struct ServerOptions {
   /// instance and owns the connections pinned to it — read buffers,
   /// frame reassembly, and write buffers are all single-threaded per
   /// connection, so the hot read/decode/admit path takes no lock beyond
-  /// the shared admission mutex. With more than one reactor each binds
+  /// the shared admission mutex and the response cache's. A reactor also
+  /// answers stored statements itself, so with one reactor that work is
+  /// on one thread. With more than one reactor each binds
   /// its own SO_REUSEPORT listener and the kernel spreads incoming
   /// connections across them; when the kernel refuses SO_REUSEPORT,
   /// Start() logs it and runs one reactor. 0 = min(4, hardware threads).
@@ -110,6 +116,9 @@ struct ServerStats {
   int64_t connections_accepted = 0;
   int64_t connections_rejected = 0;
   int64_t requests_admitted = 0;
+  /// Admitted requests a reactor answered from the response cache,
+  /// without a hand-off to a worker (also in requests_admitted).
+  int64_t reactor_answers = 0;
   /// Responses actually buffered for delivery on a live connection.
   int64_t responses_sent = 0;
   /// Completed responses that never reached the client: the connection
@@ -162,6 +171,10 @@ struct ReactorStats {
 ///    read/decode/enqueue path is single-threaded and lock-free; worker
 ///    completions are routed back to the owning reactor and writes are
 ///    batched per event-loop tick,
+///  - stored answers on the reactor: a reactor parses each plan frame
+///    and looks it up in the service's response cache before admission;
+///    a stored statement is admitted, charged and answered in one
+///    critical section and the same tick, with no worker involved,
 ///  - admission control: bounded per-tenant queues; overflow answers
 ///    RESOURCE_EXHAUSTED immediately instead of buffering,
 ///  - multi-tenant quotas: per-tenant in-flight caps and cumulative
@@ -247,17 +260,26 @@ class PlanningServer {
     bool flush_pending = false;   ///< queued in the reactor's tick flush
   };
 
-  /// One admitted request waiting for (or held by) a worker. The
-  /// deadline is evaluated by the worker that picks it up — the wire
-  /// deadline_ms bounds the admission-to-pickup wait, so the request
-  /// itself need not be parsed on the reactor thread (id and tenant come
-  /// from the cheap pre-parse peek).
+  /// One admitted request waiting for (or held by) a worker: a
+  /// response-cache miss, or a request a reactor may not answer (see
+  /// AdmitOrReject). The reactor already parsed it, so no frame is
+  /// parsed twice; only cache_dump and cache_load frames, which can
+  /// carry hundreds of entries, travel unparsed. The deadline is
+  /// evaluated by the worker that picks it up — the wire deadline_ms
+  /// bounds the admission-to-pickup wait.
   struct PendingRequest {
     uint64_t conn_id = 0;
     int reactor = 0;     ///< reactor the completion must route back to
     std::string id;      ///< peeked wire id (echoed in rejections)
     std::string tenant;  ///< peeked tenant key the request is billed to
+    /// The parsed frame, or why it did not parse; unset for a cache
+    /// frame, which `payload` then holds.
+    std::optional<Result<PlanRequest>> request;
     std::string payload;
+    /// Set when the reactor looked the request up and missed: the key
+    /// the worker's answer is offered under ("" = not stored). Unset,
+    /// the worker looks the request up itself.
+    std::optional<std::string> response_key;
     std::chrono::steady_clock::time_point admitted_at;
   };
 
@@ -297,11 +319,17 @@ class PlanningServer {
   void ReactorLoop(Reactor& r);
   void WorkerLoop();
 
+  /// The quota `tenant` is admitted under. Immutable after construction,
+  /// so reactors read it without queue_mu_.
+  const TenantQuota& QuotaOf(const std::string& tenant) const;
   /// Looks up (or creates) the tenant's admission state. Caller holds
   /// queue_mu_. Returns nullptr when the tenant table is full.
   TenantState* FindOrCreateTenant(const std::string& tenant);
-  /// Charges a finished request back to its tenant: in-flight drops, a
-  /// successful response's dollars accrue against the budget.
+  /// Charges an answered request to its tenant: a successful response's
+  /// dollars accrue against the budget. Caller holds queue_mu_.
+  void ChargeTenant(TenantState& state, bool ok, double dollars);
+  /// Settles a request a worker finished: in-flight drops, and the
+  /// answer is charged.
   void SettleTenant(const std::string& tenant, bool ok, double dollars);
 
   // Reactor-thread helpers (all touch only reactor-owned state plus the

@@ -22,6 +22,29 @@ PlanResponse FromStatus(const Status& status, const std::string& id) {
   return ErrorResponse(WireStatusName(status.code()), status.message(), id);
 }
 
+/// Why `request` is not a plan request the service can answer, before
+/// any parsing or planning; OK when it is one.
+Status CheckPlanRequest(const PlanRequest& request) {
+  if (!request.type.empty() && request.type != "plan") {
+    return Status::InvalidArgument("unknown request type '" + request.type +
+                                   "' (plan | cache_dump | cache_load)");
+  }
+  if (request.sql.empty() == request.tables.empty()) {
+    return Status::InvalidArgument(
+        "request must carry exactly one of \"sql\" or \"tables\"");
+  }
+  if (request.has_resources && request.has_max_dollars) {
+    return Status::InvalidArgument(
+        "\"resources\" and \"max_dollars\" are mutually exclusive");
+  }
+  if (request.sql.size() > kMaxSqlBytes) {
+    return Status::InvalidArgument(
+        StrPrintf("sql of %zu bytes exceeds the %zu-byte limit",
+                  request.sql.size(), kMaxSqlBytes));
+  }
+  return Status::OK();
+}
+
 Status ApplyKnobs(const PlanRequest& request,
                   core::RaqoPlannerOptions* options) {
   if (request.algorithm == "selinger") {
@@ -242,35 +265,17 @@ PlanningService::PlanningService(const catalog::Catalog* catalog,
 PlanningService::~PlanningService() = default;
 
 PlanResponse PlanningService::Handle(const PlanRequest& request) const {
-  if (request.type == "cache_dump") return HandleCacheDump(request);
-  if (request.type == "cache_load") return HandleCacheLoad(request);
-  if (!request.type.empty() && request.type != "plan") {
-    return ErrorResponse(
-        kWireInvalidArgument,
-        "unknown request type '" + request.type +
-            "' (plan | cache_dump | cache_load)",
-        request.id);
+  std::string key;
+  if (std::optional<PlanResponse> stored = LookupStored(request, &key)) {
+    return *std::move(stored);
   }
-  if (request.sql.empty() == request.tables.empty()) {
-    return ErrorResponse(
-        kWireInvalidArgument,
-        "request must carry exactly one of \"sql\" or \"tables\"",
-        request.id);
-  }
-  if (request.has_resources && request.has_max_dollars) {
-    return ErrorResponse(
-        kWireInvalidArgument,
-        "\"resources\" and \"max_dollars\" are mutually exclusive",
-        request.id);
-  }
-  if (request.sql.size() > kMaxSqlBytes) {
-    return ErrorResponse(
-        kWireInvalidArgument,
-        StrPrintf("sql of %zu bytes exceeds the %zu-byte limit",
-                  request.sql.size(), kMaxSqlBytes),
-        request.id);
-  }
+  return PlanAndOffer(request, std::move(key));
+}
 
+std::optional<PlanResponse> PlanningService::LookupStored(
+    const PlanRequest& request, std::string* key) const {
+  key->clear();
+  if (!CheckPlanRequest(request).ok()) return std::nullopt;
   // The response cache only holds answers that are a pure function of
   // the request: with exact-mode caching the shared cache returns what a
   // fresh search would, and a request without a cache reads none.
@@ -278,19 +283,29 @@ PlanResponse PlanningService::Handle(const PlanRequest& request) const {
   const bool uses_cache =
       request.has_use_cache ? request.use_cache : base.use_cache;
   if (uses_cache && base.cache_mode != core::CacheLookupMode::kExact) {
-    return Plan(request);
+    return std::nullopt;
   }
   const Stopwatch watch;
-  std::string key = ResponseCacheKey(request);
+  *key = ResponseCacheKey(request);
   PlanResponse response;
-  if (response_cache_->Lookup(key, &response)) {
-    response.id = request.id;
-    response.stats.wall_ms = watch.ElapsedMillis();
-    response.stats.response_cache_hit = true;
-    return response;
+  if (!response_cache_->Lookup(*key, &response)) return std::nullopt;
+  response.id = request.id;
+  response.stats.wall_ms = watch.ElapsedMillis();
+  response.stats.response_cache_hit = true;
+  return response;
+}
+
+PlanResponse PlanningService::PlanAndOffer(const PlanRequest& request,
+                                           std::string key) const {
+  if (request.type == "cache_dump") return HandleCacheDump(request);
+  if (request.type == "cache_load") return HandleCacheLoad(request);
+  if (Status checked = CheckPlanRequest(request); !checked.ok()) {
+    return FromStatus(checked, request.id);
   }
-  response = Plan(request);
-  if (response.ok()) response_cache_->Offer(std::move(key), response);
+  PlanResponse response = Plan(request);
+  if (response.ok() && !key.empty()) {
+    response_cache_->Offer(std::move(key), response);
+  }
   return response;
 }
 

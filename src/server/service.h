@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -66,6 +68,13 @@ struct PlanningServiceOptions {
 /// answer carries the caller's id, its own `stats.wall_ms` and
 /// `stats.response_cache_hit`, and the stored work counters. Every
 /// successful cache_load clears it.
+///
+/// Handle() is two steps, which a caller may also take one at a time:
+/// LookupStored() finds a stored answer, and PlanAndOffer() plans and
+/// offers the answer for storing; both are const and thread-safe as
+/// Handle() is. The server's reactors take the first step themselves,
+/// answer a stored statement on the spot, and hand a miss to a worker
+/// for the second (docs/SERVER.md); every other caller uses Handle().
 class PlanningService {
  public:
   /// `catalog` must outlive the service and must not change while it
@@ -80,6 +89,19 @@ class PlanningService {
   /// Plans one request. Never fails out-of-band: every error is encoded
   /// in the response's status/error fields.
   PlanResponse Handle(const PlanRequest& request) const;
+
+  /// Handle's first step: the stored answer to `request`, or nullopt.
+  /// Sets `*key` to the key PlanAndOffer offers the answer under: ""
+  /// when `request` is not a valid plan request or its answer is not a
+  /// pure function of it, in which case nothing is looked up.
+  std::optional<PlanResponse> LookupStored(const PlanRequest& request,
+                                           std::string* key) const;
+
+  /// Handle's second step: answers `request` without reading the
+  /// response cache, and offers an OK answer under `key` unless it is
+  /// empty. Pass the key LookupStored set for the same request.
+  PlanResponse PlanAndOffer(const PlanRequest& request,
+                            std::string key) const;
 
   /// Cumulative hit/miss counters of the shared cache.
   core::CacheStats shared_cache_stats() const;
