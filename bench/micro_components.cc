@@ -390,6 +390,22 @@ void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_RaqoEvaluatorCostJoin);
 
+// The planning service builds an evaluator per request, so whatever an
+// evaluator does once is paid per request: each iteration builds a
+// fresh one and costs one SMJ join on the paper grid (no warm start).
+void BM_RaqoEvaluatorFirstSearch(benchmark::State& state) {
+  optimizer::JoinContext ctx;
+  ctx.impl = plan::JoinImpl::kSortMergeJoin;
+  ctx.left_bytes = catalog::GbToBytes(3);
+  ctx.right_bytes = catalog::GbToBytes(77);
+  for (auto _ : state) {
+    core::RaqoCostEvaluator eval(Models(),
+                                 resource::ClusterConditions::PaperDefault());
+    benchmark::DoNotOptimize(eval.CostJoin(ctx));
+  }
+}
+BENCHMARK(BM_RaqoEvaluatorFirstSearch);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,54 +1,41 @@
 // Command-line client for the RAQO planning server:
 //
 //   raqo_client --port 7470 --sql "select * from orders, lineitem, customer"
-//   raqo_client --port 7470 --sql "select * from orders, lineitem" \
-//       --max-dollars 0.40
+//   raqo_client --max-dollars 0.40 --sql "select * from orders, lineitem"
 //
 // Prints the chosen plan, the per-join resource configuration, and the
 // predicted cost/latency the server answered with.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "flags.h"
 #include "server/client.h"
-
-namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace raqo;
+  using examples::FlagValue;
 
   std::string host = "127.0.0.1";
-  uint16_t port = 7470;
   if (const char* v = FlagValue(argc, argv, "--host")) host = v;
-  if (const char* v = FlagValue(argc, argv, "--port")) {
-    port = static_cast<uint16_t>(std::atoi(v));
-  }
+  const uint16_t port = static_cast<uint16_t>(
+      examples::IntFlag(argc, argv, "--port", 0, 65535, 7470));
 
   server::PlanRequest request;
   request.id = "raqo_client";
   request.sql = "select * from orders, lineitem, customer";
   if (const char* v = FlagValue(argc, argv, "--sql")) request.sql = v;
-  if (const char* v = FlagValue(argc, argv, "--max-dollars")) {
+  if (FlagValue(argc, argv, "--max-dollars") != nullptr) {
     request.has_max_dollars = true;
-    request.max_dollars = std::atof(v);
+    request.max_dollars = examples::NumberFlag(argc, argv, "--max-dollars",
+                                               /*positive=*/false, 0.0);
   }
   if (const char* v = FlagValue(argc, argv, "--algorithm")) {
     request.algorithm = v;
   }
   if (const char* v = FlagValue(argc, argv, "--search")) request.search = v;
-  if (const char* v = FlagValue(argc, argv, "--deadline-ms")) {
-    request.deadline_ms = std::atoll(v);
-  }
+  request.deadline_ms = examples::IntFlag(argc, argv, "--deadline-ms", 0,
+                                          INT64_MAX, request.deadline_ms);
 
   Result<server::PlanningClient> client =
       server::PlanningClient::Connect(host, port);

@@ -7,52 +7,38 @@
 //
 // Try it with raqo_client or bench/server_load.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "catalog/tpch.h"
+#include "flags.h"
 #include "server/server.h"
 #include "sim/profile_runner.h"
 
-namespace {
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace raqo;
+  using examples::FlagValue;
+  using examples::IntFlag;
 
-  double scale = 100.0;
+  const double scale =
+      examples::NumberFlag(argc, argv, "--scale", /*positive=*/true, 100.0);
   server::ServerOptions server_options;
-  server_options.port = 7470;
-  if (const char* v = FlagValue(argc, argv, "--port")) {
-    server_options.port = static_cast<uint16_t>(std::atoi(v));
-  }
-  if (const char* v = FlagValue(argc, argv, "--workers")) {
-    server_options.num_workers = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--reactors")) {
-    server_options.num_reactors = std::atoi(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--max-queue")) {
-    server_options.max_queue = static_cast<size_t>(std::atoll(v));
-  }
-  if (const char* v = FlagValue(argc, argv, "--deadline-ms")) {
-    server_options.default_deadline_ms = std::atoll(v);
-  }
+  server_options.port =
+      static_cast<uint16_t>(IntFlag(argc, argv, "--port", 0, 65535, 7470));
+  server_options.num_workers = static_cast<int>(IntFlag(
+      argc, argv, "--workers", 0, INT_MAX, server_options.num_workers));
+  server_options.num_reactors = static_cast<int>(IntFlag(
+      argc, argv, "--reactors", 0, INT_MAX, server_options.num_reactors));
+  server_options.max_queue = static_cast<size_t>(
+      IntFlag(argc, argv, "--max-queue", 0, INT64_MAX,
+              static_cast<int64_t>(server_options.max_queue)));
+  server_options.default_deadline_ms =
+      IntFlag(argc, argv, "--deadline-ms", 0, INT64_MAX,
+              server_options.default_deadline_ms);
   if (const char* v = FlagValue(argc, argv, "--telemetry-dir")) {
     server_options.telemetry_dir = v;
-  }
-  if (const char* v = FlagValue(argc, argv, "--scale")) {
-    scale = std::atof(v);
   }
 
   catalog::Catalog catalog = catalog::BuildTpchCatalog(scale);

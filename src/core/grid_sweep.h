@@ -29,7 +29,7 @@
 //      sweep is pure verification.
 //   2. *Dominance pruning*: the grid is swept in row-major rank order as
 //      rows, then blocks of `block_cells` cells; each is skipped when a
-//      sound lower bound (from the validated-monotone cost model) shows
+//      sound lower bound (from a declared-monotone cost model) shows
 //      it cannot beat — or cannot earlier-rank-tie — the incumbent.
 //
 // The tie-break is load-bearing: the cost model clamps predictions at a
@@ -253,9 +253,10 @@ class SeparableObjective {
  public:
   /// `seconds` must have been filled over the grid being swept.
   /// `bounded` offers row and block bounds; pass it only for a model
-  /// whose bound oracle validated, a time weight in [0, 1] and a
-  /// non-negative price rate, the envelope in which pricing the low
-  /// corner at the seconds bound under-approximates the objective.
+  /// whose bounds are sound (cost::ResourceBoundsSound), a time weight in
+  /// [0, 1] and a non-negative price rate, the envelope in which pricing
+  /// the low corner at the seconds bound under-approximates the
+  /// objective.
   SeparableObjective(const cost::SeparableGridSeconds& seconds,
                      const resource::PricingModel& pricing,
                      double time_weight, bool bounded)

@@ -46,20 +46,25 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
         options_.cache_mode, options_.cache_threshold_gb,
         options_.cache_index);
   }
-}
-
-void RaqoCostEvaluator::ValidateBoundOracles() {
-  oracles_validated_ = true;
-  const plan::JoinImpl impls[2] = {plan::JoinImpl::kSortMergeJoin,
-                                   plan::JoinImpl::kBroadcastHashJoin};
-  for (int i = 0; i < 2; ++i) {
-    bounded_[i] = cost::ResourceBoundOracle::Create(models_.ForImpl(impls[i]))
-                      .ok();
-    if (!bounded_[i] && obs::MetricsOn()) {
+  if (!switch_aware_) return;
+  // The bounds compose the model-seconds bound with the pricing model
+  // evaluated at the box's low corner, which under-approximates the
+  // weighted objective whenever time_weight lies in [0, 1] and the price
+  // rate is non-negative.
+  const double tw = options_.time_weight;
+  const bool objective_bounded =
+      tw >= 0.0 && tw <= 1.0 && pricing_.dollars_per_gb_hour() >= 0.0;
+  const cost::OperatorCostModel* by_impl[2] = {&models_.smj, &models_.bhj};
+  for (size_t i = 0; i < 2; ++i) {
+    if (!cost::FeatureSetSeparable(by_impl[i]->feature_set())) continue;
+    const bool sound = cost::ResourceBoundsSound(*by_impl[i]);
+    if (!sound && obs::MetricsOn()) {
       static obs::Counter* rejected = obs::DefaultMetrics().GetCounter(
           "planner.resource.monotonicity_rejected");
       rejected->Add(1);
     }
+    model_search_[i] = sound && objective_bounded ? ModelSearch::kBoundedSweep
+                                                  : ModelSearch::kSweep;
   }
 }
 
@@ -120,25 +125,19 @@ Result<ResourcePlanResult> RaqoCostEvaluator::SearchResources(
     size_t model_idx, const cost::OperatorCostModel& model, double ss_gb,
     double ls_gb, const resource::ClusterConditions& grid) {
   const double tw = options_.time_weight;
-  if (!switch_aware_ || !cost::FeatureSetSeparable(model.feature_set())) {
+  if (model_search_[model_idx] == ModelSearch::kPlanner) {
     return planner_->PlanResources(
         [&](const resource::ResourceConfig& config) {
           return Price(model, pricing_, ss_gb, ls_gb, config).Weighted(tw);
         },
         grid);
   }
-  if (!oracles_validated_) ValidateBoundOracles();
-  // The bounds compose the model-seconds bound with the pricing model
-  // evaluated at the box's low corner, which under-approximates the
-  // weighted objective whenever time_weight lies in [0, 1] and the price
-  // rate is non-negative. Outside that envelope, or without a validated
-  // oracle, the sweep runs exhaustively.
-  const bool bounded = bounded_[model_idx] && tw >= 0.0 && tw <= 1.0 &&
-                       pricing_.dollars_per_gb_hour() >= 0.0;
   grid_seconds_.Fill(model, ss_gb, ls_gb, grid);
-  Result<ResourcePlanResult> swept =
-      SweepGrid(SeparableObjective(grid_seconds_, pricing_, tw, bounded),
-                GridGeometry(grid), last_best_[model_idx]);
+  Result<ResourcePlanResult> swept = SweepGrid(
+      SeparableObjective(
+          grid_seconds_, pricing_, tw,
+          model_search_[model_idx] == ModelSearch::kBoundedSweep),
+      GridGeometry(grid), last_best_[model_idx]);
   if (swept.ok()) last_best_[model_idx] = swept->config;
   return swept;
 }

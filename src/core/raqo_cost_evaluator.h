@@ -2,6 +2,7 @@
 #define RAQO_CORE_RAQO_COST_EVALUATOR_H_
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -31,10 +32,11 @@ enum class ResourceSearch {
   /// bit-identical to kBruteForce but warm-started from the previous
   /// search's optimum and dominance-pruned through sound cost-model
   /// lower bounds (core/grid_sweep.h, docs/PERF.md).
-  /// Models whose feature set fails monotonicity validation fall back
-  /// to the plain exhaustive sweep and bump
-  /// planner.resource.monotonicity_rejected. Feature sets with a term on
-  /// both resource axes (kPaper's cs*nc) are searched by kBruteForce.
+  /// Models whose bounds are not sound (cost::ResourceBoundsSound) are
+  /// swept without pruning and bump
+  /// planner.resource.monotonicity_rejected when the evaluator is built.
+  /// Feature sets with a term on both resource axes (kPaper's cs*nc) are
+  /// searched by kBruteForce.
   kSwitchAwareGrid,
 };
 
@@ -118,14 +120,23 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// one would.
   void BeginQuery();
 
-  /// True when the switch-aware search prunes with a validated bound
-  /// oracle for the given join implementation. The oracles are validated
-  /// at the evaluator's first sweep, so this is false before it, for the
-  /// other strategies, and for monotonicity-rejected models.
-  bool has_bound_oracle(plan::JoinImpl impl) const {
-    return bounded_[impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1];
+  /// How resources are searched for one join implementation's model,
+  /// fixed when the evaluator is built.
+  enum class ModelSearch : uint8_t {
+    /// planner_, with a per-cell objective: every strategy but
+    /// kSwitchAwareGrid, and its models that are not separable
+    /// (cost::FeatureSetSeparable).
+    kPlanner,
+    /// The switch-aware sweep over term arrays, without pruning: the
+    /// model's bounds are not sound (cost::ResourceBoundsSound), or the
+    /// time weight lies outside [0, 1] or the price rate is negative.
+    kSweep,
+    /// The same sweep, pruned through the model's corner bounds.
+    kBoundedSweep,
+  };
+  ModelSearch model_search(plan::JoinImpl impl) const {
+    return model_search_[impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1];
   }
-
 
  protected:
   Result<optimizer::OperatorCost> CostJoinImpl(
@@ -138,16 +149,10 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
     return shared_cache_ != nullptr ? shared_cache_.get() : cache_.get();
   }
 
-  /// Validates both models' bound oracles
-  /// (cost::ResourceBoundOracle::Create); a rejected model is counted and
-  /// its sweeps run unbounded.
-  void ValidateBoundOracles();
-
-  /// Plans resources for one join under the configured strategy. The
-  /// switch-aware sweep prices a separable model (FeatureSetSeparable)
-  /// from term arrays filled once per search, and keeps its optimum as
-  /// the model's next warm start. Every other search calls planner_ with
-  /// a per-cell std::function objective.
+  /// Plans resources for one join as model_search_ says. The sweep
+  /// prices the model from term arrays filled once per search, and keeps
+  /// its optimum as the model's next warm start; planner_ gets a per-cell
+  /// std::function objective.
   Result<ResourcePlanResult> SearchResources(
       size_t model_idx, const cost::OperatorCostModel& model, double ss_gb,
       double ls_gb, const resource::ClusterConditions& grid);
@@ -160,25 +165,19 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// "planner.resource.grid" for the exhaustive strategies,
   /// "planner.resource.hillclimb" for the climbing ones.
   const char* resource_span_name_ = "planner.resource.grid";
-  /// The planner of the strategies other than kSwitchAwareGrid, and of
-  /// kSwitchAwareGrid's models that are not separable.
+  /// The planner of the models searched with ModelSearch::kPlanner.
   std::unique_ptr<ResourcePlanner> planner_;
   std::unique_ptr<ResourcePlanCache> cache_;
   std::shared_ptr<ResourcePlanCache> shared_cache_;
-  /// Switch-aware search state, unused by the other strategies. Indexed
-  /// by join implementation (0 = SMJ, 1 = BHJ): whether the model's bound
-  /// oracle validated (false after monotonicity rejection => that
-  /// model's sweeps run exhaustively) and the previous sweep's optimum as
-  /// the next warm start (cleared by BeginQuery and cluster updates). The
-  /// oracles are validated at the first sweep rather than at
-  /// construction: the server builds an evaluator per request, and a
-  /// request answered wholly from the cache should not pay for them.
-  std::array<bool, 2> bounded_ = {false, false};
+  /// Indexed by join implementation (0 = SMJ, 1 = BHJ): how each model is
+  /// searched, and the previous sweep's optimum as the next warm start
+  /// (cleared by BeginQuery and cluster updates).
+  std::array<ModelSearch, 2> model_search_ = {ModelSearch::kPlanner,
+                                              ModelSearch::kPlanner};
   std::array<std::optional<resource::ResourceConfig>, 2> last_best_;
   /// The term arrays each sweep refills.
   cost::SeparableGridSeconds grid_seconds_;
   bool switch_aware_ = false;
-  bool oracles_validated_ = false;
 };
 
 }  // namespace raqo::core

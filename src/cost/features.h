@@ -38,10 +38,10 @@ enum class FeatureSet {
   /// A deliberately resource-NON-monotone set: [ss, cs*(14-cs), nc].
   /// The middle feature peaks at cs = 7, inside the paper-default grid,
   /// so no corner bound over a container-size interval is sound for it.
-  /// Models over this set predict fine; the switch-aware grid search's
-  /// monotonicity validation must *reject* them and fall back to the
-  /// exhaustive scan — this set exists to keep that rejection path
-  /// honest (tests/incremental_search_test.cc).
+  /// Models over this set predict fine; the switch-aware grid search
+  /// must sweep them without bounds (cost::ResourceBoundsSound is false)
+  /// — this set exists to keep that path honest
+  /// (tests/incremental_search_test.cc).
   kPeakedProbe,
 };
 
@@ -87,8 +87,11 @@ struct FeatureResourceTrend {
 /// Per-feature resource monotonicity metadata, aligned with
 /// ExpandFeatures output. Declared analytically per feature set (the
 /// sets are a closed enum, so each expression is audited by hand here
-/// rather than probed); the bound oracle re-validates numerically at
-/// model load as defense in depth.
+/// rather than probed at run time). The planner trusts it: a test
+/// (ResourceBoundOracleTest.BoundNeverExceedsPrediction) walks every
+/// declared-monotone set's features along both resource dimensions and
+/// checks each trend and the corner bounds numerically, so a wrong row
+/// fails the build's tests instead of being re-checked per request.
 const std::vector<FeatureResourceTrend>& FeatureResourceTrends(
     FeatureSet set);
 

@@ -4,105 +4,38 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace raqo::cost {
 
-namespace {
-
-/// Expands the features at one box corner into `out`.
-size_t CornerFeatures(const JoinFeatures& data, FeatureSet set, double cs,
-                      double nc, double* out) {
-  JoinFeatures corner = data;
-  corner.container_size_gb = cs;
-  corner.num_containers = nc;
-  return ExpandFeaturesInto(corner, set, out);
-}
-
-}  // namespace
-
-Result<ResourceBoundOracle> ResourceBoundOracle::Create(
-    const OperatorCostModel& model) {
-  const FeatureSet set = model.feature_set();
-  if (!FeatureSetResourceMonotone(set)) {
-    return Status::FailedPrecondition(StrPrintf(
-        "cost model '%s' uses a feature set that is not per-dimension "
-        "monotone in the resource dimensions; interval corner bounds "
-        "would be unsound",
-        model.name().c_str()));
-  }
+bool ResourceBoundsSound(const OperatorCostModel& model) {
+  if (!FeatureSetResourceMonotone(model.feature_set())) return false;
   for (double w : model.model().weights) {
-    if (!std::isfinite(w)) {
-      return Status::FailedPrecondition(StrPrintf(
-          "cost model '%s' has a non-finite weight; bounds undefined",
-          model.name().c_str()));
-    }
+    if (!std::isfinite(w)) return false;
   }
-  ResourceBoundOracle oracle(model.model(), set);
-
-  // Defense in depth against a mis-declared trend table: the bound must
-  // under-approximate direct predictions at interior cells of sampled
-  // boxes spanning several data scales. This probe cannot *prove*
-  // monotonicity (only the analytical declaration does), but it catches
-  // a registry entry that is simply wrong before any query prunes on it.
-  static constexpr double kDataGb[] = {0.0, 0.4, 7.7, 250.0};
-  static constexpr double kCsEdges[] = {1.0, 4.0, 10.0};
-  static constexpr double kNcEdges[] = {1.0, 33.0, 100.0};
-  for (double ss : kDataGb) {
-    for (double ls : kDataGb) {
-      if (ls < ss) continue;
-      JoinFeatures data;
-      data.smaller_gb = ss;
-      data.larger_gb = ls;
-      for (size_t a = 0; a + 1 < 3; ++a) {
-        for (size_t b = 0; b + 1 < 3; ++b) {
-          const resource::ResourceConfig lo(kCsEdges[a], kNcEdges[b]);
-          const resource::ResourceConfig hi(kCsEdges[a + 1],
-                                            kNcEdges[b + 1]);
-          const double bound = oracle.SecondsLowerBound(data, lo, hi);
-          for (double fcs = 0.0; fcs <= 1.0; fcs += 0.5) {
-            for (double fnc = 0.0; fnc <= 1.0; fnc += 0.5) {
-              JoinFeatures probe = data;
-              probe.container_size_gb =
-                  kCsEdges[a] + fcs * (kCsEdges[a + 1] - kCsEdges[a]);
-              probe.num_containers =
-                  kNcEdges[b] + fnc * (kNcEdges[b + 1] - kNcEdges[b]);
-              if (model.PredictSeconds(probe) < bound) {
-                return Status::FailedPrecondition(StrPrintf(
-                    "cost model '%s' violated its own lower bound at "
-                    "cs=%.2f nc=%.2f (ss=%.2f ls=%.2f); the declared "
-                    "monotonicity metadata is wrong",
-                    model.name().c_str(), probe.container_size_gb,
-                    probe.num_containers, ss, ls));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return oracle;
+  return true;
 }
 
-double ResourceBoundOracle::SecondsLowerBound(
-    const JoinFeatures& data, const resource::ResourceConfig& lo,
-    const resource::ResourceConfig& hi) const {
+double SecondsLowerBound(const OperatorCostModel& model,
+                         const JoinFeatures& data,
+                         const resource::ResourceConfig& lo,
+                         const resource::ResourceConfig& hi) {
   // Per-feature corner minima: phi is componentwise monotone, so each
   // w_i * phi_i attains its box minimum at one of the 4 corners.
+  const double cs[2] = {lo.container_size_gb(), hi.container_size_gb()};
+  const double nc[2] = {lo.num_containers(), hi.num_containers()};
   double corners[4][kMaxFeatures];
-  const double cs_lo = lo.container_size_gb();
-  const double cs_hi = hi.container_size_gb();
-  const double nc_lo = lo.num_containers();
-  const double nc_hi = hi.num_containers();
-  const size_t n =
-      CornerFeatures(data, feature_set_, cs_lo, nc_lo, corners[0]);
-  CornerFeatures(data, feature_set_, cs_lo, nc_hi, corners[1]);
-  CornerFeatures(data, feature_set_, cs_hi, nc_lo, corners[2]);
-  CornerFeatures(data, feature_set_, cs_hi, nc_hi, corners[3]);
+  size_t n = 0;
+  for (int c = 0; c < 4; ++c) {
+    JoinFeatures corner = data;
+    corner.container_size_gb = cs[c / 2];
+    corner.num_containers = nc[c % 2];
+    n = ExpandFeaturesInto(corner, model.feature_set(), corners[c]);
+  }
 
-  double sum = model_.has_intercept ? model_.weights.back() : 0.0;
+  const LinearModel& lm = model.model();
+  double sum = lm.has_intercept ? lm.weights.back() : 0.0;
   for (size_t i = 0; i < n; ++i) {
-    const double w = model_.weights[i];
+    const double w = lm.weights[i];
     double term = w * corners[0][i];
     for (int c = 1; c < 4; ++c) term = std::min(term, w * corners[c][i]);
     sum += term;

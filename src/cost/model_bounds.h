@@ -3,11 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/regression.h"
-#include "common/result.h"
 #include "cost/cost_model.h"
 #include "cost/features.h"
 #include "resource/cluster_conditions.h"
@@ -15,16 +12,19 @@
 
 namespace raqo::cost {
 
-/// A sound lower-bound oracle over rectangular resource boxes for one
-/// linear OperatorCostModel — the "monotone cost-model dimensions,
-/// validated at model load" half of the switch-aware grid search
-/// (docs/PERF.md).
+/// True when corner bounds of `model` over resource boxes are sound —
+/// the "monotone cost-model dimensions" half of the switch-aware grid
+/// search (docs/PERF.md): its feature set is declared per-dimension
+/// monotone (FeatureSetResourceMonotone; not kPeakedProbe) and every
+/// weight is finite. A model that is not is swept without bounds, never
+/// pruned unsoundly.
 ///
-/// Soundness argument. Every feature of the supported sets is, for fixed
-/// data characteristics, monotone along each resource dimension over any
-/// positive box (FeatureResourceTrends declares this analytically; the
-/// sets are a closed enum). A componentwise-monotone function attains its
-/// extremes over a box at the box corners, so for each feature i,
+/// Soundness argument. Every feature of a declared-monotone set is, for
+/// fixed data characteristics, monotone along each resource dimension
+/// over any positive box (FeatureResourceTrends declares this; the sets
+/// are a closed enum, and ResourceBoundOracleTest checks every
+/// declaration numerically). A componentwise-monotone function attains
+/// its extremes over a box at the box corners, so for each feature i,
 ///   min over box of w_i * phi_i = min over the 4 corners of w_i * phi_i,
 /// and summing per-feature corner minima under-approximates the linear
 /// response everywhere in the box:
@@ -33,34 +33,19 @@ namespace raqo::cost {
 ///   max(linear lower bound, kMinSeconds) <= PredictSeconds(r).
 /// The bound needs no assumption on weight signs and is exact whenever
 /// one corner simultaneously minimizes every term.
-///
-/// Create() refuses models whose feature set is not declared
-/// per-dimension monotone (e.g. FeatureSet::kPeakedProbe) or whose
-/// weights are non-finite, and additionally cross-checks the bound
-/// numerically against direct predictions on a sample grid — rejection
-/// makes the caller fall back to the plain exhaustive scan, never an
-/// unsound prune.
-class ResourceBoundOracle {
- public:
-  /// Validates `model` and builds the oracle (which keeps its own copy
-  /// of the weights, so the model may be destroyed afterwards).
-  static Result<ResourceBoundOracle> Create(const OperatorCostModel& model);
+bool ResourceBoundsSound(const OperatorCostModel& model);
 
-  /// Lower bound of PredictSeconds over every resource configuration in
-  /// the inclusive box [lo, hi], for the fixed data characteristics in
-  /// `data` (its resource fields are ignored). Requires lo <= hi per
-  /// dimension and positive resource values.
-  double SecondsLowerBound(const JoinFeatures& data,
-                           const resource::ResourceConfig& lo,
-                           const resource::ResourceConfig& hi) const;
-
- private:
-  ResourceBoundOracle(LinearModel model, FeatureSet feature_set)
-      : model_(std::move(model)), feature_set_(feature_set) {}
-
-  LinearModel model_;
-  FeatureSet feature_set_;
-};
+/// Lower bound of model.PredictSeconds over every resource configuration
+/// in the inclusive box [lo, hi], for the fixed data characteristics in
+/// `data` (its resource fields are ignored): the corner-minima sum above.
+/// Sound when ResourceBoundsSound(model). Requires lo <= hi per dimension
+/// and positive resource values. The search prices bounds from term
+/// arrays (SeparableGridSeconds); this is the reference they are tested
+/// against bit for bit.
+double SecondsLowerBound(const OperatorCostModel& model,
+                         const JoinFeatures& data,
+                         const resource::ResourceConfig& lo,
+                         const resource::ResourceConfig& hi);
 
 /// PredictSeconds and SecondsLowerBound of one model over one resource
 /// grid, for fixed data sizes, priced from per-search term arrays. It
@@ -110,9 +95,8 @@ class SeparableGridSeconds {
   /// a batch at a time: into out[i] the whole of each row i, and into
   /// out[b] each block b of row i (columns b * block_cells to (b + 1) *
   /// block_cells - 1; the last block may be shorter). The bound of cells
-  /// (i, j0), ..., (i, jl) is bit for bit SecondsLowerBound(data,
-  /// {cs_i, nc_j0}, {cs_i, nc_jl}) of an oracle built from the same
-  /// model. Not thread-safe, like Fill.
+  /// (i, j0), ..., (i, jl) is bit for bit SecondsLowerBound(model, data,
+  /// {cs_i, nc_j0}, {cs_i, nc_jl}). Not thread-safe, like Fill.
   void WholeRowBounds(double* out) const;
   void BlockBounds(int64_t i, int64_t block_cells, double* out) const;
 

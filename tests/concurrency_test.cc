@@ -446,7 +446,7 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
 // Write-through shared cache: a plan one planner computes is visible to
 // the next planner as soon as it is inserted, with no flush step.
 
-TEST(WriteBehindCacheTest, BatchedAndWriteThroughPlansAndCachesMatch) {
+TEST(WriteThroughCacheTest, SecondPlannerReplansQ3FromSharedEntries) {
   // A second planner sharing the cache re-plans the query entirely
   // from the first planner's entries and gets the identical plan.
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);

@@ -55,8 +55,8 @@ const cost::JoinCostModels& HiveModels() {
 // The surface is a clamped, quantized linear form: the clamp and the
 // quantization create the equal-cost plateaus that make the row-major
 // tie-break observable, and a deterministic per-cell hash sprinkles in
-// infeasible cells. The box bound follows the oracle's corner argument
-// on the same expression, so it is sound by construction.
+// infeasible cells. The box bound follows SecondsLowerBound's corner
+// argument on the same expression, so it is sound by construction.
 
 struct SyntheticSurface {
   double w_cs = 0.0;
@@ -274,41 +274,168 @@ TEST_P(SeededIncrementalSearchTest,
 }
 
 // ---------------------------------------------------------------------
-// Bound oracle: sound on the supported models, rejected on the probe
-// set built to defeat it.
+// Corner bounds: sound on every feature set declared monotone, refused
+// on the probe set built to defeat them. The planner trusts the trend
+// declarations (cost::FeatureResourceTrends) without checking them per
+// request, so a wrong one must fail here.
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wswitch"
+// Every FeatureSet value. A value added to the enum without a case here
+// does not compile, and every value with a case is returned, so a test
+// over this list cannot skip a set.
+std::vector<cost::FeatureSet> AllFeatureSets() {
+  std::vector<cost::FeatureSet> sets;
+  for (int k = 0; k < 256; ++k) {
+    const auto set = static_cast<cost::FeatureSet>(k);
+    switch (set) {
+      case cost::FeatureSet::kPaper:
+      case cost::FeatureSet::kExtended:
+      case cost::FeatureSet::kPeakedProbe:
+        sets.push_back(set);
+        break;
+    }
+  }
+  return sets;
+}
+#pragma GCC diagnostic pop
+
+/// Whether a feature that reads `before` at one resource value and
+/// `after` at a larger one, the other inputs fixed, moves as `trend`
+/// declares (weakly). No feature of a monotone set is kNonMonotone.
+bool Follows(cost::FeatureTrend trend, double before, double after) {
+  switch (trend) {
+    case cost::FeatureTrend::kConstant:
+      return after == before;
+    case cost::FeatureTrend::kIncreasing:
+      return after >= before;
+    case cost::FeatureTrend::kDecreasing:
+      return after <= before;
+    case cost::FeatureTrend::kNonMonotone:
+      break;
+  }
+  return false;
+}
 
 TEST(ResourceBoundOracleTest, BoundNeverExceedsPrediction) {
   Rng rng(99);
+  auto expect_bound_holds = [&](const cost::OperatorCostModel& model,
+                                const cost::JoinFeatures& data,
+                                const resource::ResourceConfig& lo,
+                                const resource::ResourceConfig& hi) {
+    const double bound = cost::SecondsLowerBound(model, data, lo, hi);
+    // Probe interior points as well as corners.
+    for (double fc : {0.0, 0.37, 0.5, 1.0}) {
+      for (double fn : {0.0, 0.5, 0.61, 1.0}) {
+        cost::JoinFeatures probe = data;
+        probe.container_size_gb =
+            lo.container_size_gb() +
+            fc * (hi.container_size_gb() - lo.container_size_gb());
+        probe.num_containers =
+            lo.num_containers() +
+            fn * (hi.num_containers() - lo.num_containers());
+        ASSERT_LE(bound, model.PredictSeconds(probe))
+            << model.name() << " ss " << data.smaller_gb << " ls "
+            << data.larger_gb << " cs " << probe.container_size_gb
+            << " nc " << probe.num_containers;
+      }
+    }
+  };
+
+  // The trained and the published models, on random boxes.
   static const cost::JoinCostModels paper = cost::PaperHiveModels();
   for (const cost::OperatorCostModel* model :
        {&HiveModels().smj, &HiveModels().bhj, &paper.smj, &paper.bhj}) {
-    const Result<cost::ResourceBoundOracle> oracle =
-        cost::ResourceBoundOracle::Create(*model);
-    ASSERT_TRUE(oracle.ok()) << model->name() << ": "
-                             << oracle.status().ToString();
+    ASSERT_TRUE(cost::ResourceBoundsSound(*model)) << model->name();
     for (int trial = 0; trial < 400; ++trial) {
       cost::JoinFeatures data;
       data.smaller_gb = rng.Uniform(0.0, 300.0);
       data.larger_gb = data.smaller_gb + rng.Uniform(0.0, 300.0);
       const double cs_lo = rng.Uniform(0.5, 10.0);
-      const double cs_hi = cs_lo + rng.Uniform(0.0, 10.0);
       const double nc_lo = rng.Uniform(1.0, 100.0);
-      const double nc_hi = nc_lo + rng.Uniform(0.0, 100.0);
-      const double bound = oracle->SecondsLowerBound(
-          data, resource::ResourceConfig(cs_lo, nc_lo),
-          resource::ResourceConfig(cs_hi, nc_hi));
-      // Probe interior points as well as corners.
-      for (double fc : {0.0, 0.37, 1.0}) {
-        for (double fn : {0.0, 0.61, 1.0}) {
-          cost::JoinFeatures probe = data;
-          probe.container_size_gb = cs_lo + fc * (cs_hi - cs_lo);
-          probe.num_containers = nc_lo + fn * (nc_hi - nc_lo);
-          ASSERT_LE(bound, model->PredictSeconds(probe))
-              << model->name() << " @trial " << trial;
+      expect_bound_holds(
+          *model, data, resource::ResourceConfig(cs_lo, nc_lo),
+          resource::ResourceConfig(cs_lo + rng.Uniform(0.0, 10.0),
+                                   nc_lo + rng.Uniform(0.0, 100.0)));
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  // Every set declared monotone: each feature moves along each resource
+  // dimension as declared, and models with random-sign weights keep
+  // their bounds, at data sizes from empty to 250 GB.
+  static constexpr double kDataGb[] = {0.0, 0.4, 7.7, 250.0};
+  static constexpr double kCs[] = {0.5, 1.0, 2.5, 4.0, 7.0, 10.0, 14.0, 40.0};
+  static constexpr double kNc[] = {1.0, 2.0, 10.0, 33.0, 100.0, 1000.0};
+  constexpr size_t kCsPoints = std::size(kCs);
+  constexpr size_t kNcPoints = std::size(kNc);
+  int monotone_sets = 0;
+  for (const cost::FeatureSet set : AllFeatureSets()) {
+    if (!cost::FeatureSetResourceMonotone(set)) continue;
+    ++monotone_sets;
+    const std::vector<cost::FeatureResourceTrend>& trends =
+        cost::FeatureResourceTrends(set);
+    const size_t n = cost::NumFeatures(set);
+    ASSERT_EQ(trends.size(), n);
+    for (double ss : kDataGb) {
+      for (double ls : kDataGb) {
+        if (ls < ss) continue;
+        cost::JoinFeatures data;
+        data.smaller_gb = ss;
+        data.larger_gb = ls;
+        auto features_at = [&](double cs, double nc) {
+          cost::JoinFeatures f = data;
+          f.container_size_gb = cs;
+          f.num_containers = nc;
+          return cost::ExpandFeatures(f, set);
+        };
+        for (size_t a = 0; a < kCsPoints; ++a) {
+          for (size_t b = 0; b < kNcPoints; ++b) {
+            const std::vector<double> here = features_at(kCs[a], kNc[b]);
+            for (size_t k = 0; k < n; ++k) {
+              const std::string what = cost::FeatureNames(set)[k] +
+                                       " at ss " + std::to_string(ss) +
+                                       " ls " + std::to_string(ls);
+              if (a + 1 < kCsPoints) {
+                ASSERT_TRUE(Follows(trends[k].container_size, here[k],
+                                    features_at(kCs[a + 1], kNc[b])[k]))
+                    << what << ", cs " << kCs[a] << " -> " << kCs[a + 1];
+              }
+              if (b + 1 < kNcPoints) {
+                ASSERT_TRUE(Follows(trends[k].num_containers, here[k],
+                                    features_at(kCs[a], kNc[b + 1])[k]))
+                    << what << ", nc " << kNc[b] << " -> " << kNc[b + 1];
+              }
+            }
+          }
+        }
+
+        for (int trial = 0; trial < 40; ++trial) {
+          // Weights of either sign over six decades; half the models
+          // carry an intercept large enough that no prediction clamps.
+          LinearModel lm;
+          for (size_t k = 0; k < n; ++k) {
+            lm.weights.push_back((rng.Bernoulli(0.5) ? 1.0 : -1.0) *
+                                 std::pow(10.0, rng.Uniform(-3.0, 3.0)));
+          }
+          lm.has_intercept = trial % 2 == 0;
+          if (lm.has_intercept) lm.weights.push_back(1e10);
+          const cost::OperatorCostModel model("random-signs", lm, set);
+          ASSERT_TRUE(cost::ResourceBoundsSound(model));
+          const int64_t a0 = rng.UniformInt(0, kCsPoints - 1);
+          const int64_t a1 = rng.UniformInt(a0, kCsPoints - 1);
+          const int64_t b0 = rng.UniformInt(0, kNcPoints - 1);
+          const int64_t b1 = rng.UniformInt(b0, kNcPoints - 1);
+          expect_bound_holds(model, data,
+                             resource::ResourceConfig(kCs[a0], kNc[b0]),
+                             resource::ResourceConfig(kCs[a1], kNc[b1]));
+          if (HasFatalFailure()) return;
         }
       }
     }
   }
+  // At least kPaper and kExtended.
+  EXPECT_GE(monotone_sets, 2);
 }
 
 cost::JoinCostModels PeakedModels() {
@@ -325,9 +452,28 @@ cost::JoinCostModels PeakedModels() {
 
 TEST(ResourceBoundOracleTest, RejectsNonMonotoneFeatureSet) {
   EXPECT_FALSE(cost::FeatureSetResourceMonotone(cost::FeatureSet::kPeakedProbe));
-  const Result<cost::ResourceBoundOracle> oracle =
-      cost::ResourceBoundOracle::Create(PeakedModels().smj);
-  EXPECT_FALSE(oracle.ok());
+  EXPECT_FALSE(cost::ResourceBoundsSound(PeakedModels().smj));
+
+  // A monotone set with a weight that is not finite has no sound bound
+  // either: the switch-aware evaluator sweeps that model without bounds
+  // and still bounds the other one.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    cost::JoinCostModels models = HiveModels();
+    ASSERT_EQ(models.smj.feature_set(), cost::FeatureSet::kExtended);
+    LinearModel lm = models.smj.model();
+    lm.weights[2] = bad;
+    models.smj = cost::OperatorCostModel("smj-not-finite", lm,
+                                         cost::FeatureSet::kExtended);
+    EXPECT_FALSE(cost::ResourceBoundsSound(models.smj)) << bad;
+    const core::RaqoCostEvaluator eval(
+        models, resource::ClusterConditions::PaperDefault());
+    EXPECT_EQ(eval.model_search(plan::JoinImpl::kSortMergeJoin),
+              core::RaqoCostEvaluator::ModelSearch::kSweep)
+        << bad;
+    EXPECT_EQ(eval.model_search(plan::JoinImpl::kBroadcastHashJoin),
+              core::RaqoCostEvaluator::ModelSearch::kBoundedSweep)
+        << bad;
+  }
 }
 
 TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
@@ -349,8 +495,13 @@ TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
   core::RaqoCostEvaluator switch_eval(PeakedModels(), cluster,
                                       resource::PricingModel(),
                                       switch_options);
-  // The oracles are validated at the first search, not at construction.
-  EXPECT_EQ(rejected->Value(), rejected_before);
+  // Both models rejected when the evaluator is built: one counter bump
+  // each, and both are swept without bounds.
+  EXPECT_EQ(rejected->Value(), rejected_before + 2);
+  EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kSortMergeJoin),
+            core::RaqoCostEvaluator::ModelSearch::kSweep);
+  EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kBroadcastHashJoin),
+            core::RaqoCostEvaluator::ModelSearch::kSweep);
 
   core::RaqoEvaluatorOptions brute_options;
   brute_options.search = core::ResourceSearch::kBruteForce;
@@ -367,15 +518,12 @@ TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
       planner.Plan(cat, tables, brute_eval);
   ASSERT_TRUE(via_switch.ok()) << via_switch.status().ToString();
   ASSERT_TRUE(via_brute.ok()) << via_brute.status().ToString();
-  // Both models rejected: no oracle, one counter bump each.
-  EXPECT_FALSE(switch_eval.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
-  EXPECT_FALSE(
-      switch_eval.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
+  // Planning bumps the counter no further.
   EXPECT_EQ(rejected->Value(), rejected_before + 2);
   EXPECT_EQ(via_switch->plan->ToString(), via_brute->plan->ToString());
   EXPECT_EQ(via_switch->cost.seconds, via_brute->cost.seconds);
   EXPECT_EQ(via_switch->cost.dollars, via_brute->cost.dollars);
-  // With no oracle nothing is pruned: the fallback explores at least
+  // Without bounds nothing is pruned: the fallback explores at least
   // every cell the brute force does (warm-start re-costs can add one
   // evaluation per search, never remove any).
   EXPECT_GE(via_switch->stats.resource_configs_explored,
@@ -412,8 +560,8 @@ TEST(SwitchAwareEvaluatorTest, NonSeparableModelSearchesByBruteForce) {
     EXPECT_EQ(via_switch->cost.dollars, via_brute->cost.dollars);
     EXPECT_EQ(via_switch->stats.resource_configs_explored,
               via_brute->stats.resource_configs_explored);
-    EXPECT_FALSE(
-        switch_eval.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
+    EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kSortMergeJoin),
+              core::RaqoCostEvaluator::ModelSearch::kPlanner);
   }
 }
 
@@ -476,8 +624,7 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
   for (int trial = 0; trial < 60; ++trial) {
     const cost::OperatorCostModel& model = *models[trial % 3];
     ASSERT_TRUE(cost::FeatureSetSeparable(model.feature_set()));
-    const Result<cost::ResourceBoundOracle> oracle =
-        cost::ResourceBoundOracle::Create(model);
+    const bool sound = cost::ResourceBoundsSound(model);
     double ss = DataGb(rng);
     double ls = DataGb(rng);
     if (ls < ss) std::swap(ss, ls);
@@ -488,8 +635,7 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
     const core::GridGeometry g(grid);
     // Refilled in place, as the evaluator refills it between searches.
     seconds.Fill(model, ss, ls, grid);
-    const core::SeparableObjective objective(seconds, pricing, tw,
-                                             oracle.ok());
+    const core::SeparableObjective objective(seconds, pricing, tw, sound);
     const std::string what = model.name() + " trial " + std::to_string(trial);
 
     std::vector<double> row(static_cast<size_t>(g.nc_points));
@@ -518,7 +664,7 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
         }
         j0 = j1;
       }
-      if (!oracle.ok()) continue;
+      if (!sound) continue;
 
       // Every box the sweep probes: the whole row, and its blocks at a
       // random block size.
@@ -527,7 +673,8 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
       data.larger_gb = ls;
       auto expected_bound = [&](int64_t j0, int64_t j1) {
         const resource::ResourceConfig lo = g.CellAt(i, j0);
-        const double s = oracle->SecondsLowerBound(data, lo, g.CellAt(i, j1 - 1));
+        const double s =
+            cost::SecondsLowerBound(model, data, lo, g.CellAt(i, j1 - 1));
         return cost::CostVector{s, pricing.Cost(lo, s)}.Weighted(tw);
       };
       std::vector<double> row_bounds(static_cast<size_t>(g.cs_points));

@@ -79,9 +79,10 @@ TEST(RaqoEvaluatorTest, BruteForceMatchesOrBeatsHillClimb) {
             hill.resource_configs_explored());
 }
 
-TEST(RaqoEvaluatorTest, BoundOraclesWaitForTheFirstSearch) {
-  // The server builds an evaluator per request; one answered wholly
-  // from the shared cache must not pay for validating the bound oracles.
+TEST(RaqoEvaluatorTest, SharedCacheHitReturnsTheComputedCostUnsearched) {
+  // The server builds an evaluator per request; one whose join is in the
+  // shared cache answers with the cost bits of the evaluator that
+  // computed it and searches no cell.
   RaqoEvaluatorOptions options;
   options.use_cache = true;
   options.cache_mode = CacheLookupMode::kExact;
@@ -92,11 +93,8 @@ TEST(RaqoEvaluatorTest, BoundOraclesWaitForTheFirstSearch) {
   RaqoCostEvaluator first(SimModels(), ClusterConditions::PaperDefault(),
                           resource::PricingModel(), options);
   first.ShareCache(shared);
-  EXPECT_FALSE(first.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
   auto computed = first.CostJoin(ctx);
   ASSERT_TRUE(computed.ok());
-  EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
-  EXPECT_TRUE(first.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
 
   RaqoCostEvaluator second(SimModels(), ClusterConditions::PaperDefault(),
                            resource::PricingModel(), options);
@@ -104,9 +102,8 @@ TEST(RaqoEvaluatorTest, BoundOraclesWaitForTheFirstSearch) {
   auto hit = second.CostJoin(ctx);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->cost.seconds, computed->cost.seconds);
+  EXPECT_EQ(hit->cost.dollars, computed->cost.dollars);
   EXPECT_EQ(second.resource_configs_explored(), 0);
-  EXPECT_FALSE(second.has_bound_oracle(plan::JoinImpl::kSortMergeJoin));
-  EXPECT_FALSE(second.has_bound_oracle(plan::JoinImpl::kBroadcastHashJoin));
 }
 
 TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
