@@ -302,7 +302,7 @@ void PerUnit(benchmark::State& state, const char* name, int64_t units) {
 void BM_GridCellTermArrays(benchmark::State& state) {
   GridFixture f;
   const core::SeparableObjective objective(f.seconds, f.pricing,
-                                           f.time_weight, true);
+                                           f.time_weight);
   double costs[core::kSweepBlockCells];
   for (auto _ : state) {
     double sum = 0.0;
@@ -346,7 +346,7 @@ BENCHMARK(BM_GridCellPriced);
 void BM_GridBlockBounds(benchmark::State& state) {
   GridFixture f;
   const core::SeparableObjective objective(f.seconds, f.pricing,
-                                           f.time_weight, true);
+                                           f.time_weight);
   std::vector<double> bounds(
       static_cast<size_t>(f.seconds.NumBlocks(core::kSweepBlockCells)));
   int64_t i = 0;

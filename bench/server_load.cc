@@ -274,14 +274,14 @@ struct PassResult {
 };
 
 /// One closed-loop measurement pass: `connections` clients each fire
-/// `requests_per_client` requests. The shared cache's hit/miss counters
-/// are reset first, so the reported hit rate and misses are this pass's
-/// alone.
+/// `requests_per_client` requests. The hit rate and misses are the
+/// shared cache's counters after the pass less those before it: this
+/// pass's alone.
 PassResult RunPass(const server::PlanningServer& server,
                    server::PlanningService& service, int connections,
                    int requests_per_client,
                    const std::vector<std::vector<std::string>>& mix) {
-  service.shared_cache()->ResetStats();
+  const core::CacheStats before = service.shared_cache_stats();
   std::atomic<int64_t> ok_requests{0};
   std::atomic<int64_t> errors{0};
   std::atomic<int64_t> response_cache_hits{0};
@@ -318,7 +318,9 @@ PassResult RunPass(const server::PlanningServer& server,
                      .count();
   pass.requests = ok_requests.load();
   pass.errors = errors.load();
-  const core::CacheStats cache = service.shared_cache_stats();
+  const core::CacheStats after = service.shared_cache_stats();
+  const core::CacheStats cache{after.hits - before.hits,
+                               after.misses - before.misses};
   pass.hit_rate = cache.hit_rate();
   pass.misses = cache.misses;
   pass.response_cache_hits = response_cache_hits.load();

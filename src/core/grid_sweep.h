@@ -47,8 +47,6 @@
 //       out[0, j1 - j0), row i being a container size and column j a
 //       container count; +inf marks an infeasible cell, NaN counts as
 //       +inf;
-//   bool bounded() const;
-//       whether the two below may be called;
 //   void RowBounds(double* out) const;
 //       a lower bound of the objective over each whole row i into out[i];
 //   void BlockBounds(int64_t i, int64_t block_cells, double* out) const;
@@ -189,14 +187,13 @@ Result<ResourcePlanResult> SweepGrid(
 
   // Rows in rank order with two-level branch-and-bound: the row box
   // first, then blocks of `block_cells`.
-  const bool bounded = objective.bounded();
-  sweep_internal::Scratch row_bounds(bounded ? g.cs_points : 0);
-  sweep_internal::Scratch block_bounds(
-      bounded ? (g.nc_points + block_cells - 1) / block_cells : 0);
+  sweep_internal::Scratch row_bounds(g.cs_points);
+  sweep_internal::Scratch block_bounds((g.nc_points + block_cells - 1) /
+                                       block_cells);
   sweep_internal::Scratch costs(std::min(block_cells, g.nc_points));
   bool rows_bounded = false;
   for (int64_t i = 0; i < g.cs_points; ++i) {
-    if (bounded && (inc.cost < kInf || inc.rank < g.RankOf(i, 0))) {
+    if (inc.cost < kInf || inc.rank < g.RankOf(i, 0)) {
       ++out.bound_probes;
       if (!rows_bounded) {
         objective.RowBounds(row_bounds.data());
@@ -212,7 +209,7 @@ Result<ResourcePlanResult> SweepGrid(
       const int64_t j1 = std::min(j0 + block_cells, g.nc_points);
       // Block-level probe, skipped when the row is a single block (the
       // row probe above already covered it).
-      if (bounded && (j0 > 0 || j1 < g.nc_points) &&
+      if ((j0 > 0 || j1 < g.nc_points) &&
           (inc.cost < kInf || inc.rank < g.RankOf(i, j0))) {
         ++out.bound_probes;
         if (!blocks_bounded) {
@@ -251,19 +248,15 @@ Result<ResourcePlanResult> SweepGrid(
 /// runs across a batch of cells or boxes, never across a cell's features.
 class SeparableObjective {
  public:
-  /// `seconds` must have been filled over the grid being swept.
-  /// `bounded` offers row and block bounds; pass it only for a model
-  /// whose bounds are sound (cost::ResourceBoundsSound), a time weight in
-  /// [0, 1] and a non-negative price rate, the envelope in which pricing
-  /// the low corner at the seconds bound under-approximates the
-  /// objective.
+  /// `seconds` must have been filled over the grid being swept. Sweep
+  /// only a model whose bounds are sound (cost::ResourceBoundsSound),
+  /// with a time weight in [0, 1] and a non-negative price rate: the
+  /// envelope in which pricing the low corner at the seconds bound
+  /// under-approximates the objective.
   SeparableObjective(const cost::SeparableGridSeconds& seconds,
                      const resource::PricingModel& pricing,
-                     double time_weight, bool bounded)
-      : seconds_(seconds),
-        pricing_(pricing),
-        time_weight_(time_weight),
-        bounded_(bounded) {}
+                     double time_weight)
+      : seconds_(seconds), pricing_(pricing), time_weight_(time_weight) {}
 
   void Cells(int64_t i, int64_t j0, int64_t j1, double* out) const {
     seconds_.RowSeconds(i, j0, j1, out);
@@ -271,8 +264,6 @@ class SeparableObjective {
     const double* nc = seconds_.container_counts() + j0;
     for (int64_t k = 0; k < j1 - j0; ++k) out[k] = Price(out[k], cs, nc[k]);
   }
-
-  bool bounded() const { return bounded_; }
 
   /// The evaluator's box bounds: each box's seconds bound, priced at the
   /// box's low corner through the objective's own expression; across
@@ -305,7 +296,6 @@ class SeparableObjective {
   const cost::SeparableGridSeconds& seconds_;
   const resource::PricingModel& pricing_;
   double time_weight_;
-  bool bounded_;
 };
 
 }  // namespace raqo::core

@@ -411,15 +411,6 @@ CacheStats ResourcePlanCache::stats() const {
   return out;
 }
 
-CacheStats ResourcePlanCache::ResetStats() {
-  CacheStats out;
-  for (Stripe& stripe : stripes_) {
-    out.hits += stripe.hits.exchange(0, std::memory_order_relaxed);
-    out.misses += stripe.misses.exchange(0, std::memory_order_relaxed);
-  }
-  return out;
-}
-
 std::vector<ShardStats> ResourcePlanCache::shard_stats() const {
   std::vector<ShardStats> out;
   out.reserve(stripes_.size());

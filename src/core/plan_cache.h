@@ -220,16 +220,10 @@ class ResourcePlanCache {
   /// racing the call may survive it, and entry_count() counts it if so.
   void Clear();
 
-  /// Hit/miss counters summed over the stripes.
+  /// Hit/miss counters summed over the stripes, since the cache was
+  /// built. A caller that wants the lookups of one interval takes the
+  /// difference of two snapshots.
   CacheStats stats() const;
-
-  /// Zeroes the hit/miss counters and returns their pre-reset values.
-  /// Each counter is drained with a single atomic exchange, so no
-  /// concurrent increment can slip into the window between reading a
-  /// counter and zeroing it and be lost; across counters the snapshot
-  /// is per-counter consistent, the strongest guarantee available
-  /// without serializing every Lookup.
-  CacheStats ResetStats();
 
   /// One entry per lock stripe, in stripe order. Exposes the skew a
   /// workload's key distribution induces over the stripes.

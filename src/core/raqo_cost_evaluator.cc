@@ -34,8 +34,7 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
       resource_span_name_ = "planner.resource.hillclimb";
       break;
     case ResourceSearch::kSwitchAwareGrid:
-      // The brute force searches the feature sets the sweep cannot
-      // price from term arrays.
+      // The brute force searches the models the sweep may not prune.
       planner_ = std::make_unique<BruteForceResourcePlanner>();
       resource_span_name_ = "planner.resource.grid";
       switch_aware_ = true;
@@ -63,8 +62,9 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
           "planner.resource.monotonicity_rejected");
       rejected->Add(1);
     }
-    model_search_[i] = sound && objective_bounded ? ModelSearch::kBoundedSweep
-                                                  : ModelSearch::kSweep;
+    if (sound && objective_bounded) {
+      model_search_[i] = ModelSearch::kBoundedSweep;
+    }
   }
 }
 
@@ -82,20 +82,11 @@ void RaqoCostEvaluator::UpdateClusterConditions(
 void RaqoCostEvaluator::BeginQuery() {
   last_best_[0].reset();
   last_best_[1].reset();
+  lookups_ = CacheStats{};
 }
 
 void RaqoCostEvaluator::ClearCache() {
   if (ResourcePlanCache* cache = active_cache()) cache->Clear();
-}
-
-CacheStats RaqoCostEvaluator::cache_stats() const {
-  const ResourcePlanCache* cache = active_cache();
-  return cache != nullptr ? cache->stats() : CacheStats{};
-}
-
-CacheStats RaqoCostEvaluator::ResetCacheStats() {
-  ResourcePlanCache* cache = active_cache();
-  return cache != nullptr ? cache->ResetStats() : CacheStats{};
 }
 
 size_t RaqoCostEvaluator::cache_size() const {
@@ -133,11 +124,9 @@ Result<ResourcePlanResult> RaqoCostEvaluator::SearchResources(
         grid);
   }
   grid_seconds_.Fill(model, ss_gb, ls_gb, grid);
-  Result<ResourcePlanResult> swept = SweepGrid(
-      SeparableObjective(
-          grid_seconds_, pricing_, tw,
-          model_search_[model_idx] == ModelSearch::kBoundedSweep),
-      GridGeometry(grid), last_best_[model_idx]);
+  Result<ResourcePlanResult> swept =
+      SweepGrid(SeparableObjective(grid_seconds_, pricing_, tw),
+                GridGeometry(grid), last_best_[model_idx]);
   if (swept.ok()) last_best_[model_idx] = swept->config;
   return swept;
 }
@@ -181,6 +170,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   if (cache != nullptr) {
     if (std::optional<CachedResourcePlan> hit =
             cache->Lookup(model.name(), ss_gb, ls_gb)) {
+      ++lookups_.hits;
       // A hit planned for other data may lie off the grid (weighted
       // average) or below the containers this build side needs; snap it
       // onto the grid this join is searched on.
@@ -189,6 +179,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
       return optimizer::OperatorCost{
           Price(model, pricing_, ss_gb, ls_gb, config), config};
     }
+    ++lookups_.misses;
   }
 
   const size_t model_idx =
@@ -208,7 +199,9 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
       SearchResources(model_idx, model, ss_gb, ls_gb, search_cluster);
   if (span.recording()) {
     span.SetAttr("strategy",
-                 switch_aware_ ? "switch-aware-grid" : planner_->name());
+                 model_search_[model_idx] == ModelSearch::kPlanner
+                     ? planner_->name()
+                     : "switch-aware-grid");
     span.SetAttr("model", model.name());
     span.SetAttr("smaller_gb", ss_gb);
     span.SetAttr("larger_gb", ls_gb);

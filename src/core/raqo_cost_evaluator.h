@@ -31,12 +31,10 @@ enum class ResourceSearch {
   /// The default: the switch-point-aware incremental grid search,
   /// bit-identical to kBruteForce but warm-started from the previous
   /// search's optimum and dominance-pruned through sound cost-model
-  /// lower bounds (core/grid_sweep.h, docs/PERF.md).
-  /// Models whose bounds are not sound (cost::ResourceBoundsSound) are
-  /// swept without pruning and bump
+  /// lower bounds (core/grid_sweep.h, docs/PERF.md). A model the sweep
+  /// may not prune is searched by kBruteForce (see ModelSearch); one
+  /// whose bounds are not sound (cost::ResourceBoundsSound) also bumps
   /// planner.resource.monotonicity_rejected when the evaluator is built.
-  /// Feature sets with a term on both resource axes (kPaper's cs*nc) are
-  /// searched by kBruteForce.
   kSwitchAwareGrid,
 };
 
@@ -81,12 +79,12 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
 
   const resource::ClusterConditions& cluster() const { return cluster_; }
 
-  /// Cache maintenance/statistics (zeroed stats when caching is off).
+  /// Drops every entry of the active cache.
   void ClearCache();
-  CacheStats cache_stats() const;
-  /// Zeroes the counters atomically and returns the pre-reset snapshot
-  /// (see ResourcePlanCache::ResetStats); zeroes when caching is off.
-  CacheStats ResetCacheStats();
+  /// Hits and misses of this evaluator's own lookups since the last
+  /// BeginQuery(), on whichever cache is attached (zero when caching is
+  /// off). Lookups other planners make in a shared cache are not counted.
+  CacheStats cache_stats() const { return lookups_; }
   size_t cache_size() const;
 
   /// Points this evaluator at a cache owned jointly with other planner
@@ -105,33 +103,32 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// next benchmark change.
   void FlushSharedCacheInserts() {}
 
-  /// True when the active cache is shared with other planners; per-query
-  /// cache statistics are then workload-global, not per-planner, and the
-  /// planner refrains from clearing or resetting it between queries.
+  /// True when the active cache is shared with other planners; the
+  /// planner then never clears it between queries.
   bool cache_is_shared() const { return shared_cache_ != nullptr; }
 
   const RaqoEvaluatorOptions& options() const { return options_; }
 
   /// Marks a query boundary: drops the per-model warm-start memory of
-  /// the switch-aware search so every query plans from a cold incumbent.
-  /// Warm starts never change results — this only keeps the per-query
-  /// `configs_explored` stats independent of which queries this
-  /// evaluator planned before, so a reused planner counts what a fresh
-  /// one would.
+  /// the switch-aware search so every query plans from a cold incumbent,
+  /// and zeroes the lookup counts of cache_stats(). Warm starts never
+  /// change results — this only keeps the per-query `configs_explored`
+  /// stats independent of which queries this evaluator planned before,
+  /// so a reused planner counts what a fresh one would.
   void BeginQuery();
 
   /// How resources are searched for one join implementation's model,
   /// fixed when the evaluator is built.
   enum class ModelSearch : uint8_t {
     /// planner_, with a per-cell objective: every strategy but
-    /// kSwitchAwareGrid, and its models that are not separable
-    /// (cost::FeatureSetSeparable).
+    /// kSwitchAwareGrid, and under kSwitchAwareGrid (whose planner_ is
+    /// the brute force) every model the sweep may not prune: one that is
+    /// not separable (cost::FeatureSetSeparable) or not bound-sound
+    /// (cost::ResourceBoundsSound), or any model when the time weight
+    /// lies outside [0, 1] or the price rate is negative.
     kPlanner,
-    /// The switch-aware sweep over term arrays, without pruning: the
-    /// model's bounds are not sound (cost::ResourceBoundsSound), or the
-    /// time weight lies outside [0, 1] or the price rate is negative.
-    kSweep,
-    /// The same sweep, pruned through the model's corner bounds.
+    /// The switch-aware sweep over term arrays, pruned through the
+    /// model's corner bounds.
     kBoundedSweep,
   };
   ModelSearch model_search(plan::JoinImpl impl) const {
@@ -165,6 +162,8 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// "planner.resource.grid" for the exhaustive strategies,
   /// "planner.resource.hillclimb" for the climbing ones.
   const char* resource_span_name_ = "planner.resource.grid";
+  /// Hit/miss counts of this evaluator's lookups since BeginQuery().
+  CacheStats lookups_;
   /// The planner of the models searched with ModelSearch::kPlanner.
   std::unique_ptr<ResourcePlanner> planner_;
   std::unique_ptr<ResourcePlanCache> cache_;

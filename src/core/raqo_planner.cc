@@ -67,15 +67,11 @@ Result<JointPlan> RaqoPlanner::RunPlanner(
 
 Result<JointPlan> RaqoPlanner::Plan(
     const std::vector<catalog::TableId>& tables) {
-  // A cache shared with other planner threads is workload-scoped: its
-  // contents and statistics belong to the whole service, so this planner
-  // neither clears nor resets it per query (the per-query hit/miss
-  // fields then stay 0; the service reports the shared totals instead).
-  const bool shared = evaluator_.cache_is_shared();
-  if (options_.clear_cache_between_queries && !shared) {
+  // A cache shared with other planner threads belongs to the whole
+  // workload, so this planner never clears it between queries.
+  if (options_.clear_cache_between_queries && !evaluator_.cache_is_shared()) {
     evaluator_.ClearCache();
   }
-  if (!shared) evaluator_.ResetCacheStats();
 
   obs::Span span;
   if (obs::TracingOn()) {
@@ -102,7 +98,7 @@ Result<JointPlan> RaqoPlanner::Plan(
     queries->Add(1);
     if (!result.ok()) errors->Add(1);
   }
-  if (result.ok() && !shared) {
+  if (result.ok()) {
     result->stats.cache_hits = evaluator_.cache_stats().hits;
     result->stats.cache_misses = evaluator_.cache_stats().misses;
   }
@@ -138,6 +134,8 @@ Result<JointPlan> RaqoPlanner::PlanResourcesForPlan(
   out.stats.operator_cost_calls = evaluator_.operator_cost_calls();
   out.stats.resource_configs_explored =
       evaluator_.resource_configs_explored();
+  out.stats.cache_hits = evaluator_.cache_stats().hits;
+  out.stats.cache_misses = evaluator_.cache_stats().misses;
   out.stats.wall_ms = watch.ElapsedMillis();
   return out;
 }
@@ -178,6 +176,8 @@ Result<optimizer::MultiObjectiveResult> RaqoPlanner::PlanFrontier(
     merged.stats.operator_cost_calls += partial.stats.operator_cost_calls;
     merged.stats.resource_configs_explored +=
         partial.stats.resource_configs_explored;
+    merged.stats.cache_hits += evaluator.cache_stats().hits;
+    merged.stats.cache_misses += evaluator.cache_stats().misses;
     for (optimizer::ParetoEntry& entry : partial.frontier) {
       // Skip an entry some kept one matches or dominates: weight passes
       // that find the same cost vector contribute it once.

@@ -94,10 +94,6 @@ class RaqoPlanner {
   /// manager; subsequent planning sees the new grid.
   void UpdateClusterConditions(resource::ClusterConditions cluster);
 
-  /// Cache control (meaningful when the evaluator caching is enabled).
-  void ClearCache() { evaluator_.ClearCache(); }
-  CacheStats cache_stats() const { return evaluator_.cache_stats(); }
-
   RaqoCostEvaluator& evaluator() { return evaluator_; }
   const RaqoPlannerOptions& options() const { return options_; }
 

@@ -439,7 +439,6 @@ void PlanningServer::RegisterConnection(Reactor& r, net::UniqueFd fd) {
   // Ids encode the owning reactor so they stay unique across reactors
   // without shared state; +1 keeps them clear of the epoll tags.
   conn->id = (static_cast<uint64_t>(r.index + 1) << 40) | ++r.next_conn_seq;
-  conn->reactor = r.index;
   conn->fd = std::move(fd);
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -531,9 +530,9 @@ void PlanningServer::ExtractFrames(Reactor& r, Connection* conn) {
 }
 
 const TenantQuota& PlanningServer::QuotaOf(const std::string& tenant) const {
+  static const TenantQuota kUnlimited;
   const auto it = options_.tenant_quotas.find(tenant);
-  return it != options_.tenant_quotas.end() ? it->second
-                                            : options_.default_tenant_quota;
+  return it != options_.tenant_quotas.end() ? it->second : kUnlimited;
 }
 
 PlanningServer::TenantState* PlanningServer::FindOrCreateTenant(
@@ -563,11 +562,9 @@ void PlanningServer::RejectRequest(Reactor& r, Connection* conn,
                                    const char* wire_status,
                                    std::string message, std::string id,
                                    int64_t ServerStats::*stat_field,
-                                   const char* counter_name) {
+                                   obs::Counter* counter) {
   Bump(stat_field);
-  if (counter_name != nullptr && obs::MetricsOn()) {
-    obs::DefaultMetrics().GetCounter(counter_name)->Add();
-  }
+  if (counter != nullptr && obs::MetricsOn()) counter->Add();
   // May close the connection; conn must not be touched after.
   QueueResponse(r, conn, ErrorResponse(wire_status, std::move(message),
                                        std::move(id)));
@@ -612,7 +609,7 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
   const char* reject_status = nullptr;
   std::string reject_message;
   int64_t ServerStats::*reject_stat = nullptr;
-  const char* reject_counter = nullptr;
+  obs::Counter* reject_counter = nullptr;
   {
     // The one lock shared across reactors: the admission decision.
     // Everything else on this path is reactor-local, but for the
@@ -624,7 +621,9 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
       reject_message = StrPrintf("tenant table full (%zu tenants tracked)",
                                  options_.max_tenants);
       reject_stat = &ServerStats::rejected_tenant_table_full;
-      reject_counter = "server.rejected.tenant_table_full";
+      static obs::Counter* const table_full = obs::DefaultMetrics().GetCounter(
+          "server.rejected.tenant_table_full");
+      reject_counter = table_full;
     } else if (state->quota.max_inflight > 0 &&
                state->inflight >= state->quota.max_inflight) {
       state->stats.rejected_inflight++;
@@ -633,7 +632,9 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
           "tenant '%s' is at its in-flight cap (%lld requests)",
           tenant.c_str(), static_cast<long long>(state->quota.max_inflight));
       reject_stat = &ServerStats::rejected_tenant_inflight;
-      reject_counter = "server.rejected.tenant_inflight";
+      static obs::Counter* const at_cap = obs::DefaultMetrics().GetCounter(
+          "server.rejected.tenant_inflight");
+      reject_counter = at_cap;
     } else if (state->quota.max_dollars > 0.0 &&
                state->dollars_spent >= state->quota.max_dollars) {
       state->stats.rejected_budget++;
@@ -642,7 +643,9 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
           "tenant '%s' exhausted its $%.4f budget ($%.4f spent)",
           tenant.c_str(), state->quota.max_dollars, state->dollars_spent);
       reject_stat = &ServerStats::rejected_tenant_budget;
-      reject_counter = "server.rejected.tenant_budget";
+      static obs::Counter* const over_budget = obs::DefaultMetrics().GetCounter(
+          "server.rejected.tenant_budget");
+      reject_counter = over_budget;
     } else if (state->queue.size() >= options_.max_queue) {
       state->stats.rejected_queue_full++;
       reject_status = kWireResourceExhausted;
@@ -650,7 +653,9 @@ void PlanningServer::AdmitOrReject(Reactor& r, Connection* conn,
           "admission queue full (%zu pending for tenant '%s')",
           options_.max_queue, tenant.c_str());
       reject_stat = &ServerStats::rejected_queue_full;
-      reject_counter = "server.rejected.queue_full";
+      static obs::Counter* const queue_full = obs::DefaultMetrics().GetCounter(
+          "server.rejected.queue_full");
+      reject_counter = queue_full;
     } else if (stored.has_value()) {
       // Admitted and answered at once, so in-flight never rises.
       state->stats.admitted++;

@@ -68,11 +68,8 @@ struct ServerOptions {
   /// One more request is rejected with RESOURCE_EXHAUSTED instead of
   /// growing memory without bound.
   size_t max_queue = 64;
-  /// Quota applied to tenants without an explicit entry in
-  /// `tenant_quotas`. The default (all zero) is unlimited.
-  TenantQuota default_tenant_quota;
-  /// Per-tenant quota overrides, keyed by the wire `tenant` string ("" =
-  /// the anonymous tenant).
+  /// Per-tenant quotas, keyed by the wire `tenant` string ("" = the
+  /// anonymous tenant). A tenant without an entry is unlimited.
   std::map<std::string, TenantQuota> tenant_quotas;
   /// Distinct tenants tracked at once; requests naming a new tenant
   /// beyond this are rejected RESOURCE_EXHAUSTED (admission state and
@@ -247,8 +244,7 @@ class PlanningServer {
   /// Per-connection state, owned by exactly one reactor for the whole
   /// connection lifetime.
   struct Connection {
-    uint64_t id = 0;
-    int reactor = 0;         ///< owning reactor index
+    uint64_t id = 0;  ///< encodes the owning reactor's index
     net::UniqueFd fd;
     std::string read_buf;
     std::string write_buf;   ///< unsent response bytes (slow clients)
@@ -343,7 +339,7 @@ class PlanningServer {
   void RejectRequest(Reactor& r, Connection* conn, const char* wire_status,
                      std::string message, std::string id,
                      int64_t ServerStats::*stat_field,
-                     const char* counter_name);
+                     obs::Counter* counter);
   void QueueResponse(Reactor& r, Connection* conn,
                      const PlanResponse& response);
   void SendRawResponse(Reactor& r, Connection* conn, std::string payload);

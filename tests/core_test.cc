@@ -297,7 +297,6 @@ TEST(ResourcePlanCacheTest, ExactModeMatchesPairMapOracle) {
       ++at;
     }
 
-    cache.ResetStats();
     int64_t hits = 0;
     int64_t lookups = 0;
     auto expect_lookup = [&](double smaller, std::optional<double> larger) {

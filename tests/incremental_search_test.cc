@@ -30,6 +30,7 @@
 #include "cost/features.h"
 #include "cost/model_bounds.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "optimizer/cost_evaluator.h"
 #include "optimizer/selinger.h"
 #include "resource/cluster_conditions.h"
@@ -177,8 +178,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededIncrementalSearchTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 /// The synthetic surface as a sweep objective: each cell priced on its
-/// own, each box bounded through BoxBound unless `bounded` is off.
-/// `declining` makes some boxes decline to bound (-inf).
+/// own, each box bounded through BoxBound unless `has_bound` is off,
+/// when every box declines to bound (-inf). `declining` makes some
+/// boxes decline.
 struct SurfaceObjective {
   const SyntheticSurface& surface;
   const core::GridGeometry& g;
@@ -188,7 +190,6 @@ struct SurfaceObjective {
   void Cells(int64_t i, int64_t j0, int64_t j1, double* out) const {
     for (int64_t j = j0; j < j1; ++j) out[j - j0] = surface.Cost(g.CellAt(i, j));
   }
-  bool bounded() const { return has_bound; }
   void RowBounds(double* out) const {
     for (int64_t i = 0; i < g.cs_points; ++i) {
       out[i] = Bound(i, 0, g.nc_points);
@@ -202,6 +203,7 @@ struct SurfaceObjective {
   }
   double Bound(int64_t i, int64_t j0, int64_t j1) const {
     const resource::ResourceConfig lo = g.CellAt(i, j0);
+    if (!has_bound) return -kInf;
     if (declining &&
         SyntheticSurface::CellHash(lo.container_size_gb(),
                                    lo.num_containers()) %
@@ -455,8 +457,8 @@ TEST(ResourceBoundOracleTest, RejectsNonMonotoneFeatureSet) {
   EXPECT_FALSE(cost::ResourceBoundsSound(PeakedModels().smj));
 
   // A monotone set with a weight that is not finite has no sound bound
-  // either: the switch-aware evaluator sweeps that model without bounds
-  // and still bounds the other one.
+  // either: the switch-aware evaluator searches that model by brute force
+  // and still sweeps the other one with bounds.
   for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
     cost::JoinCostModels models = HiveModels();
     ASSERT_EQ(models.smj.feature_set(), cost::FeatureSet::kExtended);
@@ -468,7 +470,7 @@ TEST(ResourceBoundOracleTest, RejectsNonMonotoneFeatureSet) {
     const core::RaqoCostEvaluator eval(
         models, resource::ClusterConditions::PaperDefault());
     EXPECT_EQ(eval.model_search(plan::JoinImpl::kSortMergeJoin),
-              core::RaqoCostEvaluator::ModelSearch::kSweep)
+              core::RaqoCostEvaluator::ModelSearch::kPlanner)
         << bad;
     EXPECT_EQ(eval.model_search(plan::JoinImpl::kBroadcastHashJoin),
               core::RaqoCostEvaluator::ModelSearch::kBoundedSweep)
@@ -496,12 +498,12 @@ TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
                                       resource::PricingModel(),
                                       switch_options);
   // Both models rejected when the evaluator is built: one counter bump
-  // each, and both are swept without bounds.
+  // each, and both are searched by the brute force.
   EXPECT_EQ(rejected->Value(), rejected_before + 2);
   EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kSortMergeJoin),
-            core::RaqoCostEvaluator::ModelSearch::kSweep);
+            core::RaqoCostEvaluator::ModelSearch::kPlanner);
   EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kBroadcastHashJoin),
-            core::RaqoCostEvaluator::ModelSearch::kSweep);
+            core::RaqoCostEvaluator::ModelSearch::kPlanner);
 
   core::RaqoEvaluatorOptions brute_options;
   brute_options.search = core::ResourceSearch::kBruteForce;
@@ -509,8 +511,8 @@ TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
                                      resource::PricingModel(),
                                      brute_options);
 
-  // ... and planning still agrees exactly with the exhaustive search
-  // (the fallback is an exhaustive sweep, never a blind prune).
+  // ... and planning agrees exactly with the exhaustive search (the
+  // fallback is the exhaustive search itself, never a blind prune).
   optimizer::SelingerPlanner planner;
   const Result<optimizer::PlannedQuery> via_switch =
       planner.Plan(cat, tables, switch_eval);
@@ -523,10 +525,9 @@ TEST(SwitchAwareEvaluatorTest, NonMonotoneModelFallsBackToExhaustive) {
   EXPECT_EQ(via_switch->plan->ToString(), via_brute->plan->ToString());
   EXPECT_EQ(via_switch->cost.seconds, via_brute->cost.seconds);
   EXPECT_EQ(via_switch->cost.dollars, via_brute->cost.dollars);
-  // Without bounds nothing is pruned: the fallback explores at least
-  // every cell the brute force does (warm-start re-costs can add one
-  // evaluation per search, never remove any).
-  EXPECT_GE(via_switch->stats.resource_configs_explored,
+  // The fallback is the brute force: it explores every cell, as often
+  // as kBruteForce does.
+  EXPECT_EQ(via_switch->stats.resource_configs_explored,
             via_brute->stats.resource_configs_explored);
 }
 
@@ -563,6 +564,33 @@ TEST(SwitchAwareEvaluatorTest, NonSeparableModelSearchesByBruteForce) {
     EXPECT_EQ(switch_eval.model_search(plan::JoinImpl::kSortMergeJoin),
               core::RaqoCostEvaluator::ModelSearch::kPlanner);
   }
+
+  // One traced pass: every resource-search span names the search that
+  // ran, the brute force, not the sweep the evaluator was asked for.
+  core::RaqoEvaluatorOptions options;
+  options.search = core::ResourceSearch::kSwitchAwareGrid;
+  core::RaqoCostEvaluator traced(cost::PaperHiveModels(), cluster,
+                                 resource::PricingModel(), options);
+  const bool tracing_was_on = obs::DefaultTracer().enabled();
+  obs::DefaultTracer().Clear();
+  obs::DefaultTracer().set_enabled(true);
+  const Result<optimizer::PlannedQuery> planned = planner.Plan(
+      cat, *catalog::TpchQueryTables(cat, catalog::TpchQuery::kQ3), traced);
+  obs::DefaultTracer().set_enabled(tracing_was_on);
+  const std::vector<obs::FinishedSpan> spans = obs::DefaultTracer().Snapshot();
+  obs::DefaultTracer().Clear();
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  int64_t searches = 0;
+  for (const obs::FinishedSpan& span : spans) {
+    if (span.name != "planner.resource.grid") continue;
+    ++searches;
+    std::string strategy;
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "strategy") strategy = attr.value;
+    }
+    EXPECT_EQ(strategy, "brute-force");
+  }
+  EXPECT_GT(searches, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -635,7 +663,7 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
     const core::GridGeometry g(grid);
     // Refilled in place, as the evaluator refills it between searches.
     seconds.Fill(model, ss, ls, grid);
-    const core::SeparableObjective objective(seconds, pricing, tw, sound);
+    const core::SeparableObjective objective(seconds, pricing, tw);
     const std::string what = model.name() + " trial " + std::to_string(trial);
 
     std::vector<double> row(static_cast<size_t>(g.nc_points));

@@ -565,6 +565,42 @@ TEST(PlanningServiceTest, LookupCountersCountOnlySharedCacheLookups) {
   EXPECT_EQ(misses, shared_after.misses - shared_before.misses);
 }
 
+TEST(PlanningServiceTest, ResponsesReportTheirOwnCacheLookups) {
+  // Each planned response counts the lookups its own evaluator made in
+  // the shared cache. Q3's first planning looks up what a planner on a
+  // cache of its own looks up; the second (planned again: the response
+  // cache stores a statement only at its second planning) finds every
+  // entry the first stored.
+  PlanningService service = MakeService();
+  const catalog::Catalog& catalog = TestCatalog();
+  const std::vector<catalog::TableId> tables =
+      *catalog::TpchQueryTables(catalog, catalog::TpchQuery::kQ3);
+  core::RaqoPlanner alone(&catalog, Models(),
+                          resource::ClusterConditions::PaperDefault(),
+                          resource::PricingModel(), TestPlannerOptions());
+  const Result<core::JointPlan> want = alone.Plan(tables);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_GT(want->stats.cache_misses, 0);
+
+  PlanRequest request;
+  for (catalog::TableId id : tables) {
+    request.tables.push_back(catalog.table(id).name);
+  }
+  request.id = "first";
+  const PlanResponse first = service.Handle(request);
+  request.id = "second";
+  const PlanResponse second = service.Handle(request);
+  ASSERT_TRUE(first.ok()) << first.status << ": " << first.error;
+  ASSERT_TRUE(second.ok()) << second.status << ": " << second.error;
+  EXPECT_FALSE(first.stats.response_cache_hit);
+  EXPECT_FALSE(second.stats.response_cache_hit);
+  EXPECT_EQ(first.stats.cache_hits, want->stats.cache_hits);
+  EXPECT_EQ(first.stats.cache_misses, want->stats.cache_misses);
+  EXPECT_EQ(second.stats.cache_misses, 0);
+  EXPECT_GT(second.stats.cache_hits, 0);
+  EXPECT_EQ(second.stats.resource_configs_explored, 0);
+}
+
 // ---------------------------------------------------------------------
 // Response cache
 
