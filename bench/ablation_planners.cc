@@ -29,7 +29,7 @@ const cost::JoinCostModels& Models() {
 
 void PlannerAblation() {
   bench::Section("Ablation 1: query planners under RAQO (TPC-H, "
-                 "hill-climb resource planning)");
+                 "switch-aware grid resource planning)");
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
   bench::Table table({"query", "planner", "cost (s)", "wall (ms)",
                       "plans considered", "resource iters"});

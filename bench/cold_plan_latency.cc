@@ -10,12 +10,18 @@
 // and dominance-pruning the rest of the grid with sound cost-model
 // lower bounds (docs/PERF.md).
 //
+// The switch-aware side also skips whole searches: the DP passes each
+// candidate the best plan found so far for its subset, and the evaluator
+// returns without searching when the candidate's lower bound cannot
+// beat it (docs/PERF.md, section 5). The brute force never skips.
+//
 // This bench plans the TPC-H evaluation queries plus a random-schema
 // workload with both searches, one repeat of each in turn until both
 // have run for a second, asserts the plans are identical, and reports
-// per-query latency percentiles, the evaluation-count ratio, and the
-// wall-clock speedup. With --smoke it is a CI gate: plans must be
-// identical and the switch-aware search must be >= 6x faster cold.
+// per-query latency percentiles, the evaluation-count ratio, the
+// candidates skipped, and the wall-clock speedup. With --smoke it is a
+// CI gate: plans must be identical, the switch-aware search must be
+// >= 6x faster cold, and it must skip at least one candidate per suite.
 
 #include <cstdio>
 #include <cstring>
@@ -29,6 +35,7 @@
 #include "common/rng.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
+#include "obs/metrics.h"
 #include "sim/profile_runner.h"
 
 namespace {
@@ -60,6 +67,8 @@ core::RaqoPlannerOptions ColdOptions(core::ResourceSearch search) {
 struct SearchRun {
   double total_wall_ms = 0.0;
   int64_t configs_explored = 0;  ///< of the first repeat
+  /// Candidates the DP's incumbent skipped in the first repeat.
+  int64_t candidates_skipped = 0;
   std::vector<double> query_wall_ms;
   // Reports of the final repeat, for the plan-identity check.
   core::WorkloadReport last_report;
@@ -84,12 +93,16 @@ void RunRepeat(const catalog::Catalog& cat, const cost::JoinCostModels& models,
                const resource::ClusterConditions& cluster,
                const std::vector<core::WorkloadQuery>& workload,
                core::ResourceSearch search, SearchRun* run) {
+  static obs::Counter* skipped =
+      obs::DefaultMetrics().GetCounter("planner.selinger.skipped");
   core::RaqoPlanner planner(&cat, models, cluster, resource::PricingModel(),
                             ColdOptions(search));
   core::WorkloadRunner runner(&planner);
+  const int64_t skipped_before = skipped->Value();
   Result<core::WorkloadReport> report = runner.Run(workload);
   RAQO_CHECK(report.ok()) << report.status().ToString();
   const bool first = run->query_wall_ms.empty();
+  if (first) run->candidates_skipped = skipped->Value() - skipped_before;
   run->total_wall_ms += report->wall_clock_ms;
   for (const core::QueryRunReport& query : report->queries) {
     run->query_wall_ms.push_back(query.wall_ms);
@@ -152,11 +165,12 @@ int main(int argc, char** argv) {
                           {"random", &random_cat, &random_workload}};
 
   bench::Table table({"suite", "search", "repeats", "wall (ms)",
-                      "p50/p95/p99 (ms)", "evals/query", "speedup",
-                      "plans identical"});
+                      "p50/p95/p99 (ms)", "evals/query", "skipped/query",
+                      "speedup", "plans identical"});
   std::string json_suites;
   double worst_speedup = 1e300;
   bool all_identical = true;
+  bool all_skipped = true;
 
   for (const Suite& suite : suites) {
     SearchRun brute;
@@ -174,6 +188,7 @@ int main(int argc, char** argv) {
     const bool identical =
         SamePlans(brute.last_report, incremental.last_report);
     all_identical = all_identical && identical;
+    all_skipped = all_skipped && incremental.candidates_skipped > 0;
     const double speedup = incremental.total_wall_ms > 0.0
                                ? brute.total_wall_ms / incremental.total_wall_ms
                                : 1.0;
@@ -191,6 +206,9 @@ int main(int argc, char** argv) {
                   bench::Num(static_cast<double>(brute.configs_explored) /
                                  queries,
                              "%.0f"),
+                  bench::Num(static_cast<double>(brute.candidates_skipped) /
+                                 queries,
+                             "%.1f"),
                   bench::Num(1.0, "%.2fx"), "-"});
     table.AddRow({suite.name, "switch-aware-grid", bench::Int(repeats),
                   bench::Num(incremental.total_wall_ms, "%.1f"),
@@ -200,21 +218,29 @@ int main(int argc, char** argv) {
                       static_cast<double>(incremental.configs_explored) /
                           queries,
                       "%.0f"),
+                  bench::Num(
+                      static_cast<double>(incremental.candidates_skipped) /
+                          queries,
+                      "%.1f"),
                   bench::Num(speedup, "%.2fx"), identical ? "yes" : "NO"});
 
     if (!json_suites.empty()) json_suites += ", ";
     json_suites += StrPrintf(
         "{\"suite\": \"%s\", \"queries\": %zu, \"repeats\": %d, "
-        "\"brute_force\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld}, "
-        "\"switch_aware\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld}, "
+        "\"brute_force\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld, "
+        "\"candidates_skipped\": %lld}, "
+        "\"switch_aware\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld, "
+        "\"candidates_skipped\": %lld}, "
         "\"speedup\": %s, \"plans_identical\": %s}",
         suite.name, suite.workload->size(), repeats,
         JsonNumber(brute.total_wall_ms).c_str(),
         bench::LatencyJsonFields(brute_lat, "ms").c_str(),
         (long long)brute.configs_explored,
+        (long long)brute.candidates_skipped,
         JsonNumber(incremental.total_wall_ms).c_str(),
         bench::LatencyJsonFields(inc_lat, "ms").c_str(),
         (long long)incremental.configs_explored,
+        (long long)incremental.candidates_skipped,
         JsonNumber(speedup).c_str(), identical ? "true" : "false");
   }
   table.Print();
@@ -239,6 +265,13 @@ int main(int argc, char** argv) {
                    "plans — the exhaustive-equivalence contract broke\n");
       ok = false;
     }
+    if (!all_skipped) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: the switch-aware search skipped no "
+                   "candidate in some suite — the DP's incumbent no "
+                   "longer reaches the evaluator\n");
+      ok = false;
+    }
     if (worst_speedup < kSpeedupFloor) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cold speedup %.2fx is below the %.2fx "
@@ -248,7 +281,7 @@ int main(int argc, char** argv) {
     }
     if (!ok) return 1;
     std::printf("smoke: cold-latency gates passed (worst %.2fx, plans "
-                "identical)\n",
+                "identical, candidates skipped)\n",
                 worst_speedup);
   }
   return 0;

@@ -390,6 +390,31 @@ void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_RaqoEvaluatorCostJoin);
 
+// The same joins under an incumbent no candidate can beat: each call
+// prices the lower bound over the grid and returns Skipped, searching
+// no cell. Against BM_RaqoEvaluatorCostJoin it is what a skip saves.
+void BM_RaqoEvaluatorSkippedCandidate(benchmark::State& state) {
+  core::RaqoCostEvaluator eval(Models(),
+                               resource::ClusterConditions::PaperDefault());
+  optimizer::JoinContext ctx;
+  ctx.impl = plan::JoinImpl::kSortMergeJoin;
+  ctx.right_bytes = catalog::GbToBytes(77);
+  ctx.incumbent = 0.0;
+  double ss = 0.5;
+  int64_t skipped = 0;
+  for (auto _ : state) {
+    ss = ss < 8.0 ? ss + 0.125 : 0.5;
+    ctx.left_bytes = catalog::GbToBytes(ss);
+    Result<optimizer::OperatorCost> cost = eval.CostJoin(ctx);
+    skipped += cost.ok() ? 0 : 1;
+    benchmark::DoNotOptimize(cost);
+  }
+  if (skipped != static_cast<int64_t>(state.iterations())) {
+    state.SkipWithError("a candidate under a zero incumbent was searched");
+  }
+}
+BENCHMARK(BM_RaqoEvaluatorSkippedCandidate);
+
 // The planning service builds an evaluator per request, so whatever an
 // evaluator does once is paid per request: each iteration builds a
 // fresh one and costs one SMJ join on the paper grid (no warm start).

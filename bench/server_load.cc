@@ -31,10 +31,12 @@
 //                  the pre-restart hit rate is back (recovery replay
 //                  time — the rate itself is available on the first
 //                  request), then warm a cold replica from the restarted
-//                  node over the wire via cache_dump/cache_load. With
-//                  --smoke, asserts that the recovered and replica passes
-//                  miss the resource-plan cache no more often than the
-//                  pre-restart pass, and zero protocol errors.
+//                  node over the wire via cache_dump/cache_load. Fails on
+//                  any protocol error, and unless the restart replayed
+//                  one snapshot entry or journal record per entry the
+//                  node held. With --smoke, also asserts that the
+//                  recovered and replica passes miss the resource-plan
+//                  cache no more often than the pre-restart pass.
 
 #include <algorithm>
 #include <atomic>
@@ -477,6 +479,19 @@ int RunRestartRecovery(bool smoke, const catalog::Catalog& catalog,
   if (total_errors != 0) {
     std::fprintf(stderr, "restart-recovery: %lld protocol errors\n",
                  (long long)total_errors);
+    return 1;
+  }
+  // The cache journals only inserts that change it, and planners that
+  // miss one key store the same plan for it, so disk holds one record
+  // per entry however the requests interleaved.
+  if (recovery.snapshot_entries + recovery.journal_records !=
+      entries_before) {
+    std::fprintf(stderr,
+                 "restart-recovery: replayed %lld snapshot entries + %lld "
+                 "journal records for %lld entries\n",
+                 (long long)recovery.snapshot_entries,
+                 (long long)recovery.journal_records,
+                 (long long)entries_before);
     return 1;
   }
   if (smoke) {

@@ -1,6 +1,7 @@
 #include "core/plan_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,16 +13,38 @@
 
 namespace raqo::core {
 
-bool SortedArrayIndex::Insert(const CachedResourcePlan& plan) {
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Overwrites `stored` with `plan`, reporting whether any bit changed.
+InsertOutcome Overwrite(CachedResourcePlan& stored,
+                        const CachedResourcePlan& plan) {
+  const bool same =
+      SameBits(stored.key_gb, plan.key_gb) &&
+      SameBits(stored.config.container_size_gb(),
+               plan.config.container_size_gb()) &&
+      SameBits(stored.config.num_containers(), plan.config.num_containers()) &&
+      SameBits(stored.cost, plan.cost) &&
+      SameBits(stored.larger_gb, plan.larger_gb);
+  if (same) return InsertOutcome::kUnchanged;
+  stored = plan;
+  return InsertOutcome::kChanged;
+}
+
+}  // namespace
+
+InsertOutcome SortedArrayIndex::Insert(const CachedResourcePlan& plan) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), plan.key_gb,
       [](const CachedResourcePlan& e, double k) { return e.key_gb < k; });
   if (it != entries_.end() && it->key_gb == plan.key_gb) {
-    *it = plan;  // overwrite
-    return false;
+    return Overwrite(*it, plan);
   }
   entries_.insert(it, plan);
-  return true;
+  return InsertOutcome::kAdded;
 }
 
 std::optional<CachedResourcePlan> SortedArrayIndex::FindExact(
@@ -90,20 +113,17 @@ void PairTable::Rehash(size_t slot_count) {
   }
 }
 
-bool PairTable::Insert(const CachedResourcePlan& plan) {
+InsertOutcome PairTable::Insert(const CachedResourcePlan& plan) {
   if (2 * (entries_.size() + 1) > slots_.size()) {
     RAQO_CHECK(entries_.size() < std::numeric_limits<uint32_t>::max())
         << "PairTable holds at most 2^32 - 1 entries";
     Rehash(std::max<size_t>(16, 2 * slots_.size()));
   }
   uint32_t& slot = slots_[SlotOf(plan.key_gb, plan.larger_gb)];
-  if (slot != 0) {
-    entries_[slot - 1] = plan;  // overwrite
-    return false;
-  }
+  if (slot != 0) return Overwrite(entries_[slot - 1], plan);
   entries_.push_back(plan);
   slot = static_cast<uint32_t>(entries_.size());
-  return true;
+  return InsertOutcome::kAdded;
 }
 
 const CachedResourcePlan* PairTable::Find(double smaller_gb,
@@ -339,12 +359,13 @@ std::vector<CachedResourcePlan> ResourcePlanCache::FindNeighbors(
 
 void ResourcePlanCache::Insert(const std::string& model_name,
                                const CachedResourcePlan& plan) {
+  bool changed = false;
   if (!obs::TracingOn()) {
-    InsertImpl(model_name, plan);
+    changed = InsertImpl(model_name, plan);
   } else {
     Stopwatch timer;
     obs::Span span = obs::DefaultTracer().StartSpan("cache.insert");
-    InsertImpl(model_name, plan);
+    changed = InsertImpl(model_name, plan);
     if (span.recording()) {
       span.SetAttr("model", model_name);
       span.SetAttr("key_gb", plan.key_gb);
@@ -359,6 +380,9 @@ void ResourcePlanCache::Insert(const std::string& model_name,
   // Fire the mutation observer strictly after the stripe lock is
   // released: a listener journaling to disk or snapshotting the cache
   // (which re-enters via DumpEntries) must never nest under a stripe.
+  // Only changes fire it, so a replay of its records rebuilds this state
+  // from one record per change.
+  if (!changed) return;
   if (CacheEventListener* listener =
           listener_.load(std::memory_order_acquire);
       listener != nullptr) {
@@ -366,17 +390,18 @@ void ResourcePlanCache::Insert(const std::string& model_name,
   }
 }
 
-void ResourcePlanCache::InsertImpl(const std::string& model_name,
+bool ResourcePlanCache::InsertImpl(const std::string& model_name,
                                    const CachedResourcePlan& plan) {
   const bool exact = mode_ == CacheLookupMode::kExact;
   Stripe& stripe = StripeFor(plan.key_gb, exact ? plan.larger_gb : 0.0);
   stripe.inserts.fetch_add(1, std::memory_order_relaxed);
   int64_t entries = 0;
+  InsertOutcome outcome = InsertOutcome::kUnchanged;
   {
     std::unique_lock<std::mutex> lock = LockStripe(stripe);
-    const bool added = exact ? stripe.exact[model_name].Insert(plan)
-                             : stripe.sorted[model_name].Insert(plan);
-    if (added) {
+    outcome = exact ? stripe.exact[model_name].Insert(plan)
+                    : stripe.sorted[model_name].Insert(plan);
+    if (outcome == InsertOutcome::kAdded) {
       // Counted under the stripe lock, so Clear() subtracts exactly the
       // entries it drops.
       ++stripe.entries;
@@ -384,6 +409,7 @@ void ResourcePlanCache::InsertImpl(const std::string& model_name,
     }
   }
   if (entries > 0) SetEntryGauges(entries, EntryBytes(mode_));
+  return outcome != InsertOutcome::kUnchanged;
 }
 
 void ResourcePlanCache::Clear() {

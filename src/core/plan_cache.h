@@ -28,16 +28,23 @@ struct CachedResourcePlan {
   double larger_gb = 0.0;
 };
 
+/// What an index Insert did to its entries.
+enum class InsertOutcome : uint8_t {
+  kAdded,      ///< a new key
+  kChanged,    ///< an overwrite whose bits differ from the stored entry's
+  kUnchanged,  ///< an overwrite with the stored entry's exact bits
+};
+
 /// Sorted dynamic array of data-characteristic keys with binary search:
 /// the paper's layout ("sorted array of keys, with automatic resizing,
 /// binary search for lookup", Section VI-B.3). The nearest-neighbour and
 /// weighted-average lookup modes read it in key order.
 class SortedArrayIndex {
  public:
-  /// Inserts or overwrites the entry at `plan.key_gb`. Returns true
-  /// when a new key was inserted, false on overwrite — callers keeping
-  /// an entry count (the cache's obs gauges) depend on the distinction.
-  bool Insert(const CachedResourcePlan& plan);
+  /// Inserts or overwrites the entry at `plan.key_gb`. Callers keeping
+  /// an entry count (the cache's obs gauges) count kAdded; the cache
+  /// journals kAdded and kChanged.
+  InsertOutcome Insert(const CachedResourcePlan& plan);
 
   /// Exact-key lookup.
   std::optional<CachedResourcePlan> FindExact(double key) const;
@@ -65,8 +72,7 @@ class SortedArrayIndex {
 class PairTable {
  public:
   /// Inserts or overwrites the entry for (plan.key_gb, plan.larger_gb).
-  /// Returns true when a new pair was inserted, false on overwrite.
-  bool Insert(const CachedResourcePlan& plan);
+  InsertOutcome Insert(const CachedResourcePlan& plan);
 
   /// The entry for exactly this pair, or nullptr. The pointer is valid
   /// until the next Insert.
@@ -153,8 +159,11 @@ struct CacheEntryRecord {
 class CacheEventListener {
  public:
   virtual ~CacheEventListener() = default;
-  /// One plan was recorded under `model`, exactly as the caller passed
-  /// it to Insert.
+  /// An Insert changed what the cache stores under `model`: it added a
+  /// key, or overwrote an entry with different bits. `plan` is exactly
+  /// what the caller passed. An insert that stores the bits the entry
+  /// already held (planners that missed the same key store the same
+  /// plan) fires nothing, so a journal holds one record per change.
   virtual void OnInsert(const std::string& model,
                         const CachedResourcePlan& plan) = 0;
 };
@@ -208,7 +217,8 @@ class ResourcePlanCache {
   /// Records the plan computed for (model, key). Writes go straight
   /// through: the entry is visible to every Lookup, from any thread,
   /// that starts after Insert returns. Exact mode keeps one entry per
-  /// (key_gb, larger_gb) pair; the similarity modes one per key_gb.
+  /// (key_gb, larger_gb) pair; the similarity modes one per key_gb. The
+  /// event listener fires only when the stored entry changed.
   ///
   /// Under tracing, records a `cache.insert` span and the
   /// `cache.insert.wall_us` histogram (the histogram also needs metrics
@@ -277,7 +287,8 @@ class ResourcePlanCache {
   std::optional<CachedResourcePlan> LookupImpl(
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb);
-  void InsertImpl(const std::string& model_name,
+  /// Returns whether the stored entry changed (kAdded or kChanged).
+  bool InsertImpl(const std::string& model_name,
                   const CachedResourcePlan& plan);
 
   /// Every entry of `model_name` within threshold_gb_ of `key_gb`,

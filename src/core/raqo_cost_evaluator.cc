@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "common/stopwatch.h"
@@ -110,6 +111,27 @@ cost::CostVector Price(const cost::OperatorCostModel& model,
   return cost::CostVector{seconds, pricing.Cost(config, seconds)};
 }
 
+/// A lower bound, in each component, of every cost CostJoinImpl can
+/// return for a join searched on `grid` by the bounded sweep. A searched
+/// or cached configuration lies on the grid, so its seconds are at least
+/// the model's corner bound over the grid's box, and its dollars at
+/// least those seconds priced at the box's low corner (docs/PERF.md,
+/// section 5).
+cost::CostVector CostLowerBound(const cost::OperatorCostModel& model,
+                                const resource::PricingModel& pricing,
+                                double ss_gb, double ls_gb,
+                                const resource::ClusterConditions& grid) {
+  const GridGeometry g(grid);
+  const resource::ResourceConfig lo = g.CellAt(0, 0);
+  const resource::ResourceConfig hi =
+      g.CellAt(g.cs_points - 1, g.nc_points - 1);
+  cost::JoinFeatures data;
+  data.smaller_gb = ss_gb;
+  data.larger_gb = ls_gb;
+  const double seconds = cost::SecondsLowerBound(model, data, lo, hi);
+  return cost::CostVector{seconds, pricing.Cost(lo, seconds)};
+}
+
 }  // namespace
 
 Result<ResourcePlanResult> RaqoCostEvaluator::SearchResources(
@@ -165,8 +187,29 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   }
 
   const double ls_gb = context.larger_gb();
-  // Cache lookup first (Section VI-C), keyed by the data characteristic.
+  const size_t model_idx =
+      context.impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1;
   ResourcePlanCache* cache = active_cache();
+  // The DP's incumbent cuts the search off when even the cheapest cost
+  // the search could return leaves the candidate no better than it.
+  // Only where a skip changes no later answer: a bounded-sweep model
+  // (bound-sound, non-negative price rate) and no cache or an exact one,
+  // whose hits return what a search would whatever entries a skip left
+  // out (a similarity-mode hit depends on them). The DP's weight must
+  // lie in [0, 1] for the scalar to grow with each component.
+  const double tw = context.time_weight;
+  if (context.incumbent < std::numeric_limits<double>::infinity() &&
+      model_search_[model_idx] == ModelSearch::kBoundedSweep &&
+      (cache == nullptr || cache->mode() == CacheLookupMode::kExact) &&
+      tw >= 0.0 && tw <= 1.0) {
+    const cost::CostVector bound =
+        CostLowerBound(model, pricing_, ss_gb, ls_gb, search_cluster);
+    if ((context.inputs + bound).Weighted(tw) >= context.incumbent) {
+      return Status::Skipped("cannot win");  // short: no heap allocation
+    }
+  }
+
+  // Cache lookup first (Section VI-C), keyed by the data characteristic.
   if (cache != nullptr) {
     if (std::optional<CachedResourcePlan> hit =
             cache->Lookup(model.name(), ss_gb, ls_gb)) {
@@ -182,8 +225,6 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     ++lookups_.misses;
   }
 
-  const size_t model_idx =
-      context.impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1;
   const bool warm_started = switch_aware_ && last_best_[model_idx].has_value();
   // Counters are always on with metrics; the clock, the latency
   // histogram and the span only run under tracing, so the default

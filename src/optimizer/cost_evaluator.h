@@ -24,6 +24,20 @@ struct JoinContext {
   double left_bytes = 0.0;
   double right_bytes = 0.0;
 
+  /// The join DP's view of the candidate. Its total is `inputs` (the
+  /// summed cost of the two inputs) plus the operator's cost, and it
+  /// wins only when `total.Weighted(time_weight)` is strictly below
+  /// `incumbent`, the best such scalar found so far for the joined
+  /// subset. With a finite incumbent an evaluator may return a
+  /// StatusCode::kSkipped status instead of a cost, when it can show the
+  /// candidate's scalar would be at least the incumbent; +inf (the
+  /// default, and what every caller but the DP passes) never skips. So
+  /// an answer under a finite incumbent depends on it: a wrapper that
+  /// memoizes CostJoin must key on the incumbent or strip it.
+  cost::CostVector inputs;
+  double incumbent = std::numeric_limits<double>::infinity();
+  double time_weight = 1.0;
+
   double smaller_bytes() const {
     return left_bytes < right_bytes ? left_bytes : right_bytes;
   }
@@ -53,6 +67,8 @@ struct OperatorCost {
 /// Implementations may return ResourceExhausted when an operator cannot
 /// run at all (e.g. a broadcast build side that fits in no allowed
 /// container); planners treat such candidates as invalid and skip them.
+/// They may return Skipped for a candidate that cannot beat
+/// JoinContext::incumbent.
 class PlanCostEvaluator {
  public:
   virtual ~PlanCostEvaluator() = default;

@@ -1,5 +1,7 @@
 #include "optimizer/subset_dp.h"
 
+#include <limits>
+
 #include "common/stopwatch.h"
 #include "obs/trace.h"
 #include "plan/table_set.h"
@@ -10,6 +12,7 @@ SubsetDpMetrics::SubsetDpMetrics(const std::string& prefix)
     : runs(obs::DefaultMetrics().GetCounter(prefix + ".runs")),
       subproblems(obs::DefaultMetrics().GetCounter(prefix + ".subproblems")),
       pruned(obs::DefaultMetrics().GetCounter(prefix + ".pruned")),
+      skipped(obs::DefaultMetrics().GetCounter(prefix + ".skipped")),
       plans_considered(
           obs::DefaultMetrics().GetCounter(prefix + ".plans_considered")),
       memo_entries(obs::DefaultMetrics().GetGauge(prefix + ".memo_entries")) {}
@@ -77,6 +80,7 @@ Result<PlannedQuery> SubsetDp::Run(const catalog::Catalog& catalog,
   if (span.recording()) {
     span.SetAttr("subproblems", subproblems_);
     span.SetAttr("pruned", pruned_);
+    span.SetAttr("skipped", skipped_);
     span.SetAttr("memo_entries", memo_entries);
     span.SetAttr("plans_considered", stats_.plans_considered);
   }
@@ -85,6 +89,7 @@ Result<PlannedQuery> SubsetDp::Run(const catalog::Catalog& catalog,
     metrics.runs->Add(1);
     metrics.subproblems->Add(subproblems_);
     metrics.pruned->Add(pruned_);
+    metrics.skipped->Add(skipped_);
     metrics.plans_considered->Add(stats_.plans_considered);
     metrics.memo_entries->Set(static_cast<double>(memo_entries));
   }
@@ -105,18 +110,29 @@ void SubsetDp::CostSplit(uint32_t mask, uint32_t left) {
   JoinContext context;
   context.left_bytes = BytesOf(left);
   context.right_bytes = BytesOf(right);
+  // Each total below is (left + right) + operator: the additions and
+  // order of summing all three at once, so reusing the inputs keeps the
+  // totals' bits.
+  context.inputs = memo_[left].cost + memo_[right].cost;
+  context.time_weight = config_.time_weight;
+  Entry& entry = memo_[mask];
   for (int impl_idx = 0; impl_idx < plan::kNumJoinImpls; ++impl_idx) {
     context.impl = static_cast<plan::JoinImpl>(impl_idx);
+    context.incumbent = entry.valid
+                            ? entry.scalar
+                            : std::numeric_limits<double>::infinity();
     ++stats_.plans_considered;
     Result<OperatorCost> op = evaluator_->CostJoin(context);
     if (!op.ok()) {
-      ++pruned_;  // infeasible candidate (e.g. BHJ OOM)
+      if (op.status().IsSkipped()) {
+        ++skipped_;  // could not have beaten the incumbent
+      } else {
+        ++pruned_;  // infeasible candidate (e.g. BHJ OOM)
+      }
       continue;
     }
-    const cost::CostVector total =
-        memo_[left].cost + memo_[right].cost + op->cost;
+    const cost::CostVector total = context.inputs + op->cost;
     const double scalar = total.Weighted(config_.time_weight);
-    Entry& entry = memo_[mask];
     if (!entry.valid || scalar < entry.scalar) {
       entry = Entry{true, scalar, total, left, context.impl, op->resources};
     }

@@ -20,14 +20,15 @@
 // Only selinger.cc and bushy_dp.cc include this header.
 namespace raqo::optimizer::internal {
 
-/// A planner's `<prefix>.{runs,subproblems,pruned,plans_considered}`
-/// counters and `<prefix>.memo_entries` gauge, looked up once per planner
-/// into a function-local static.
+/// A planner's `<prefix>.{runs,subproblems,pruned,skipped,
+/// plans_considered}` counters and `<prefix>.memo_entries` gauge, looked
+/// up once per planner into a function-local static.
 struct SubsetDpMetrics {
   explicit SubsetDpMetrics(const std::string& prefix);
   obs::Counter* runs;
   obs::Counter* subproblems;
   obs::Counter* pruned;
+  obs::Counter* skipped;
   obs::Counter* plans_considered;
   obs::Gauge* memo_entries;
 };
@@ -46,8 +47,10 @@ struct SubsetDpConfig {
 /// positions). For each subset of two or more tables, in increasing mask
 /// order, the planner's split rule offers splits `left`; CostSplit prices
 /// left ⋈ (mask ^ left) under every JoinImpl and keeps the cheapest by
-/// scalarized cost, the first found winning ties. All scratch lives on the
-/// arena; the returned plan is heap-allocated.
+/// scalarized cost, the first found winning ties. Each candidate carries
+/// the subset's best scalar so far as JoinContext::incumbent, so the
+/// evaluator may skip one that cannot win (docs/PERF.md, section 5). All
+/// scratch lives on the arena; the returned plan is heap-allocated.
 class SubsetDp {
  public:
   /// Checks the arguments, resets the evaluator's counters, runs the DP,
@@ -109,6 +112,8 @@ class SubsetDp {
   PlanningStats stats_;
   int64_t subproblems_ = 0;
   int64_t pruned_ = 0;
+  /// Candidates the evaluator skipped as unable to beat the incumbent.
+  int64_t skipped_ = 0;
 };
 
 }  // namespace raqo::optimizer::internal

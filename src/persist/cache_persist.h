@@ -55,8 +55,9 @@ struct RecoveryStats {
   int64_t recovery_ms = 0;       ///< wall time of the whole replay
 };
 
-/// Durable plan cache: journals every Insert as a WAL record and
-/// periodically folds journal + cache into a crash-atomic snapshot.
+/// Durable plan cache: journals every Insert that changes the cache
+/// (CacheEventListener) as a WAL record and periodically folds journal +
+/// cache into a crash-atomic snapshot.
 ///
 /// Lifecycle: `Open` replays snapshot + journal into the cache (so a
 /// restarted node resumes at its pre-crash hit rate), then installs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
@@ -200,9 +201,10 @@ TEST(BushyDpTest, WorksWithRandomSchemas) {
 // EvaluatePlanCost and checks each DP against the minimum.
 
 /// Memoizes an evaluator's operator costs by implementation and input
-/// sizes. Both evaluators are pure functions of those, so a plan costs
-/// what it would unmemoized; the memo keeps 26,880 five-table bushy
-/// plans cheap to cost.
+/// sizes. Both evaluators are pure functions of those under no incumbent,
+/// which the memo therefore strips, so a plan costs what it would
+/// unmemoized; the memo keeps 26,880 five-table bushy plans cheap to
+/// cost.
 class MemoEvaluator : public PlanCostEvaluator {
  public:
   explicit MemoEvaluator(PlanCostEvaluator* inner) : inner_(inner) {}
@@ -213,7 +215,9 @@ class MemoEvaluator : public PlanCostEvaluator {
                                      context.left_bytes, context.right_bytes);
     auto it = memo_.find(key);
     if (it == memo_.end()) {
-      it = memo_.emplace(key, inner_->CostJoin(context)).first;
+      JoinContext plain = context;
+      plain.incumbent = std::numeric_limits<double>::infinity();
+      it = memo_.emplace(key, inner_->CostJoin(plain)).first;
     }
     return it->second;
   }
@@ -409,6 +413,125 @@ TEST(SubsetDpOracleTest, BothDpsMatchExhaustiveEnumeration) {
           EXPECT_GE(selinger_cost, best_left_deep * (1 - kTolerance));
           EXPECT_LE(selinger_cost, best_left_deep_free * (1 + kTolerance));
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The DP's incumbent lets the RAQO evaluator skip candidates that cannot
+// win. A skip must change nothing the DP returns: each plan, its cost
+// bits and every join's resources stay what they are when the evaluator
+// is never told an incumbent.
+
+/// Forwards every candidate to `inner`, stripping the incumbent when
+/// `strip` is set (so nothing is skipped), and counts the skips.
+class IncumbentForwarder : public PlanCostEvaluator {
+ public:
+  IncumbentForwarder(PlanCostEvaluator* inner, bool strip)
+      : inner_(inner), strip_(strip) {}
+  int64_t skipped() const { return skipped_; }
+
+ protected:
+  Result<OperatorCost> CostJoinImpl(const JoinContext& context) override {
+    JoinContext forwarded = context;
+    if (strip_) forwarded.incumbent = std::numeric_limits<double>::infinity();
+    Result<OperatorCost> cost = inner_->CostJoin(forwarded);
+    if (!cost.ok() && cost.status().IsSkipped()) ++skipped_;
+    return cost;
+  }
+
+ private:
+  PlanCostEvaluator* inner_;
+  bool strip_;
+  int64_t skipped_ = 0;
+};
+
+/// A plan as the service renders it: tree, cost bits, join resources.
+std::string Fingerprint(const catalog::Catalog& cat,
+                        const PlannedQuery& planned) {
+  std::string out = planned.plan->ToString(&cat);
+  char bits[96];
+  std::snprintf(bits, sizeof(bits), " %a %a", planned.cost.seconds,
+                planned.cost.dollars);
+  out += bits;
+  planned.plan->VisitJoins([&](const plan::PlanNode& join) {
+    out += ' ';
+    out += join.resources().value_or(resource::ResourceConfig()).ToString();
+  });
+  return out;
+}
+
+TEST(IncumbentSkipTest, PlansMatchTheEvaluatorWithoutAnIncumbent) {
+  struct Query {
+    const catalog::Catalog* cat;
+    std::vector<TableId> tables;
+    std::string label;
+  };
+  catalog::Catalog tpch = catalog::BuildTpchCatalog(100.0);
+  std::vector<Query> queries;
+  for (TpchQuery q : {TpchQuery::kQ12, TpchQuery::kQ3, TpchQuery::kQ2,
+                      TpchQuery::kAll}) {
+    queries.push_back({&tpch, *catalog::TpchQueryTables(tpch, q),
+                       catalog::TpchQueryName(q)});
+  }
+  catalog::RandomSchemaOptions schema;
+  schema.num_tables = 20;
+  schema.seed = 5;
+  catalog::Catalog random_cat = *catalog::BuildRandomCatalog(schema);
+  Rng rng(41);
+  for (int i = 0; i < 40; ++i) {
+    const int n = static_cast<int>(rng.UniformInt(3, 7));
+    queries.push_back(
+        {&random_cat,
+         *catalog::RandomQueryTables(random_cat, n,
+                                     static_cast<uint64_t>(900 + i)),
+         "random " + std::to_string(i)});
+  }
+
+  for (const bool cached : {false, true}) {
+    for (const double weight : {1.0, 0.0}) {
+      core::RaqoEvaluatorOptions options;
+      options.time_weight = weight;
+      options.use_cache = cached;
+      options.cache_mode = core::CacheLookupMode::kExact;
+      SelingerOptions selinger_options;
+      selinger_options.time_weight = weight;
+      BushyDpOptions bushy_options;
+      bushy_options.time_weight = weight;
+      for (const bool bushy : {false, true}) {
+        int64_t skipped = 0;
+        for (const Query& query : queries) {
+          SCOPED_TRACE(::testing::Message()
+                       << query.label << (bushy ? ", bushy" : ", Selinger")
+                       << ", weight " << weight
+                       << (cached ? ", exact cache" : ", no cache"));
+          auto plan = [&](bool strip, int64_t* skips) {
+            core::RaqoCostEvaluator inner(
+                Models(), resource::ClusterConditions::PaperDefault(),
+                resource::PricingModel(), options);
+            IncumbentForwarder forwarder(&inner, strip);
+            Result<PlannedQuery> planned =
+                bushy ? BushyDpPlanner(bushy_options)
+                            .Plan(*query.cat, query.tables, forwarder)
+                      : SelingerPlanner(selinger_options)
+                            .Plan(*query.cat, query.tables, forwarder);
+            EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+            *skips = forwarder.skipped();
+            return planned.ok() ? Fingerprint(*query.cat, *planned)
+                                : std::string();
+          };
+          int64_t unused = 0;
+          int64_t skips = 0;
+          const std::string without = plan(true, &unused);
+          EXPECT_EQ(unused, 0);
+          EXPECT_EQ(plan(false, &skips), without);
+          if (query.label == "All") {
+            EXPECT_GT(skips, 0);
+          }
+          skipped += skips;
+        }
+        EXPECT_GT(skipped, 0);
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <optional>
 #include <string>
@@ -27,6 +28,7 @@
 #include "concurrent_handle.h"
 #include "core/plan_cache.h"
 #include "core/workload_runner.h"
+#include "obs/metrics.h"
 #include "server/service.h"
 #include "sim/profile_runner.h"
 
@@ -439,6 +441,52 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
       explored += response.stats.resource_configs_explored;
     }
     EXPECT_LT(explored, seq_explored);
+  }
+}
+
+// The DP skips a candidate before its cache lookup when the subset's
+// best plan so far already beats the candidate's lower bound. Which
+// candidates skip depends only on costs, never on what other threads
+// inserted, so the shared cache ends holding the same entries, bit for
+// bit, whatever the interleaving.
+TEST(ConcurrentWorkloadRunnerTest, SharedCacheEntriesMatchSequentialRun) {
+  catalog::RandomSchemaOptions schema;
+  schema.num_tables = 12;
+  schema.seed = 13;
+  catalog::Catalog cat = *catalog::BuildRandomCatalog(schema);
+  const std::vector<core::WorkloadQuery> workload =
+      RandomWorkload(cat, 24, 31);
+  const std::vector<server::PlanRequest> requests =
+      TableListRequests(cat, workload);
+  auto entries = [](const server::PlanningService& service) {
+    std::vector<std::string> out;
+    for (const core::CacheEntryRecord& e :
+         service.shared_cache()->DumpEntries()) {
+      char line[160];
+      std::snprintf(line, sizeof(line), "%s %a %a %a %a %a", e.model.c_str(),
+                    e.plan.key_gb, e.plan.larger_gb,
+                    e.plan.config.container_size_gb(),
+                    e.plan.config.num_containers(), e.plan.cost);
+      out.emplace_back(line);
+    }
+    return out;
+  };
+
+  obs::Counter* skipped =
+      obs::DefaultMetrics().GetCounter("planner.selinger.skipped");
+  const int64_t skipped_before = skipped->Value();
+  const server::PlanningService sequential = MakeService(cat, true);
+  HandleOnThreads(sequential, requests, 1);
+  const std::vector<std::string> expected = entries(sequential);
+  ASSERT_FALSE(expected.empty());
+  // The skip ran: without it every candidate would be looked up.
+  EXPECT_GT(skipped->Value(), skipped_before);
+
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const server::PlanningService service = MakeService(cat, true);
+    HandleOnThreads(service, requests, threads);
+    EXPECT_EQ(entries(service), expected);
   }
 }
 

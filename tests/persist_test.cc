@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -493,6 +494,41 @@ TEST(CachePersistenceTest, RestartReplaysBitIdentically) {
   // The recovered cache answers exact-mode lookups with pair guards.
   EXPECT_TRUE(cache->Lookup("smj", 1.0, 8.0).has_value());
   EXPECT_FALSE(cache->Lookup("smj", 1.0, 9.0).has_value());
+}
+
+// Requests that miss one key each store the same plan for it: only
+// the first of those inserts changes the cache, so only it is journaled.
+// An overwrite with other bits changes the entry and is journaled too,
+// and a restart replays the records in order, ending on the later plan.
+TEST(CachePersistenceTest, JournalsOnlyInsertsThatChangeTheCache) {
+  TempDir dir("changes_only");
+  const CachedResourcePlan first = MakePlan(2.0, 8.0, 10.0, 4.0, 10);
+  const CachedResourcePlan second = MakePlan(2.0, 8.0, 12.0, 6.0, 30);
+  {
+    auto cache = MakeCache();
+    Result<std::unique_ptr<CachePersistence>> persistence =
+        CachePersistence::Open(Opts(dir.path), cache.get());
+    ASSERT_TRUE(persistence.ok()) << persistence.status().ToString();
+    const int64_t empty_bytes = (*persistence)->journal_bytes();
+    cache->Insert("smj", first);
+    const int64_t one_record = (*persistence)->journal_bytes();
+    EXPECT_GT(one_record, empty_bytes);
+    cache->Insert("smj", first);  // the same bits again
+    EXPECT_EQ((*persistence)->journal_bytes(), one_record);
+    cache->Insert("smj", second);  // same key, other bits
+    EXPECT_GT((*persistence)->journal_bytes(), one_record);
+    EXPECT_EQ(cache->entry_count(), 1);
+    ASSERT_TRUE((*persistence)->Close().ok());
+  }
+  auto cache = MakeCache();
+  Result<std::unique_ptr<CachePersistence>> persistence =
+      CachePersistence::Open(Opts(dir.path), cache.get());
+  ASSERT_TRUE(persistence.ok()) << persistence.status().ToString();
+  EXPECT_EQ((*persistence)->recovery_stats().journal_records, 2);
+  std::optional<CachedResourcePlan> hit = cache->Lookup("smj", 2.0, 8.0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->config, second.config);
+  EXPECT_EQ(hit->cost, second.cost);
 }
 
 TEST(CachePersistenceTest, CompactionPreservesContentAndShrinksJournal) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include "catalog/tpch.h"
+#include "common/rng.h"
 #include "core/raqo_cost_evaluator.h"
 #include "core/raqo_planner.h"
 #include "optimizer/fixed_resource_evaluator.h"
@@ -169,6 +173,119 @@ TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
   ASSERT_TRUE(answered.ok());
   EXPECT_EQ(replica.resource_configs_explored(), 0);  // answered by the hit
   EXPECT_EQ(answered->resources->container_size_gb(), 2.0);
+}
+
+// The join DP passes each candidate's input costs and the subset's best
+// scalar so far; the evaluator may skip the search when its lower bound
+// shows the candidate cannot get below that incumbent. Over seeded
+// contexts (data up to 10,000 GB, BHJ build sides that raise the grid's
+// smallest container, weights 0, 0.5, 1 and random, incumbents around
+// and far below each candidate's true total), every skip must be one the
+// same call without an incumbent confirms: its total is at least the
+// incumbent. Other calls answer with the unskipped cost bits.
+TEST(RaqoEvaluatorTest, IncumbentSkipsOnlyCandidatesThatCannotWin) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "exact cache" : "no cache");
+    RaqoEvaluatorOptions options;
+    options.use_cache = cached;
+    options.cache_mode = CacheLookupMode::kExact;
+    RaqoCostEvaluator reference(SimModels(),
+                                ClusterConditions::PaperDefault());
+    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+    Rng rng(cached ? 29 : 17);
+    int64_t skips = 0;
+    int64_t tight_skips = 0;  // incumbent at or just below the total
+    for (int i = 0; i < 1500; ++i) {
+      const bool bhj = rng.Bernoulli(0.5);
+      // Log-uniform sizes put BHJ build sides across the grid-raising
+      // range (1.14-11.4 GB); uniform ones reach 10,000 GB.
+      auto size_gb = [&] {
+        return rng.Bernoulli(0.5) ? std::pow(10.0, rng.Uniform(-3.0, 4.0))
+                                  : rng.Uniform(0.0, 10'000.0);
+      };
+      optimizer::JoinContext ctx =
+          Ctx(bhj ? plan::JoinImpl::kBroadcastHashJoin
+                  : plan::JoinImpl::kSortMergeJoin,
+              size_gb(), size_gb());
+      const double weights[] = {0.0, 0.5, 1.0, rng.Uniform(0.0, 1.0)};
+      ctx.time_weight = weights[rng.UniformInt(0, 3)];
+      if (rng.Bernoulli(0.8)) {
+        ctx.inputs = cost::CostVector{rng.Uniform(0.0, 5'000.0),
+                                      rng.Uniform(0.0, 50.0)};
+      }
+      Result<optimizer::OperatorCost> truth = reference.CostJoin(ctx);
+      if (!truth.ok()) {
+        ASSERT_TRUE(truth.status().IsResourceExhausted());
+        continue;
+      }
+      const double total = (ctx.inputs + truth->cost).Weighted(ctx.time_weight);
+      const double incumbents[] = {std::nextafter(total, -kInf), total,
+                                   std::nextafter(total, kInf), total * 0.5,
+                                   total * 0.999, total * 1.001};
+      for (size_t k = 0; k < std::size(incumbents); ++k) {
+        ctx.incumbent = incumbents[k];
+        Result<optimizer::OperatorCost> answer = eval.CostJoin(ctx);
+        if (!answer.ok()) {
+          ASSERT_TRUE(answer.status().IsSkipped())
+              << answer.status().ToString();
+          ASSERT_GE(total, ctx.incumbent)
+              << "skipped a candidate that would have won: total " << total
+              << ", incumbent " << ctx.incumbent << ", smaller "
+              << ctx.smaller_gb() << " GB, weight " << ctx.time_weight;
+          ++skips;
+          if (k < 2) ++tight_skips;
+          continue;
+        }
+        EXPECT_EQ(answer->cost.seconds, truth->cost.seconds);
+        EXPECT_EQ(answer->cost.dollars, truth->cost.dollars);
+        EXPECT_EQ(answer->resources, truth->resources);
+      }
+    }
+    // The skip is on: far-below incumbents skip often, and the bound is
+    // tight enough that some candidates skip at their own total.
+    EXPECT_GT(skips, 500);
+    EXPECT_GT(tight_skips, 0);
+  }
+}
+
+// The exact planners (ModelSearch::kPlanner), a similarity-mode cache
+// and a DP weight outside [0, 1] each turn the skip off: even an
+// incumbent of -inf, which any bound reaches, gets a cost back.
+TEST(RaqoEvaluatorTest, IncumbentNeverSkipsOutsideTheSoundEnvelope) {
+  optimizer::JoinContext ctx = Ctx(plan::JoinImpl::kSortMergeJoin, 3, 30);
+  ctx.incumbent = -std::numeric_limits<double>::infinity();
+  {
+    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault());
+    Result<optimizer::OperatorCost> skipped = eval.CostJoin(ctx);
+    ASSERT_FALSE(skipped.ok());
+    EXPECT_TRUE(skipped.status().IsSkipped());
+    EXPECT_EQ(eval.resource_configs_explored(), 0);
+  }
+  for (ResourceSearch search :
+       {ResourceSearch::kBruteForce, ResourceSearch::kHillClimb,
+        ResourceSearch::kAcceleratedHillClimb}) {
+    RaqoEvaluatorOptions options;
+    options.search = search;
+    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << static_cast<int>(search);
+  }
+  for (CacheLookupMode mode : {CacheLookupMode::kNearestNeighbor,
+                               CacheLookupMode::kWeightedAverage}) {
+    RaqoEvaluatorOptions options;
+    options.use_cache = true;
+    options.cache_mode = mode;
+    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << CacheLookupModeName(mode);
+  }
+  RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault());
+  for (double weight : {-0.5, 1.5, std::nan("")}) {
+    ctx.time_weight = weight;
+    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << weight;
+  }
 }
 
 TEST(RaqoEvaluatorTest, CacheShortCircuitsRepeatedLookups) {
