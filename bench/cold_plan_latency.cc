@@ -10,19 +10,25 @@
 // and dominance-pruning the rest of the grid with sound cost-model
 // lower bounds (docs/PERF.md).
 //
-// The switch-aware side also skips whole searches: the DP passes each
-// candidate the best plan found so far for its subset, and the evaluator
-// returns without searching when the candidate's lower bound cannot
-// beat it (docs/PERF.md, section 5). The brute force never skips.
+// The switch-aware side also skips whole searches: the evaluator bounds
+// each candidate from below, and the DP costs a subset's candidates in
+// bound order and skips those whose bound shows they cannot win
+// (docs/PERF.md, section 5). The brute force gives no bound, so its DP
+// costs every candidate in offer order and never skips.
 //
 // This bench plans the TPC-H evaluation queries plus a random-schema
-// workload with both searches, one repeat of each in turn until both
-// have run for a second, asserts the plans are identical, and reports
-// per-query latency percentiles, the evaluation-count ratio, the
-// candidates skipped, and the wall-clock speedup. With --smoke it is a
-// CI gate: plans must be identical, the switch-aware search must be
-// >= 6x faster cold, and it must skip at least one candidate per suite.
+// workload with both searches, in rounds of one brute-force repeat and
+// as many switch-aware repeats as the first round's time ratio calls
+// for, until both have run for a second. It asserts the plans are
+// identical, and reports per-query latency percentiles, the
+// evaluation-count ratio, the candidates skipped, and the wall-clock
+// speedup (the ratio of the two searches' mean time per repeat). With
+// --smoke it is a CI gate: plans must be identical, the switch-aware
+// search must be >= 16x faster cold, and it must skip at least one
+// candidate per suite.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,16 +51,24 @@ using namespace raqo;
 // The smoke gate: cold planning with the switch-aware search must be at
 // least this much faster than the exhaustive brute force on the
 // paper-default grid, with bit-identical plans. Over 10 alternating
-// Release runs on a 4-vCPU VM the worst suite (TPC-H) read 8.06-8.82x
-// with the per-search term arrays and 4.85-5.41x with the per-cell
-// objective they replaced, so the floor fails a search that loses them.
-constexpr double kSpeedupFloor = 6.0;
+// Release runs on a 4-vCPU VM the worst suite (TPC-H) read 20.8-22.5x
+// with the join DP costing each subset's candidates best-first and
+// 12.3-13.6x with them costed in the order they are offered, so the
+// floor fails a DP that loses the best-first order.
+constexpr double kSpeedupFloor = 16.0;
 
-// Each suite repeats until both searches have run for at least this
-// long, one repeat of each in turn, so a short suite's ratio is not a
-// few milliseconds of timer and scheduling noise, and drift on the host
-// falls on both sides alike. Latencies accumulate across repeats.
+// Each suite runs in rounds until both searches have run for at least
+// this long, so a short suite's ratio is not a few milliseconds of timer
+// and scheduling noise. A round is one brute-force repeat and then as
+// many switch-aware repeats as the first round's time ratio calls for:
+// both sides take about as long per round, so drift on the host falls
+// on both alike, and the slow side does not repeat as often as the fast
+// one needs to fill its second. Latencies accumulate across repeats.
 constexpr double kMinSearchMs = 1000.0;
+
+// A bound on the switch-aware repeats per round, should a first round
+// read a near-zero switch-aware time.
+constexpr int kMaxRepeatsPerRound = 1000;
 
 core::RaqoPlannerOptions ColdOptions(core::ResourceSearch search) {
   core::RaqoPlannerOptions options;
@@ -65,9 +79,10 @@ core::RaqoPlannerOptions ColdOptions(core::ResourceSearch search) {
 }
 
 struct SearchRun {
+  int repeats = 0;
   double total_wall_ms = 0.0;
   int64_t configs_explored = 0;  ///< of the first repeat
-  /// Candidates the DP's incumbent skipped in the first repeat.
+  /// Candidates the DP skipped in the first repeat.
   int64_t candidates_skipped = 0;
   std::vector<double> query_wall_ms;
   // Reports of the final repeat, for the plan-identity check.
@@ -101,7 +116,7 @@ void RunRepeat(const catalog::Catalog& cat, const cost::JoinCostModels& models,
   const int64_t skipped_before = skipped->Value();
   Result<core::WorkloadReport> report = runner.Run(workload);
   RAQO_CHECK(report.ok()) << report.status().ToString();
-  const bool first = run->query_wall_ms.empty();
+  const bool first = run->repeats++ == 0;
   if (first) run->candidates_skipped = skipped->Value() - skipped_before;
   run->total_wall_ms += report->wall_clock_ms;
   for (const core::QueryRunReport& query : report->queries) {
@@ -165,8 +180,8 @@ int main(int argc, char** argv) {
                           {"random", &random_cat, &random_workload}};
 
   bench::Table table({"suite", "search", "repeats", "wall (ms)",
-                      "p50/p95/p99 (ms)", "evals/query", "skipped/query",
-                      "speedup", "plans identical"});
+                      "ms/repeat", "p50/p95/p99 (ms)", "evals/query",
+                      "skipped/query", "speedup", "plans identical"});
   std::string json_suites;
   double worst_speedup = 1e300;
   bool all_identical = true;
@@ -175,23 +190,34 @@ int main(int argc, char** argv) {
   for (const Suite& suite : suites) {
     SearchRun brute;
     SearchRun incremental;
-    int repeats = 0;
+    auto repeat = [&](core::ResourceSearch search, SearchRun* run) {
+      RunRepeat(*suite.cat, models, cluster, *suite.workload, search, run);
+    };
+    // The first round, one repeat of each, sets the rounds after it.
+    repeat(core::ResourceSearch::kBruteForce, &brute);
+    repeat(core::ResourceSearch::kSwitchAwareGrid, &incremental);
+    const double first_ratio =
+        brute.total_wall_ms / std::max(incremental.total_wall_ms, 1e-3);
+    const int per_round = static_cast<int>(
+        std::clamp(std::round(first_ratio), 1.0,
+                   static_cast<double>(kMaxRepeatsPerRound)));
     while (brute.total_wall_ms < kMinSearchMs ||
            incremental.total_wall_ms < kMinSearchMs) {
-      RunRepeat(*suite.cat, models, cluster, *suite.workload,
-                core::ResourceSearch::kBruteForce, &brute);
-      RunRepeat(*suite.cat, models, cluster, *suite.workload,
-                core::ResourceSearch::kSwitchAwareGrid, &incremental);
-      ++repeats;
+      repeat(core::ResourceSearch::kBruteForce, &brute);
+      for (int i = 0; i < per_round; ++i) {
+        repeat(core::ResourceSearch::kSwitchAwareGrid, &incremental);
+      }
     }
 
     const bool identical =
         SamePlans(brute.last_report, incremental.last_report);
     all_identical = all_identical && identical;
     all_skipped = all_skipped && incremental.candidates_skipped > 0;
-    const double speedup = incremental.total_wall_ms > 0.0
-                               ? brute.total_wall_ms / incremental.total_wall_ms
-                               : 1.0;
+    const double brute_ms = brute.total_wall_ms / brute.repeats;
+    const double incremental_ms =
+        incremental.total_wall_ms / incremental.repeats;
+    const double speedup =
+        incremental_ms > 0.0 ? brute_ms / incremental_ms : 1.0;
     worst_speedup = std::min(worst_speedup, speedup);
 
     const bench::LatencyStats brute_lat =
@@ -199,8 +225,9 @@ int main(int argc, char** argv) {
     const bench::LatencyStats inc_lat =
         bench::SummarizeLatencies(incremental.query_wall_ms);
     const double queries = static_cast<double>(suite.workload->size());
-    table.AddRow({suite.name, "brute-force", bench::Int(repeats),
+    table.AddRow({suite.name, "brute-force", bench::Int(brute.repeats),
                   bench::Num(brute.total_wall_ms, "%.1f"),
+                  bench::Num(brute_ms, "%.2f"),
                   StrPrintf("%.2f/%.2f/%.2f", brute_lat.p50, brute_lat.p95,
                             brute_lat.p99),
                   bench::Num(static_cast<double>(brute.configs_explored) /
@@ -210,8 +237,10 @@ int main(int argc, char** argv) {
                                  queries,
                              "%.1f"),
                   bench::Num(1.0, "%.2fx"), "-"});
-    table.AddRow({suite.name, "switch-aware-grid", bench::Int(repeats),
+    table.AddRow({suite.name, "switch-aware-grid",
+                  bench::Int(incremental.repeats),
                   bench::Num(incremental.total_wall_ms, "%.1f"),
+                  bench::Num(incremental_ms, "%.2f"),
                   StrPrintf("%.2f/%.2f/%.2f", inc_lat.p50, inc_lat.p95,
                             inc_lat.p99),
                   bench::Num(
@@ -226,17 +255,17 @@ int main(int argc, char** argv) {
 
     if (!json_suites.empty()) json_suites += ", ";
     json_suites += StrPrintf(
-        "{\"suite\": \"%s\", \"queries\": %zu, \"repeats\": %d, "
-        "\"brute_force\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld, "
-        "\"candidates_skipped\": %lld}, "
-        "\"switch_aware\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld, "
-        "\"candidates_skipped\": %lld}, "
+        "{\"suite\": \"%s\", \"queries\": %zu, "
+        "\"brute_force\": {\"repeats\": %d, \"wall_ms\": %s, %s, "
+        "\"configs_explored\": %lld, \"candidates_skipped\": %lld}, "
+        "\"switch_aware\": {\"repeats\": %d, \"wall_ms\": %s, %s, "
+        "\"configs_explored\": %lld, \"candidates_skipped\": %lld}, "
         "\"speedup\": %s, \"plans_identical\": %s}",
-        suite.name, suite.workload->size(), repeats,
+        suite.name, suite.workload->size(), brute.repeats,
         JsonNumber(brute.total_wall_ms).c_str(),
         bench::LatencyJsonFields(brute_lat, "ms").c_str(),
         (long long)brute.configs_explored,
-        (long long)brute.candidates_skipped,
+        (long long)brute.candidates_skipped, incremental.repeats,
         JsonNumber(incremental.total_wall_ms).c_str(),
         bench::LatencyJsonFields(inc_lat, "ms").c_str(),
         (long long)incremental.configs_explored,
@@ -268,8 +297,8 @@ int main(int argc, char** argv) {
     if (!all_skipped) {
       std::fprintf(stderr,
                    "SMOKE FAIL: the switch-aware search skipped no "
-                   "candidate in some suite — the DP's incumbent no "
-                   "longer reaches the evaluator\n");
+                   "candidate in some suite — the DP no longer gets "
+                   "the evaluator's bounds\n");
       ok = false;
     }
     if (worst_speedup < kSpeedupFloor) {

@@ -390,30 +390,32 @@ void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_RaqoEvaluatorCostJoin);
 
-// The same joins under an incumbent no candidate can beat: each call
-// prices the lower bound over the grid and returns Skipped, searching
-// no cell. Against BM_RaqoEvaluatorCostJoin it is what a skip saves.
-void BM_RaqoEvaluatorSkippedCandidate(benchmark::State& state) {
+// The same joins as bound requests: each call prices the lower bound
+// over the feasible grid, searching no cell. The join DP asks it of
+// every candidate; against BM_RaqoEvaluatorCostJoin it is what a
+// skipped candidate costs instead of its search.
+void BM_RaqoEvaluatorLowerBound(benchmark::State& state) {
   core::RaqoCostEvaluator eval(Models(),
                                resource::ClusterConditions::PaperDefault());
   optimizer::JoinContext ctx;
   ctx.impl = plan::JoinImpl::kSortMergeJoin;
   ctx.right_bytes = catalog::GbToBytes(77);
-  ctx.incumbent = 0.0;
+  ctx.bound_only = true;
   double ss = 0.5;
-  int64_t skipped = 0;
+  int64_t bounded = 0;
   for (auto _ : state) {
     ss = ss < 8.0 ? ss + 0.125 : 0.5;
     ctx.left_bytes = catalog::GbToBytes(ss);
-    Result<optimizer::OperatorCost> cost = eval.CostJoin(ctx);
-    skipped += cost.ok() ? 0 : 1;
-    benchmark::DoNotOptimize(cost);
+    Result<optimizer::OperatorCost> bound = eval.CostJoin(ctx);
+    bounded += bound.ok() ? 1 : 0;
+    benchmark::DoNotOptimize(bound);
   }
-  if (skipped != static_cast<int64_t>(state.iterations())) {
-    state.SkipWithError("a candidate under a zero incumbent was searched");
+  if (bounded != static_cast<int64_t>(state.iterations()) ||
+      eval.resource_configs_explored() != 0) {
+    state.SkipWithError("a bound request went unanswered or searched");
   }
 }
-BENCHMARK(BM_RaqoEvaluatorSkippedCandidate);
+BENCHMARK(BM_RaqoEvaluatorLowerBound);
 
 // The planning service builds an evaluator per request, so whatever an
 // evaluator does once is paid per request: each iteration builds a

@@ -22,8 +22,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kUnsupported:
       return "Unsupported";
-    case StatusCode::kSkipped:
-      return "Skipped";
   }
   return "Unknown";
 }

@@ -31,10 +31,6 @@ enum class StatusCode {
   /// The requested feature is recognized but not supported (e.g. Selinger
   /// enumeration beyond its table-count limit).
   kUnsupported,
-  /// The operation was not carried out because its result could not
-  /// change the caller's answer (e.g. a join candidate whose cost lower
-  /// bound already reaches optimizer::JoinContext::incumbent).
-  kSkipped,
 };
 
 /// Returns a stable human-readable name ("Ok", "InvalidArgument", ...).
@@ -80,9 +76,6 @@ class Status {
   static Status Unsupported(std::string msg) {
     return Status(StatusCode::kUnsupported, std::move(msg));
   }
-  static Status Skipped(std::string msg) {
-    return Status(StatusCode::kSkipped, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -104,7 +97,6 @@ class Status {
   }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsUnsupported() const { return code_ == StatusCode::kUnsupported; }
-  bool IsSkipped() const { return code_ == StatusCode::kSkipped; }
 
   /// "Ok" or "<Code>: <message>".
   std::string ToString() const;

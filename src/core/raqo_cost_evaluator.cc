@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/stopwatch.h"
@@ -111,12 +110,12 @@ cost::CostVector Price(const cost::OperatorCostModel& model,
   return cost::CostVector{seconds, pricing.Cost(config, seconds)};
 }
 
-/// A lower bound, in each component, of every cost CostJoinImpl can
-/// return for a join searched on `grid` by the bounded sweep. A searched
-/// or cached configuration lies on the grid, so its seconds are at least
-/// the model's corner bound over the grid's box, and its dollars at
-/// least those seconds priced at the box's low corner (docs/PERF.md,
-/// section 5).
+/// The answer to a bound request: a lower bound, in each component, of
+/// every cost CostJoinImpl can return for a join searched on `grid` by
+/// the bounded sweep. A searched or cached configuration lies on the
+/// grid, so its seconds are at least the model's corner bound over the
+/// grid's box, and its dollars at least those seconds priced at the
+/// box's low corner (docs/PERF.md, section 5).
 cost::CostVector CostLowerBound(const cost::OperatorCostModel& model,
                                 const resource::PricingModel& pricing,
                                 double ss_gb, double ls_gb,
@@ -155,6 +154,19 @@ Result<ResourcePlanResult> RaqoCostEvaluator::SearchResources(
 
 Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     const optimizer::JoinContext& context) {
+  const size_t model_idx =
+      context.impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1;
+  ResourcePlanCache* cache = active_cache();
+  // A bound is given only where skipping a candidate changes no later
+  // answer: a bounded-sweep model (bound-sound, non-negative price rate)
+  // and no cache or an exact one, whose hits return what a search would
+  // whatever entries the skips left out (a similarity-mode hit depends
+  // on them). Elsewhere the DP costs in offer order.
+  if (context.bound_only &&
+      (model_search_[model_idx] != ModelSearch::kBoundedSweep ||
+       (cache != nullptr && cache->mode() != CacheLookupMode::kExact))) {
+    return Status::Unsupported("no bound");  // short: no heap allocation
+  }
   const double ss_gb = context.smaller_gb();
   const cost::OperatorCostModel& model = models_.ForImpl(context.impl);
 
@@ -187,26 +199,10 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   }
 
   const double ls_gb = context.larger_gb();
-  const size_t model_idx =
-      context.impl == plan::JoinImpl::kSortMergeJoin ? 0 : 1;
-  ResourcePlanCache* cache = active_cache();
-  // The DP's incumbent cuts the search off when even the cheapest cost
-  // the search could return leaves the candidate no better than it.
-  // Only where a skip changes no later answer: a bounded-sweep model
-  // (bound-sound, non-negative price rate) and no cache or an exact one,
-  // whose hits return what a search would whatever entries a skip left
-  // out (a similarity-mode hit depends on them). The DP's weight must
-  // lie in [0, 1] for the scalar to grow with each component.
-  const double tw = context.time_weight;
-  if (context.incumbent < std::numeric_limits<double>::infinity() &&
-      model_search_[model_idx] == ModelSearch::kBoundedSweep &&
-      (cache == nullptr || cache->mode() == CacheLookupMode::kExact) &&
-      tw >= 0.0 && tw <= 1.0) {
-    const cost::CostVector bound =
-        CostLowerBound(model, pricing_, ss_gb, ls_gb, search_cluster);
-    if ((context.inputs + bound).Weighted(tw) >= context.incumbent) {
-      return Status::Skipped("cannot win");  // short: no heap allocation
-    }
+  if (context.bound_only) {
+    return optimizer::OperatorCost{
+        CostLowerBound(model, pricing_, ss_gb, ls_gb, search_cluster),
+        std::nullopt};
   }
 
   // Cache lookup first (Section VI-C), keyed by the data characteristic.

@@ -128,7 +128,9 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
     /// lies outside [0, 1] or the price rate is negative.
     kPlanner,
     /// The switch-aware sweep over term arrays, pruned through the
-    /// model's corner bounds.
+    /// model's corner bounds. Only these models answer a bound request
+    /// (JoinContext::bound_only) with a bound, and only with no cache or
+    /// an exact-mode one; the others answer Unsupported.
     kBoundedSweep,
   };
   ModelSearch model_search(plan::JoinImpl impl) const {

@@ -55,7 +55,7 @@ class BushyDp final : public internal::SubsetDp {
         Prune();
         continue;
       }
-      CostSplit(mask, left);
+      AddSplit(mask, left);
     }
   }
 

@@ -24,19 +24,17 @@ struct JoinContext {
   double left_bytes = 0.0;
   double right_bytes = 0.0;
 
-  /// The join DP's view of the candidate. Its total is `inputs` (the
-  /// summed cost of the two inputs) plus the operator's cost, and it
-  /// wins only when `total.Weighted(time_weight)` is strictly below
-  /// `incumbent`, the best such scalar found so far for the joined
-  /// subset. With a finite incumbent an evaluator may return a
-  /// StatusCode::kSkipped status instead of a cost, when it can show the
-  /// candidate's scalar would be at least the incumbent; +inf (the
-  /// default, and what every caller but the DP passes) never skips. So
-  /// an answer under a finite incumbent depends on it: a wrapper that
-  /// memoizes CostJoin must key on the incumbent or strip it.
-  cost::CostVector inputs;
-  double incumbent = std::numeric_limits<double>::infinity();
-  double time_weight = 1.0;
+  /// A bound request: the join DP asks for a lower bound, in each
+  /// component, of every cost CostJoin could return for this context, so
+  /// it can cost a subset's candidates best-first and skip those that
+  /// cannot win (docs/PERF.md, section 5). The answer's `cost` is the
+  /// bound and its `resources` are empty; Unsupported means no bound,
+  /// and any other error is the one CostJoin would return for the
+  /// context. A bound request searches nothing, looks nothing up,
+  /// inserts nothing and is not counted in operator_cost_calls(). An
+  /// answer depends on the flag: a wrapper that memoizes CostJoin must
+  /// key on it or forward bound requests unmemoized.
+  bool bound_only = false;
 
   double smaller_bytes() const {
     return left_bytes < right_bytes ? left_bytes : right_bytes;
@@ -67,19 +65,19 @@ struct OperatorCost {
 /// Implementations may return ResourceExhausted when an operator cannot
 /// run at all (e.g. a broadcast build side that fits in no allowed
 /// container); planners treat such candidates as invalid and skip them.
-/// They may return Skipped for a candidate that cannot beat
-/// JoinContext::incumbent.
 class PlanCostEvaluator {
  public:
   virtual ~PlanCostEvaluator() = default;
 
-  /// Costs one join operator; updates the exploration counters.
+  /// Costs one join operator, or bounds it under
+  /// JoinContext::bound_only; updates the exploration counters.
   Result<OperatorCost> CostJoin(const JoinContext& context) {
-    ++operator_cost_calls_;
+    if (!context.bound_only) ++operator_cost_calls_;
     return CostJoinImpl(context);
   }
 
-  /// Number of CostJoin invocations since the last reset.
+  /// Number of CostJoin invocations since the last reset, bound requests
+  /// aside.
   int64_t operator_cost_calls() const { return operator_cost_calls_; }
 
   /// Number of resource configurations examined since the last reset

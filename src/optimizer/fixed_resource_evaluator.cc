@@ -14,6 +14,9 @@ FixedResourceEvaluator::FixedResourceEvaluator(
 
 Result<OperatorCost> FixedResourceEvaluator::CostJoinImpl(
     const JoinContext& context) {
+  // No bound: the baseline is costed in offer order, as the paper's
+  // figures count it.
+  if (context.bound_only) return Status::Unsupported("no bound");
   const double ss_gb = context.smaller_gb();
   if (context.impl == plan::JoinImpl::kBroadcastHashJoin &&
       ss_gb > config_.container_size_gb() * kBhjCapacityFactor) {

@@ -15,7 +15,8 @@ class FixedResourceEvaluator : public PlanCostEvaluator {
  public:
   /// A broadcast join whose build side exceeds kBhjCapacityFactor times
   /// the container size is reported infeasible. So is an operator whose
-  /// predicted time is NaN or infinite.
+  /// predicted time is NaN or infinite. A bound request
+  /// (JoinContext::bound_only) answers Unsupported.
   FixedResourceEvaluator(cost::JoinCostModels models,
                          resource::ResourceConfig config,
                          resource::PricingModel pricing =

@@ -24,7 +24,10 @@ class SelingerDp final : public internal::SubsetDp {
 
   void OfferSplits(uint32_t mask) override {
     for (const bool require_edge : {true, false}) {
-      if (!require_edge && valid(mask)) return;
+      if (!require_edge) {
+        Settle(mask);  // the edge joins decide whether to try cross products
+        if (valid(mask)) return;
+      }
       for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
         const uint32_t table = rest & (~rest + 1);
         const uint32_t prefix = mask ^ table;
@@ -33,7 +36,7 @@ class SelingerDp final : public internal::SubsetDp {
           Prune();  // cross product skipped
           continue;
         }
-        CostSplit(mask, prefix);
+        AddSplit(mask, prefix);
       }
     }
   }

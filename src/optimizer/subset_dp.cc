@@ -1,6 +1,7 @@
 #include "optimizer/subset_dp.h"
 
-#include <limits>
+#include <algorithm>
+#include <cmath>
 
 #include "common/stopwatch.h"
 #include "obs/trace.h"
@@ -70,7 +71,9 @@ Result<PlannedQuery> SubsetDp::Run(const catalog::Catalog& catalog,
   for (uint32_t mask = 1; mask <= full(); ++mask) {
     if (__builtin_popcount(mask) < 2) continue;
     ++subproblems_;
+    offers_ = 0;
     OfferSplits(mask);
+    Settle(mask);
   }
 
   // Counters are kept in members on the hot path and flushed here in
@@ -104,39 +107,77 @@ Result<PlannedQuery> SubsetDp::Run(const catalog::Catalog& catalog,
   return result;
 }
 
-void SubsetDp::CostSplit(uint32_t mask, uint32_t left) {
+void SubsetDp::AddSplit(uint32_t mask, uint32_t left) {
   const uint32_t right = mask ^ left;
   if (!memo_[left].valid || !memo_[right].valid) return;
   JoinContext context;
   context.left_bytes = BytesOf(left);
   context.right_bytes = BytesOf(right);
-  // Each total below is (left + right) + operator: the additions and
-  // order of summing all three at once, so reusing the inputs keeps the
-  // totals' bits.
-  context.inputs = memo_[left].cost + memo_[right].cost;
-  context.time_weight = config_.time_weight;
-  Entry& entry = memo_[mask];
+  context.bound_only = true;
+  // Each total is (left + right) + operator: the additions and order of
+  // summing all three at once, so reusing the inputs keeps the totals'
+  // bits.
+  const cost::CostVector inputs = memo_[left].cost + memo_[right].cost;
   for (int impl_idx = 0; impl_idx < plan::kNumJoinImpls; ++impl_idx) {
-    context.impl = static_cast<plan::JoinImpl>(impl_idx);
-    context.incumbent = entry.valid
-                            ? entry.scalar
-                            : std::numeric_limits<double>::infinity();
     ++stats_.plans_considered;
+    const auto impl = static_cast<plan::JoinImpl>(impl_idx);
+    Candidate candidate{left, offers_++, impl, false, 0.0, inputs};
+    if (bounded_) {
+      context.impl = impl;
+      Result<OperatorCost> bound = evaluator_->CostJoin(context);
+      if (bound.ok()) {
+        candidate.key = (inputs + bound->cost).Weighted(config_.time_weight);
+        candidate.bounded = !std::isnan(candidate.key);
+      } else if (!bound.status().IsUnsupported()) {
+        ++pruned_;  // infeasible candidate (e.g. BHJ OOM)
+        continue;
+      }
+    }
+    pending_.push_back(candidate);
+  }
+}
+
+void SubsetDp::Settle(uint32_t mask) {
+  // Unbounded candidates first, in offer order; then by key, ties in
+  // offer order. NaN keys count as unbounded, so this is a strict weak
+  // order.
+  std::sort(pending_.begin(), pending_.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.bounded != b.bounded) return !a.bounded;
+              if (a.bounded && a.key != b.key) return a.key < b.key;
+              return a.offer < b.offer;
+            });
+  Entry& entry = memo_[mask];
+  JoinContext context;
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    const Candidate& candidate = *it;
+    // A key is at most its candidate's scalar, so one above the
+    // incumbent's, or equal to it but offered later, cannot win. Keys
+    // only grow from here and the incumbent stands, so neither can the
+    // rest.
+    if (entry.valid && candidate.bounded &&
+        (candidate.key > entry.scalar ||
+         (candidate.key == entry.scalar && candidate.offer > entry.offer))) {
+      skipped_ += pending_.end() - it;
+      break;
+    }
+    context.impl = candidate.impl;
+    context.left_bytes = BytesOf(candidate.left_mask);
+    context.right_bytes = BytesOf(mask ^ candidate.left_mask);
     Result<OperatorCost> op = evaluator_->CostJoin(context);
     if (!op.ok()) {
-      if (op.status().IsSkipped()) {
-        ++skipped_;  // could not have beaten the incumbent
-      } else {
-        ++pruned_;  // infeasible candidate (e.g. BHJ OOM)
-      }
+      ++pruned_;  // infeasible candidate (e.g. BHJ OOM)
       continue;
     }
-    const cost::CostVector total = context.inputs + op->cost;
+    const cost::CostVector total = candidate.inputs + op->cost;
     const double scalar = total.Weighted(config_.time_weight);
-    if (!entry.valid || scalar < entry.scalar) {
-      entry = Entry{true, scalar, total, left, context.impl, op->resources};
+    if (!entry.valid || scalar < entry.scalar ||
+        (scalar == entry.scalar && candidate.offer < entry.offer)) {
+      entry = Entry{true, scalar, total, candidate.left_mask, candidate.impl,
+                    candidate.offer, op->resources};
     }
   }
+  pending_.clear();
 }
 
 bool SubsetDp::Adjacent(uint32_t a, uint32_t b) const {

@@ -45,12 +45,16 @@ struct SubsetDpConfig {
 
 /// Bottom-up DP over the subsets of a query's tables (bitmasks over table
 /// positions). For each subset of two or more tables, in increasing mask
-/// order, the planner's split rule offers splits `left`; CostSplit prices
-/// left ⋈ (mask ^ left) under every JoinImpl and keeps the cheapest by
-/// scalarized cost, the first found winning ties. Each candidate carries
-/// the subset's best scalar so far as JoinContext::incumbent, so the
-/// evaluator may skip one that cannot win (docs/PERF.md, section 5). All
-/// scratch lives on the arena; the returned plan is heap-allocated.
+/// order, the planner's split rule offers splits `left`; AddSplit records
+/// left ⋈ (mask ^ left) under every JoinImpl as a candidate, keyed by a
+/// lower bound of its scalarized cost that the evaluator answers to a
+/// bound request. Settle then costs the subset's candidates best-first,
+/// in increasing key order, and skips, without asking the evaluator,
+/// each one whose key shows it cannot win (docs/PERF.md, section 5). The
+/// subset keeps the cheapest candidate by scalarized cost, the earliest
+/// offered winning ties: the plan an offer-order DP that costs every
+/// candidate would keep. All scratch lives on the arena; the returned
+/// plan is heap-allocated.
 class SubsetDp {
  public:
   /// Checks the arguments, resets the evaluator's counters, runs the DP,
@@ -65,11 +69,18 @@ class SubsetDp {
   virtual const SubsetDpMetrics& Metrics() const = 0;
   /// Runs once per plan of two or more tables, before the first subset.
   virtual void Prepare() {}
-  /// Offers each split allowed to build `mask` to CostSplit, and counts
+  /// Offers each split allowed to build `mask` to AddSplit, and counts
   /// each one it refuses with Prune.
   virtual void OfferSplits(uint32_t mask) = 0;
 
-  void CostSplit(uint32_t mask, uint32_t left);
+  /// Records left ⋈ (mask ^ left) under every JoinImpl as a candidate of
+  /// `mask`, unless an input has no plan.
+  void AddSplit(uint32_t mask, uint32_t left);
+  /// Costs the candidates of `mask` recorded since the last call,
+  /// best-first, and keeps the winner in the memo. The engine calls it
+  /// after OfferSplits; a split rule that decides on valid(mask) calls
+  /// it first.
+  void Settle(uint32_t mask);
   void Prune() { ++pruned_; }
   bool valid(uint32_t mask) const { return memo_[mask].valid; }
   /// Whether a join edge links some table of `a` to some table of `b`.
@@ -87,11 +98,33 @@ class SubsetDp {
     /// is mask ^ left_mask.
     uint32_t left_mask = 0;
     plan::JoinImpl impl = plan::JoinImpl::kSortMergeJoin;
+    /// The winner's offer index among its subset's candidates.
+    uint32_t offer = 0;
     std::optional<resource::ResourceConfig> resources;
   };
-  // The memo lives in the arena, which runs no destructors.
+  /// One (split, join implementation) offered for the subset being
+  /// planned.
+  struct Candidate {
+    uint32_t left_mask;
+    /// Its place in the order the split rule offered the subset's
+    /// candidates; ties in key and in cost go to the lower.
+    uint32_t offer;
+    plan::JoinImpl impl;
+    /// Whether `key` holds a lower bound: false when the evaluator gave
+    /// none or the key is NaN. Such candidates are costed first, in
+    /// offer order, and never skipped.
+    bool bounded;
+    /// (inputs + bound).Weighted(w): at most the candidate's scalar.
+    double key;
+    /// The summed cost of the two inputs.
+    cost::CostVector inputs;
+  };
+  // The memo and the candidates live in the arena, which runs no
+  // destructors.
   static_assert(std::is_trivially_destructible_v<Entry>,
                 "DP entries must stay trivially destructible (arena scratch)");
+  static_assert(std::is_trivially_destructible_v<Candidate>,
+                "DP candidates must stay trivially destructible");
 
   plan::TableSet SetOf(uint32_t mask) const;
   /// The estimated bytes of subset `mask`, estimated at its first use
@@ -109,10 +142,19 @@ class SubsetDp {
   ArenaVector<uint32_t> adjacency_{ArenaAllocator<uint32_t>(arena_)};
   /// Per subset: its estimated bytes, or -1 before its first use.
   ArenaVector<double> bytes_{ArenaAllocator<double>(arena_)};
+  /// The candidates of the subset being planned that are not settled yet.
+  ArenaVector<Candidate> pending_{ArenaAllocator<Candidate>(arena_)};
+  /// Candidates offered so far for the subset being planned.
+  uint32_t offers_ = 0;
+  /// Whether the DP asks for bounds: only at a weight in [0, 1], where a
+  /// candidate's scalar grows with each cost component, as the skip rule
+  /// needs.
+  const bool bounded_ =
+      config_.time_weight >= 0.0 && config_.time_weight <= 1.0;
   PlanningStats stats_;
   int64_t subproblems_ = 0;
   int64_t pruned_ = 0;
-  /// Candidates the evaluator skipped as unable to beat the incumbent.
+  /// Candidates skipped because their key showed they cannot win.
   int64_t skipped_ = 0;
 };
 

@@ -192,7 +192,6 @@ std::string WireStatusName(StatusCode code) {
     case StatusCode::kDeadlineExceeded:
       return kWireDeadlineExceeded;
     case StatusCode::kInternal:
-    case StatusCode::kSkipped:  // consumed by the join DP; never sent
       return kWireInternal;
     case StatusCode::kUnsupported:
       return "UNSUPPORTED";

@@ -9,11 +9,13 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "catalog/random_schema.h"
 #include "catalog/tpch.h"
 #include "common/rng.h"
 #include "core/raqo_cost_evaluator.h"
+#include "obs/metrics.h"
 #include "cost/cost_model.h"
 #include "optimizer/bushy_dp.h"
 #include "optimizer/fast_randomized.h"
@@ -201,23 +203,22 @@ TEST(BushyDpTest, WorksWithRandomSchemas) {
 // EvaluatePlanCost and checks each DP against the minimum.
 
 /// Memoizes an evaluator's operator costs by implementation and input
-/// sizes. Both evaluators are pure functions of those under no incumbent,
-/// which the memo therefore strips, so a plan costs what it would
-/// unmemoized; the memo keeps 26,880 five-table bushy plans cheap to
-/// cost.
+/// sizes, so a plan costs what it would unmemoized; the memo keeps 26,880
+/// five-table bushy plans cheap to cost. Both evaluators are pure
+/// functions of those, but a bound request's answer differs from a cost,
+/// so bound requests go to `inner` unmemoized.
 class MemoEvaluator : public PlanCostEvaluator {
  public:
   explicit MemoEvaluator(PlanCostEvaluator* inner) : inner_(inner) {}
 
  protected:
   Result<OperatorCost> CostJoinImpl(const JoinContext& context) override {
+    if (context.bound_only) return inner_->CostJoin(context);
     const auto key = std::make_tuple(static_cast<int>(context.impl),
                                      context.left_bytes, context.right_bytes);
     auto it = memo_.find(key);
     if (it == memo_.end()) {
-      JoinContext plain = context;
-      plain.incumbent = std::numeric_limits<double>::infinity();
-      it = memo_.emplace(key, inner_->CostJoin(plain)).first;
+      it = memo_.emplace(key, inner_->CostJoin(context)).first;
     }
     return it->second;
   }
@@ -419,32 +420,108 @@ TEST(SubsetDpOracleTest, BothDpsMatchExhaustiveEnumeration) {
 }
 
 // ---------------------------------------------------------------------
-// The DP's incumbent lets the RAQO evaluator skip candidates that cannot
-// win. A skip must change nothing the DP returns: each plan, its cost
-// bits and every join's resources stay what they are when the evaluator
-// is never told an incumbent.
+// The DP costs each subset's candidates best-first, by the lower bound
+// the evaluator answers to a bound request, and skips those that cannot
+// win. That must change nothing the DP returns: each plan, its cost bits
+// and every join's resources stay what an offer-order DP that costs
+// every candidate keeps.
 
-/// Forwards every candidate to `inner`, stripping the incumbent when
-/// `strip` is set (so nothing is skipped), and counts the skips.
-class IncumbentForwarder : public PlanCostEvaluator {
+/// The per-DP skip counters, read around a run.
+int64_t Skipped(bool bushy) {
+  return obs::DefaultMetrics()
+      .GetCounter(bushy ? "planner.bushy_dp.skipped"
+                        : "planner.selinger.skipped")
+      ->Value();
+}
+
+/// Costs every join at 10 s and $0 under either implementation, and
+/// bounds SMJ at that cost and BHJ at 5 s: the two tie at weight 1, and
+/// the BHJ, offered after the SMJ of its split, has the lower key. Bound
+/// requests are answered only when `bounds` is set.
+class TieEvaluator : public PlanCostEvaluator {
  public:
-  IncumbentForwarder(PlanCostEvaluator* inner, bool strip)
-      : inner_(inner), strip_(strip) {}
-  int64_t skipped() const { return skipped_; }
+  explicit TieEvaluator(bool bounds) : bounds_(bounds) {}
+  int64_t bound_requests() const { return bound_requests_; }
 
  protected:
   Result<OperatorCost> CostJoinImpl(const JoinContext& context) override {
-    JoinContext forwarded = context;
-    if (strip_) forwarded.incumbent = std::numeric_limits<double>::infinity();
-    Result<OperatorCost> cost = inner_->CostJoin(forwarded);
-    if (!cost.ok() && cost.status().IsSkipped()) ++skipped_;
+    const bool smj = context.impl == plan::JoinImpl::kSortMergeJoin;
+    if (!context.bound_only) return OperatorCost{{10.0, 0.0}, std::nullopt};
+    ++bound_requests_;
+    if (!bounds_) return Status::Unsupported("no bound");
+    return OperatorCost{{smj ? 10.0 : 5.0, 0.0}, std::nullopt};
+  }
+
+ private:
+  bool bounds_;
+  int64_t bound_requests_ = 0;
+};
+
+// Of candidates whose scalars tie, the DP keeps the earliest offered,
+// even when a later one has a lower key and is costed first: a
+// candidate replaces the incumbent on an equal scalar when offered
+// earlier, and one whose key equals the incumbent's scalar is skipped
+// only when offered later. Two tables: the bushy DP offers one split
+// (SMJ, then BHJ); Selinger offers both orders of it (SMJ, BHJ, SMJ,
+// BHJ), so its second SMJ ties the incumbent's scalar with its key and
+// is skipped. A weight outside [0, 1] asks for no bound.
+TEST(IncumbentSkipTest, TiesGoToTheEarliestOfferedCandidate) {
+  catalog::Catalog cat;
+  ASSERT_TRUE(cat.AddTable({"a", 1e6, 100.0}).ok());
+  ASSERT_TRUE(cat.AddTable({"b", 1e7, 100.0}).ok());
+  ASSERT_TRUE(cat.AddJoin(0, 1, 1e-6).ok());
+  const std::vector<TableId> tables = {0, 1};
+  for (const bool bushy : {false, true}) {
+    SCOPED_TRACE(bushy ? "bushy" : "Selinger");
+    auto plan = [&](PlanCostEvaluator& evaluator, double weight) {
+      BushyDpOptions bushy_options;
+      bushy_options.time_weight = weight;
+      SelingerOptions selinger_options;
+      selinger_options.time_weight = weight;
+      Result<PlannedQuery> planned =
+          bushy ? BushyDpPlanner(bushy_options).Plan(cat, tables, evaluator)
+                : SelingerPlanner(selinger_options)
+                      .Plan(cat, tables, evaluator);
+      EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+      return planned.ok() ? planned->plan->ToString(&cat) : std::string();
+    };
+    TieEvaluator offer_order(/*bounds=*/false);
+    const std::string expected = plan(offer_order, 1.0);
+    EXPECT_EQ(offer_order.operator_cost_calls(), bushy ? 2 : 4);
+
+    TieEvaluator best_first(/*bounds=*/true);
+    const int64_t skipped_before = Skipped(bushy);
+    EXPECT_EQ(plan(best_first, 1.0), expected);
+    EXPECT_EQ(best_first.operator_cost_calls(), bushy ? 2 : 3);
+    EXPECT_EQ(Skipped(bushy) - skipped_before, bushy ? 0 : 1);
+    EXPECT_EQ(expected.find("BHJ"), std::string::npos) << expected;
+
+    TieEvaluator outside(/*bounds=*/true);
+    EXPECT_EQ(plan(outside, 1.5), expected);
+    EXPECT_EQ(outside.bound_requests(), 0);
+  }
+}
+
+/// Forwards every call to `inner`, but answers each bound request
+/// Unsupported when `withhold` is set, so the DP costs every candidate
+/// in offer order.
+class BoundWithholder : public PlanCostEvaluator {
+ public:
+  BoundWithholder(PlanCostEvaluator* inner, bool withhold)
+      : inner_(inner), withhold_(withhold) {}
+
+ protected:
+  Result<OperatorCost> CostJoinImpl(const JoinContext& context) override {
+    if (withhold_ && context.bound_only) return Status::Unsupported("held");
+    const int64_t before = inner_->resource_configs_explored();
+    Result<OperatorCost> cost = inner_->CostJoin(context);
+    AddResourceConfigsExplored(inner_->resource_configs_explored() - before);
     return cost;
   }
 
  private:
   PlanCostEvaluator* inner_;
-  bool strip_;
-  int64_t skipped_ = 0;
+  bool withhold_;
 };
 
 /// A plan as the service renders it: tree, cost bits, join resources.
@@ -462,6 +539,9 @@ std::string Fingerprint(const catalog::Catalog& cat,
   return out;
 }
 
+// TPC-H and 40 random queries, both DPs, weights 1 and 0, no cache and an
+// exact one: the RAQO evaluator's plans are those it gives when every
+// bound request is withheld, and TPC-H All skips at least one candidate.
 TEST(IncumbentSkipTest, PlansMatchTheEvaluatorWithoutAnIncumbent) {
   struct Query {
     const catalog::Catalog* cat;
@@ -506,26 +586,27 @@ TEST(IncumbentSkipTest, PlansMatchTheEvaluatorWithoutAnIncumbent) {
                        << query.label << (bushy ? ", bushy" : ", Selinger")
                        << ", weight " << weight
                        << (cached ? ", exact cache" : ", no cache"));
-          auto plan = [&](bool strip, int64_t* skips) {
+          auto plan = [&](bool withhold, int64_t* skips) {
             core::RaqoCostEvaluator inner(
                 Models(), resource::ClusterConditions::PaperDefault(),
                 resource::PricingModel(), options);
-            IncumbentForwarder forwarder(&inner, strip);
+            BoundWithholder wrapper(&inner, withhold);
+            const int64_t skipped_before = Skipped(bushy);
             Result<PlannedQuery> planned =
                 bushy ? BushyDpPlanner(bushy_options)
-                            .Plan(*query.cat, query.tables, forwarder)
+                            .Plan(*query.cat, query.tables, wrapper)
                       : SelingerPlanner(selinger_options)
-                            .Plan(*query.cat, query.tables, forwarder);
+                            .Plan(*query.cat, query.tables, wrapper);
             EXPECT_TRUE(planned.ok()) << planned.status().ToString();
-            *skips = forwarder.skipped();
+            *skips = Skipped(bushy) - skipped_before;
             return planned.ok() ? Fingerprint(*query.cat, *planned)
                                 : std::string();
           };
           int64_t unused = 0;
           int64_t skips = 0;
-          const std::string without = plan(true, &unused);
+          const std::string offer_order = plan(true, &unused);
           EXPECT_EQ(unused, 0);
-          EXPECT_EQ(plan(false, &skips), without);
+          EXPECT_EQ(plan(false, &skips), offer_order);
           if (query.label == "All") {
             EXPECT_GT(skips, 0);
           }

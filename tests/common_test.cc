@@ -34,15 +34,12 @@ TEST(StatusTest, AllFactoriesProduceMatchingPredicates) {
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::Unsupported("x").IsUnsupported());
-  EXPECT_TRUE(Status::Skipped("x").IsSkipped());
-  EXPECT_FALSE(Status::ResourceExhausted("x").IsSkipped());
 }
 
 TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_EQ(StatusCodeToString(StatusCode::kOk), "Ok");
   EXPECT_EQ(StatusCodeToString(StatusCode::kResourceExhausted),
             "ResourceExhausted");
-  EXPECT_EQ(StatusCodeToString(StatusCode::kSkipped), "Skipped");
 }
 
 TEST(ResultTest, HoldsValue) {

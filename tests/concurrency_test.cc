@@ -444,11 +444,12 @@ TEST(ConcurrentWorkloadRunnerTest, SharedExactCacheKeepsPlansIdentical) {
   }
 }
 
-// The DP skips a candidate before its cache lookup when the subset's
-// best plan so far already beats the candidate's lower bound. Which
-// candidates skip depends only on costs, never on what other threads
-// inserted, so the shared cache ends holding the same entries, bit for
-// bit, whatever the interleaving.
+// The DP costs each subset's candidates in lower-bound order and skips
+// one, before its cache lookup, when the subset's best plan so far
+// already beats its bound. The order depends only on bounds and the
+// skips only on costs, never on what other threads inserted, so the
+// shared cache ends holding the same entries, bit for bit, whatever the
+// interleaving.
 TEST(ConcurrentWorkloadRunnerTest, SharedCacheEntriesMatchSequentialRun) {
   catalog::RandomSchemaOptions schema;
   schema.num_tables = 12;

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "catalog/tpch.h"
 #include "common/rng.h"
@@ -175,14 +176,18 @@ TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
   EXPECT_EQ(answered->resources->container_size_gb(), 2.0);
 }
 
-// The join DP passes each candidate's input costs and the subset's best
-// scalar so far; the evaluator may skip the search when its lower bound
-// shows the candidate cannot get below that incumbent. Over seeded
+// The join DP asks for a lower bound of each candidate's cost, sorts a
+// subset's candidates by it and skips those that cannot win. Over seeded
 // contexts (data up to 10,000 GB, BHJ build sides that raise the grid's
-// smallest container, weights 0, 0.5, 1 and random, incumbents around
-// and far below each candidate's true total), every skip must be one the
-// same call without an incumbent confirms: its total is at least the
-// incumbent. Other calls answer with the unskipped cost bits.
+// smallest container, weights 0, 0.5, 1 and random, random input costs,
+// a third of them repeated so an exact cache hits):
+//   - the bound is at most the same context's cost in each component,
+//     so the DP's key is at most the candidate's scalar, and an
+//     infeasible join answers the bound request with the same error;
+//   - a bound request followed by a cost call leaves the same cost bits,
+//     resources, cache size, lookup counts and configs explored as the
+//     cost call alone: it searches, looks up and inserts nothing, and
+//     leaves the warm start alone.
 TEST(RaqoEvaluatorTest, IncumbentSkipsOnlyCandidatesThatCannotWin) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const bool cached : {false, true}) {
@@ -192,99 +197,135 @@ TEST(RaqoEvaluatorTest, IncumbentSkipsOnlyCandidatesThatCannotWin) {
     options.cache_mode = CacheLookupMode::kExact;
     RaqoCostEvaluator reference(SimModels(),
                                 ClusterConditions::PaperDefault());
-    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
-                           resource::PricingModel(), options);
+    RaqoCostEvaluator bounded(SimModels(), ClusterConditions::PaperDefault(),
+                              resource::PricingModel(), options);
+    RaqoCostEvaluator plain(SimModels(), ClusterConditions::PaperDefault(),
+                            resource::PricingModel(), options);
     Rng rng(cached ? 29 : 17);
-    int64_t skips = 0;
-    int64_t tight_skips = 0;  // incumbent at or just below the total
+    std::vector<optimizer::JoinContext> seen;
+    int64_t bounds = 0;
+    int64_t tight = 0;  // key within one ulp of the scalar
     for (int i = 0; i < 1500; ++i) {
-      const bool bhj = rng.Bernoulli(0.5);
-      // Log-uniform sizes put BHJ build sides across the grid-raising
-      // range (1.14-11.4 GB); uniform ones reach 10,000 GB.
-      auto size_gb = [&] {
-        return rng.Bernoulli(0.5) ? std::pow(10.0, rng.Uniform(-3.0, 4.0))
-                                  : rng.Uniform(0.0, 10'000.0);
-      };
-      optimizer::JoinContext ctx =
-          Ctx(bhj ? plan::JoinImpl::kBroadcastHashJoin
-                  : plan::JoinImpl::kSortMergeJoin,
-              size_gb(), size_gb());
-      const double weights[] = {0.0, 0.5, 1.0, rng.Uniform(0.0, 1.0)};
-      ctx.time_weight = weights[rng.UniformInt(0, 3)];
-      if (rng.Bernoulli(0.8)) {
-        ctx.inputs = cost::CostVector{rng.Uniform(0.0, 5'000.0),
-                                      rng.Uniform(0.0, 50.0)};
+      optimizer::JoinContext ctx;
+      if (!seen.empty() && rng.Bernoulli(0.3)) {
+        ctx = seen[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(seen.size()) - 1))];
+      } else {
+        // Log-uniform sizes put BHJ build sides across the grid-raising
+        // range (1.14-11.4 GB); uniform ones reach 10,000 GB.
+        auto size_gb = [&] {
+          return rng.Bernoulli(0.5) ? std::pow(10.0, rng.Uniform(-3.0, 4.0))
+                                    : rng.Uniform(0.0, 10'000.0);
+        };
+        ctx = Ctx(rng.Bernoulli(0.5) ? plan::JoinImpl::kBroadcastHashJoin
+                                     : plan::JoinImpl::kSortMergeJoin,
+                  size_gb(), size_gb());
+        seen.push_back(ctx);
       }
+      const double weights[] = {0.0, 0.5, 1.0, rng.Uniform(0.0, 1.0)};
+      const double weight = weights[rng.UniformInt(0, 3)];
+      const cost::CostVector inputs =
+          rng.Bernoulli(0.8) ? cost::CostVector{rng.Uniform(0.0, 5'000.0),
+                                                rng.Uniform(0.0, 50.0)}
+                             : cost::CostVector{};
+
       Result<optimizer::OperatorCost> truth = reference.CostJoin(ctx);
+      optimizer::JoinContext bound_ctx = ctx;
+      bound_ctx.bound_only = true;
+      Result<optimizer::OperatorCost> bound = bounded.CostJoin(bound_ctx);
       if (!truth.ok()) {
         ASSERT_TRUE(truth.status().IsResourceExhausted());
-        continue;
+        ASSERT_FALSE(bound.ok());
+        EXPECT_EQ(bound.status().code(), truth.status().code());
+      } else {
+        ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+        EXPECT_FALSE(bound->resources.has_value());
+        ASSERT_LE(bound->cost.seconds, truth->cost.seconds)
+            << "smaller " << ctx.smaller_gb() << " GB";
+        ASSERT_LE(bound->cost.dollars, truth->cost.dollars)
+            << "smaller " << ctx.smaller_gb() << " GB";
+        const double scalar = (inputs + truth->cost).Weighted(weight);
+        const double key = (inputs + bound->cost).Weighted(weight);
+        ASSERT_LE(key, scalar) << "weight " << weight;
+        ++bounds;
+        if (key >= std::nextafter(scalar, -kInf)) ++tight;
       }
-      const double total = (ctx.inputs + truth->cost).Weighted(ctx.time_weight);
-      const double incumbents[] = {std::nextafter(total, -kInf), total,
-                                   std::nextafter(total, kInf), total * 0.5,
-                                   total * 0.999, total * 1.001};
-      for (size_t k = 0; k < std::size(incumbents); ++k) {
-        ctx.incumbent = incumbents[k];
-        Result<optimizer::OperatorCost> answer = eval.CostJoin(ctx);
-        if (!answer.ok()) {
-          ASSERT_TRUE(answer.status().IsSkipped())
-              << answer.status().ToString();
-          ASSERT_GE(total, ctx.incumbent)
-              << "skipped a candidate that would have won: total " << total
-              << ", incumbent " << ctx.incumbent << ", smaller "
-              << ctx.smaller_gb() << " GB, weight " << ctx.time_weight;
-          ++skips;
-          if (k < 2) ++tight_skips;
-          continue;
-        }
-        EXPECT_EQ(answer->cost.seconds, truth->cost.seconds);
-        EXPECT_EQ(answer->cost.dollars, truth->cost.dollars);
-        EXPECT_EQ(answer->resources, truth->resources);
+
+      Result<optimizer::OperatorCost> after_bound = bounded.CostJoin(ctx);
+      Result<optimizer::OperatorCost> alone = plain.CostJoin(ctx);
+      ASSERT_EQ(after_bound.ok(), alone.ok());
+      if (alone.ok()) {
+        EXPECT_EQ(after_bound->cost.seconds, alone->cost.seconds);
+        EXPECT_EQ(after_bound->cost.dollars, alone->cost.dollars);
+        EXPECT_EQ(after_bound->resources, alone->resources);
       }
+      ASSERT_EQ(bounded.cache_size(), plain.cache_size()) << "call " << i;
+      ASSERT_EQ(bounded.cache_stats().hits, plain.cache_stats().hits);
+      ASSERT_EQ(bounded.cache_stats().misses, plain.cache_stats().misses);
+      ASSERT_EQ(bounded.resource_configs_explored(),
+                plain.resource_configs_explored())
+          << "call " << i;
+      ASSERT_EQ(bounded.operator_cost_calls(), plain.operator_cost_calls());
     }
-    // The skip is on: far-below incumbents skip often, and the bound is
-    // tight enough that some candidates skip at their own total.
-    EXPECT_GT(skips, 500);
-    EXPECT_GT(tight_skips, 0);
+    EXPECT_GT(bounds, 1000);
+    // The bound is tight enough that some keys reach their own scalar.
+    EXPECT_GT(tight, 0);
+    if (cached) {
+      EXPECT_GT(plain.cache_stats().hits, 100);
+    }
   }
 }
 
-// The exact planners (ModelSearch::kPlanner), a similarity-mode cache
-// and a DP weight outside [0, 1] each turn the skip off: even an
-// incumbent of -inf, which any bound reaches, gets a cost back.
+// Only a bounded-sweep model with no cache or an exact one gives a bound.
+// The exact planners (ModelSearch::kPlanner: the brute force, the hill
+// climbs, and the sweep's own evaluator at a weight outside [0, 1]) and
+// similarity-mode caches answer Unsupported, so the DP costs their
+// candidates in offer order, and the request does no work.
 TEST(RaqoEvaluatorTest, IncumbentNeverSkipsOutsideTheSoundEnvelope) {
   optimizer::JoinContext ctx = Ctx(plan::JoinImpl::kSortMergeJoin, 3, 30);
-  ctx.incumbent = -std::numeric_limits<double>::infinity();
+  ctx.bound_only = true;
   {
     RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault());
-    Result<optimizer::OperatorCost> skipped = eval.CostJoin(ctx);
-    ASSERT_FALSE(skipped.ok());
-    EXPECT_TRUE(skipped.status().IsSkipped());
+    Result<optimizer::OperatorCost> bound = eval.CostJoin(ctx);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
     EXPECT_EQ(eval.resource_configs_explored(), 0);
+    EXPECT_EQ(eval.operator_cost_calls(), 0);
   }
+  auto expect_unsupported = [&](const RaqoEvaluatorOptions& options,
+                                const std::string& label) {
+    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+    for (plan::JoinImpl impl : {plan::JoinImpl::kSortMergeJoin,
+                                plan::JoinImpl::kBroadcastHashJoin}) {
+      ctx.impl = impl;
+      Result<optimizer::OperatorCost> bound = eval.CostJoin(ctx);
+      EXPECT_TRUE(!bound.ok() && bound.status().IsUnsupported())
+          << label << ": " << bound.status().ToString();
+    }
+    EXPECT_EQ(eval.resource_configs_explored(), 0) << label;
+    EXPECT_EQ(eval.cache_size(), 0u) << label;
+    EXPECT_EQ(eval.cache_stats().hits + eval.cache_stats().misses, 0)
+        << label;
+  };
   for (ResourceSearch search :
        {ResourceSearch::kBruteForce, ResourceSearch::kHillClimb,
         ResourceSearch::kAcceleratedHillClimb}) {
     RaqoEvaluatorOptions options;
     options.search = search;
-    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
-                           resource::PricingModel(), options);
-    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << static_cast<int>(search);
+    expect_unsupported(options,
+                       "search " + std::to_string(static_cast<int>(search)));
+  }
+  for (double weight : {-0.5, 1.5}) {
+    RaqoEvaluatorOptions options;
+    options.time_weight = weight;
+    expect_unsupported(options, "weight " + std::to_string(weight));
   }
   for (CacheLookupMode mode : {CacheLookupMode::kNearestNeighbor,
                                CacheLookupMode::kWeightedAverage}) {
     RaqoEvaluatorOptions options;
     options.use_cache = true;
     options.cache_mode = mode;
-    RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault(),
-                           resource::PricingModel(), options);
-    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << CacheLookupModeName(mode);
-  }
-  RaqoCostEvaluator eval(SimModels(), ClusterConditions::PaperDefault());
-  for (double weight : {-0.5, 1.5, std::nan("")}) {
-    ctx.time_weight = weight;
-    EXPECT_TRUE(eval.CostJoin(ctx).ok()) << weight;
+    expect_unsupported(options, CacheLookupModeName(mode));
   }
 }
 
