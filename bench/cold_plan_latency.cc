@@ -5,10 +5,11 @@
 // hundreds of candidate joins, and the exhaustive search answers each
 // with rp x rc model evaluations over the paper-default 10x100 grid.
 // The switch-aware search answers the same question bit-identically by
-// re-costing the previous candidate's optimum first (the paper's
-// switch-point observation: the winner rarely moves between candidates)
-// and dominance-pruning the rest of the grid with sound cost-model
-// lower bounds (docs/PERF.md).
+// evaluating first the block of cells its cost-model lower bounds rank
+// lowest (the paper's switch-point observation: the winner sits where
+// the model puts it, and moves only at sparse switch points) and
+// dominance-pruning the rest of the grid with the same bounds
+// (docs/PERF.md).
 //
 // The switch-aware side also skips whole searches: the evaluator bounds
 // each candidate from below, and the DP costs a subset's candidates in
@@ -21,11 +22,12 @@
 // as many switch-aware repeats as the first round's time ratio calls
 // for, until both have run for a second. It asserts the plans are
 // identical, and reports per-query latency percentiles, the
-// evaluation-count ratio, the candidates skipped, and the wall-clock
-// speedup (the ratio of the two searches' mean time per repeat). With
-// --smoke it is a CI gate: plans must be identical, the switch-aware
-// search must be >= 16x faster cold, and it must skip at least one
-// candidate per suite.
+// evaluation-count ratio, the cells evaluated per resource search, the
+// candidates skipped, and the wall-clock speedup (the ratio of the two
+// searches' mean time per repeat). With --smoke it is a CI gate: plans
+// must be identical, the switch-aware search must be >= 28x faster cold,
+// evaluate at most kMaxCellsPerSearch cells per resource search, and
+// skip at least one candidate per suite.
 
 #include <algorithm>
 #include <cmath>
@@ -39,6 +41,7 @@
 #include "catalog/tpch.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "core/grid_sweep.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
 #include "obs/metrics.h"
@@ -51,11 +54,20 @@ using namespace raqo;
 // The smoke gate: cold planning with the switch-aware search must be at
 // least this much faster than the exhaustive brute force on the
 // paper-default grid, with bit-identical plans. Over 10 alternating
-// Release runs on a 4-vCPU VM the worst suite (TPC-H) read 20.8-22.5x
-// with the join DP costing each subset's candidates best-first and
-// 12.3-13.6x with them costed in the order they are offered, so the
-// floor fails a DP that loses the best-first order.
-constexpr double kSpeedupFloor = 16.0;
+// Release runs on a 4-vCPU VM the worst suite (TPC-H) read 34.2-37.4x
+// with each resource search seeded from exact box minima and 21.2-23.6x
+// with it warm-started from the previous search's optimum, so the floor
+// fails a sweep that loses its seed. (Best-first DP costing had read
+// 20.8-22.5x against 12.3-13.6x in offer order.)
+constexpr double kSpeedupFloor = 28.0;
+
+// The switch-aware side's cells evaluated per resource search, at most:
+// two pruning blocks. Seeded from exact box minima, a search at the
+// default time weight evaluates about one block (TPC-H 994 and random
+// 1,413 evals per query against 16,576 and 10,705 when each search was
+// warm-started from the previous one's optimum). Deterministic, unlike
+// the speedup.
+constexpr int64_t kMaxCellsPerSearch = 2 * core::kSweepBlockCells;
 
 // Each suite runs in rounds until both searches have run for at least
 // this long, so a short suite's ratio is not a few milliseconds of timer
@@ -82,6 +94,7 @@ struct SearchRun {
   int repeats = 0;
   double total_wall_ms = 0.0;
   int64_t configs_explored = 0;  ///< of the first repeat
+  int64_t resource_searches = 0;  ///< of the first repeat
   /// Candidates the DP skipped in the first repeat.
   int64_t candidates_skipped = 0;
   std::vector<double> query_wall_ms;
@@ -110,14 +123,20 @@ void RunRepeat(const catalog::Catalog& cat, const cost::JoinCostModels& models,
                core::ResourceSearch search, SearchRun* run) {
   static obs::Counter* skipped =
       obs::DefaultMetrics().GetCounter("planner.selinger.skipped");
+  static obs::Counter* searches =
+      obs::DefaultMetrics().GetCounter("planner.resource.searches");
   core::RaqoPlanner planner(&cat, models, cluster, resource::PricingModel(),
                             ColdOptions(search));
   core::WorkloadRunner runner(&planner);
   const int64_t skipped_before = skipped->Value();
+  const int64_t searches_before = searches->Value();
   Result<core::WorkloadReport> report = runner.Run(workload);
   RAQO_CHECK(report.ok()) << report.status().ToString();
   const bool first = run->repeats++ == 0;
-  if (first) run->candidates_skipped = skipped->Value() - skipped_before;
+  if (first) {
+    run->candidates_skipped = skipped->Value() - skipped_before;
+    run->resource_searches = searches->Value() - searches_before;
+  }
   run->total_wall_ms += report->wall_clock_ms;
   for (const core::QueryRunReport& query : report->queries) {
     run->query_wall_ms.push_back(query.wall_ms);
@@ -181,11 +200,13 @@ int main(int argc, char** argv) {
 
   bench::Table table({"suite", "search", "repeats", "wall (ms)",
                       "ms/repeat", "p50/p95/p99 (ms)", "evals/query",
-                      "skipped/query", "speedup", "plans identical"});
+                      "evals/search", "skipped/query", "speedup",
+                      "plans identical"});
   std::string json_suites;
   double worst_speedup = 1e300;
   bool all_identical = true;
   bool all_skipped = true;
+  bool all_few_cells = true;
 
   for (const Suite& suite : suites) {
     SearchRun brute;
@@ -213,6 +234,9 @@ int main(int argc, char** argv) {
         SamePlans(brute.last_report, incremental.last_report);
     all_identical = all_identical && identical;
     all_skipped = all_skipped && incremental.candidates_skipped > 0;
+    all_few_cells =
+        all_few_cells && incremental.configs_explored <=
+                             kMaxCellsPerSearch * incremental.resource_searches;
     const double brute_ms = brute.total_wall_ms / brute.repeats;
     const double incremental_ms =
         incremental.total_wall_ms / incremental.repeats;
@@ -225,6 +249,12 @@ int main(int argc, char** argv) {
     const bench::LatencyStats inc_lat =
         bench::SummarizeLatencies(incremental.query_wall_ms);
     const double queries = static_cast<double>(suite.workload->size());
+    auto per_search = [](const SearchRun& run) {
+      return bench::Num(static_cast<double>(run.configs_explored) /
+                            static_cast<double>(
+                                std::max<int64_t>(run.resource_searches, 1)),
+                        "%.1f");
+    };
     table.AddRow({suite.name, "brute-force", bench::Int(brute.repeats),
                   bench::Num(brute.total_wall_ms, "%.1f"),
                   bench::Num(brute_ms, "%.2f"),
@@ -233,6 +263,7 @@ int main(int argc, char** argv) {
                   bench::Num(static_cast<double>(brute.configs_explored) /
                                  queries,
                              "%.0f"),
+                  per_search(brute),
                   bench::Num(static_cast<double>(brute.candidates_skipped) /
                                  queries,
                              "%.1f"),
@@ -247,6 +278,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(incremental.configs_explored) /
                           queries,
                       "%.0f"),
+                  per_search(incremental),
                   bench::Num(
                       static_cast<double>(incremental.candidates_skipped) /
                           queries,
@@ -257,18 +289,22 @@ int main(int argc, char** argv) {
     json_suites += StrPrintf(
         "{\"suite\": \"%s\", \"queries\": %zu, "
         "\"brute_force\": {\"repeats\": %d, \"wall_ms\": %s, %s, "
-        "\"configs_explored\": %lld, \"candidates_skipped\": %lld}, "
+        "\"configs_explored\": %lld, \"resource_searches\": %lld, "
+        "\"candidates_skipped\": %lld}, "
         "\"switch_aware\": {\"repeats\": %d, \"wall_ms\": %s, %s, "
-        "\"configs_explored\": %lld, \"candidates_skipped\": %lld}, "
+        "\"configs_explored\": %lld, \"resource_searches\": %lld, "
+        "\"candidates_skipped\": %lld}, "
         "\"speedup\": %s, \"plans_identical\": %s}",
         suite.name, suite.workload->size(), brute.repeats,
         JsonNumber(brute.total_wall_ms).c_str(),
         bench::LatencyJsonFields(brute_lat, "ms").c_str(),
         (long long)brute.configs_explored,
+        (long long)brute.resource_searches,
         (long long)brute.candidates_skipped, incremental.repeats,
         JsonNumber(incremental.total_wall_ms).c_str(),
         bench::LatencyJsonFields(inc_lat, "ms").c_str(),
         (long long)incremental.configs_explored,
+        (long long)incremental.resource_searches,
         (long long)incremental.candidates_skipped,
         JsonNumber(speedup).c_str(), identical ? "true" : "false");
   }
@@ -301,17 +337,27 @@ int main(int argc, char** argv) {
                    "the evaluator's bounds\n");
       ok = false;
     }
+    if (!all_few_cells) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: the switch-aware search evaluated more "
+                   "than %lld cells per resource search in some suite — "
+                   "its seed or its bounds regressed\n",
+                   (long long)kMaxCellsPerSearch);
+      ok = false;
+    }
     if (worst_speedup < kSpeedupFloor) {
       std::fprintf(stderr,
                    "SMOKE FAIL: cold speedup %.2fx is below the %.2fx "
-                   "floor — pruning or warm-start regressed\n",
+                   "floor — pruning, seeding or best-first costing "
+                   "regressed\n",
                    worst_speedup, kSpeedupFloor);
       ok = false;
     }
     if (!ok) return 1;
     std::printf("smoke: cold-latency gates passed (worst %.2fx, plans "
-                "identical, candidates skipped)\n",
-                worst_speedup);
+                "identical, at most %lld cells per search, candidates "
+                "skipped)\n",
+                worst_speedup, (long long)kMaxCellsPerSearch);
   }
   return 0;
 }

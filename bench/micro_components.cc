@@ -372,9 +372,18 @@ void BM_GridTermArrayFill(benchmark::State& state) {
 }
 BENCHMARK(BM_GridTermArrayFill);
 
+// One SMJ search after another on one evaluator, at the time weight in
+// percent given as the argument. At weight 1 the box bounds are the
+// boxes' smallest cells, so a search evaluates about its seed block; at
+// weight 0 the dollars half of a bound is priced at the box's low corner
+// and stays loose, so a search still evaluates a few hundred cells and
+// the bounds' own cost shows.
 void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
+  core::RaqoEvaluatorOptions options;
+  options.time_weight = static_cast<double>(state.range(0)) / 100.0;
   core::RaqoCostEvaluator eval(Models(),
-                               resource::ClusterConditions::PaperDefault());
+                               resource::ClusterConditions::PaperDefault(),
+                               resource::PricingModel(), options);
   optimizer::JoinContext ctx;
   ctx.impl = plan::JoinImpl::kSortMergeJoin;
   ctx.right_bytes = catalog::GbToBytes(77);
@@ -388,7 +397,11 @@ void BM_RaqoEvaluatorCostJoin(benchmark::State& state) {
       static_cast<double>(eval.resource_configs_explored()),
       benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_RaqoEvaluatorCostJoin);
+BENCHMARK(BM_RaqoEvaluatorCostJoin)
+    ->ArgName("weight_pct")
+    ->Arg(100)
+    ->Arg(50)
+    ->Arg(0);
 
 // The same joins as bound requests: each call prices the lower bound
 // over the feasible grid, searching no cell. The join DP asks it of
@@ -419,7 +432,7 @@ BENCHMARK(BM_RaqoEvaluatorLowerBound);
 
 // The planning service builds an evaluator per request, so whatever an
 // evaluator does once is paid per request: each iteration builds a
-// fresh one and costs one SMJ join on the paper grid (no warm start).
+// fresh one and costs one SMJ join on the paper grid.
 void BM_RaqoEvaluatorFirstSearch(benchmark::State& state) {
   optimizer::JoinContext ctx;
   ctx.impl = plan::JoinImpl::kSortMergeJoin;

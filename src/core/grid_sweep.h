@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -22,11 +21,14 @@
 // but typically evaluating a small fraction of the grid. Two mechanisms
 // compose:
 //
-//   1. *Warm start / join-plan reuse*: the previous search's optimum is
-//      re-costed first and seeds the incumbent. The paper's Fig. 4/9
-//      observation — optima move only at sparse switch points — makes
-//      this seed almost always the final winner, so the rest of the
-//      sweep is pure verification.
+//   1. *Seeding from the bounds*: the block with the lowest lower bound
+//      in the row with the lowest lower bound is evaluated first and
+//      seeds the incumbent. The paper's Fig. 4/9 observation — optima
+//      move only at sparse switch points, so they sit in a region the
+//      cost model's bounds single out — makes this block almost always
+//      hold the final winner; where the bounds are exact (a separable
+//      extended model at time weight 1, with finite costs) it always
+//      does.
 //   2. *Dominance pruning*: the grid is swept in row-major rank order as
 //      rows, then blocks of `block_cells` cells; each is skipped when a
 //      sound lower bound (from a declared-monotone cost model) shows
@@ -55,8 +57,9 @@
 //       out[b].
 //
 // A bound of -inf declines to bound that box. The sweep only ever bounds
-// boxes inside one row; it asks for the rows' bounds at its first row
-// probe, and for a row's block bounds at that row's first block probe.
+// boxes inside one row; it asks for the rows' bounds before anything
+// else, and for a row's block bounds at the row's first block probe (the
+// seed's row: when the seed is chosen).
 namespace raqo::core {
 
 /// Cells per pruning block within a row. Small enough that one surviving
@@ -98,7 +101,7 @@ inline double Sanitize(double cost) { return std::isnan(cost) ? kInf : cost; }
 
 /// Running best of the sweep: the cheapest cell seen so far, with the
 /// earliest row-major rank among equal-cost cells. The rank-aware update
-/// matters because the warm start is evaluated out of rank order: a
+/// matters because the seed block is evaluated out of rank order: a
 /// later-swept cell of equal cost but earlier rank must still displace
 /// it, or plateau ties would resolve differently than in the exhaustive
 /// scan.
@@ -127,6 +130,16 @@ inline bool Prunable(double lower_bound, const Incumbent& inc,
          (lower_bound >= inc.cost && block_first_rank > inc.rank);
 }
 
+/// The index of the lowest of `n` bounds, the earliest on ties; a NaN
+/// bound counts as +inf.
+inline int64_t Lowest(const double* bounds, int64_t n) {
+  int64_t lowest = 0;
+  for (int64_t k = 1; k < n; ++k) {
+    if (Sanitize(bounds[k]) < Sanitize(bounds[lowest])) lowest = k;
+  }
+  return lowest;
+}
+
 /// A scratch array of `n` doubles: on the stack when it fits, else on
 /// the heap.
 class Scratch {
@@ -150,83 +163,72 @@ class Scratch {
 
 }  // namespace sweep_internal
 
-/// Runs the switch-aware sweep of `objective` over `g`. `warm_start`, the
-/// previous search's optimum, is snapped onto this grid by index (BHJ
-/// feasibility can shift the grid origin between searches, so it may sit
-/// off-grid) and evaluated first at its true rank; the cell is evaluated
-/// again when its block survives pruning, which keeps `configs_explored`
-/// an honest count of objective calls. Fails with FailedPrecondition
-/// when no cell is feasible.
+/// Runs the switch-aware sweep of `objective` over `g`: evaluates the
+/// seed block (the lowest-bound block of the lowest-bound row), then
+/// sweeps every other block in rank order under the prune rule. Each
+/// cell is evaluated at most once, so `configs_explored` counts objective
+/// calls and `cells_pruned` the rest of the grid. Fails with
+/// FailedPrecondition when no cell is feasible.
 template <typename Objective>
-Result<ResourcePlanResult> SweepGrid(
-    const Objective& objective, const GridGeometry& g,
-    const std::optional<resource::ResourceConfig>& warm_start,
-    int64_t block_cells = kSweepBlockCells) {
+Result<ResourcePlanResult> SweepGrid(const Objective& objective,
+                                     const GridGeometry& g,
+                                     int64_t block_cells = kSweepBlockCells) {
   using sweep_internal::kInf;
+  using sweep_internal::Lowest;
   using sweep_internal::Prunable;
   using sweep_internal::Sanitize;
   block_cells = std::max<int64_t>(block_cells, 1);
+  const int64_t blocks = (g.nc_points + block_cells - 1) / block_cells;
   sweep_internal::Incumbent inc;
   ResourcePlanResult out;
-
-  int64_t warm_rank = -1;
-  if (warm_start.has_value()) {
-    const int64_t i = static_cast<int64_t>(std::llround(
-        (warm_start->dim(resource::kContainerSizeGb) - g.cs_min) /
-        g.cs_step));
-    const int64_t j = static_cast<int64_t>(std::llround(
-        (warm_start->dim(resource::kNumContainers) - g.nc_min) / g.nc_step));
-    if (i >= 0 && i < g.cs_points && j >= 0 && j < g.nc_points) {
-      ++out.configs_explored;
-      warm_rank = g.RankOf(i, j);
-      double cost;
-      objective.Cells(i, j, j + 1, &cost);
-      inc.Offer(Sanitize(cost), warm_rank);
+  sweep_internal::Scratch row_bounds(g.cs_points);
+  sweep_internal::Scratch block_bounds(blocks);
+  sweep_internal::Scratch costs(std::min(block_cells, g.nc_points));
+  auto evaluate = [&](int64_t i, int64_t j0, int64_t j1) {
+    out.configs_explored += j1 - j0;
+    objective.Cells(i, j0, j1, costs.data());
+    for (int64_t j = j0; j < j1; ++j) {
+      inc.Offer(Sanitize(costs.data()[j - j0]), g.RankOf(i, j));
     }
+  };
+
+  // The seed: the lowest-bound row's lowest-bound block, or the whole
+  // row when a row is one block. The seed row's block bounds stay in
+  // `block_bounds` for its sweep.
+  objective.RowBounds(row_bounds.data());
+  const int64_t seed_row = Lowest(row_bounds.data(), g.cs_points);
+  int64_t bounded_row = -1;  // whose block bounds `block_bounds` holds
+  int64_t seed_j0 = 0;
+  if (blocks > 1) {
+    objective.BlockBounds(seed_row, block_cells, block_bounds.data());
+    bounded_row = seed_row;
+    seed_j0 = Lowest(block_bounds.data(), blocks) * block_cells;
   }
+  evaluate(seed_row, seed_j0, std::min(seed_j0 + block_cells, g.nc_points));
 
   // Rows in rank order with two-level branch-and-bound: the row box
   // first, then blocks of `block_cells`.
-  sweep_internal::Scratch row_bounds(g.cs_points);
-  sweep_internal::Scratch block_bounds((g.nc_points + block_cells - 1) /
-                                       block_cells);
-  sweep_internal::Scratch costs(std::min(block_cells, g.nc_points));
-  bool rows_bounded = false;
   for (int64_t i = 0; i < g.cs_points; ++i) {
-    if (inc.cost < kInf || inc.rank < g.RankOf(i, 0)) {
+    if (inc.cost < kInf) {
       ++out.bound_probes;
-      if (!rows_bounded) {
-        objective.RowBounds(row_bounds.data());
-        rows_bounded = true;
-      }
-      if (Prunable(row_bounds.data()[i], inc, g.RankOf(i, 0))) {
-        out.cells_pruned += g.nc_points;
-        continue;
-      }
+      if (Prunable(row_bounds.data()[i], inc, g.RankOf(i, 0))) continue;
     }
-    bool blocks_bounded = false;
     for (int64_t j0 = 0; j0 < g.nc_points; j0 += block_cells) {
-      const int64_t j1 = std::min(j0 + block_cells, g.nc_points);
+      if (i == seed_row && j0 == seed_j0) continue;
       // Block-level probe, skipped when the row is a single block (the
       // row probe above already covered it).
-      if ((j0 > 0 || j1 < g.nc_points) &&
-          (inc.cost < kInf || inc.rank < g.RankOf(i, j0))) {
+      if (blocks > 1 && inc.cost < kInf) {
         ++out.bound_probes;
-        if (!blocks_bounded) {
+        if (bounded_row != i) {
           objective.BlockBounds(i, block_cells, block_bounds.data());
-          blocks_bounded = true;
+          bounded_row = i;
         }
         if (Prunable(block_bounds.data()[j0 / block_cells], inc,
                      g.RankOf(i, j0))) {
-          out.cells_pruned += j1 - j0;
           continue;
         }
       }
-      out.configs_explored += j1 - j0;
-      objective.Cells(i, j0, j1, costs.data());
-      for (int64_t j = j0; j < j1; ++j) {
-        inc.Offer(Sanitize(costs.data()[j - j0]), g.RankOf(i, j));
-      }
+      evaluate(i, j0, std::min(j0 + block_cells, g.nc_points));
     }
   }
 
@@ -236,7 +238,7 @@ Result<ResourcePlanResult> SweepGrid(
   }
   out.config = g.CellAt(inc.rank / g.nc_points, inc.rank % g.nc_points);
   out.cost = inc.cost;
-  out.warm_start_won = warm_rank >= 0 && inc.rank == warm_rank;
+  out.cells_pruned = g.cs_points * g.nc_points - out.configs_explored;
   return out;
 }
 

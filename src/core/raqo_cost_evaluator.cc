@@ -71,19 +71,10 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
 void RaqoCostEvaluator::UpdateClusterConditions(
     resource::ClusterConditions cluster) {
   cluster_ = cluster;
-  // Warm starts are snapped onto the current grid by index, so a stale
-  // one is *safe* — but a fresh grid means the old optimum carries no
-  // switch-point signal. Start cold like the caches do.
-  last_best_[0].reset();
-  last_best_[1].reset();
   ClearCache();
 }
 
-void RaqoCostEvaluator::BeginQuery() {
-  last_best_[0].reset();
-  last_best_[1].reset();
-  lookups_ = CacheStats{};
-}
+void RaqoCostEvaluator::BeginQuery() { lookups_ = CacheStats{}; }
 
 void RaqoCostEvaluator::ClearCache() {
   if (ResourcePlanCache* cache = active_cache()) cache->Clear();
@@ -145,11 +136,8 @@ Result<ResourcePlanResult> RaqoCostEvaluator::SearchResources(
         grid);
   }
   grid_seconds_.Fill(model, ss_gb, ls_gb, grid);
-  Result<ResourcePlanResult> swept =
-      SweepGrid(SeparableObjective(grid_seconds_, pricing_, tw),
-                GridGeometry(grid), last_best_[model_idx]);
-  if (swept.ok()) last_best_[model_idx] = swept->config;
-  return swept;
+  return SweepGrid(SeparableObjective(grid_seconds_, pricing_, tw),
+                   GridGeometry(grid));
 }
 
 Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
@@ -221,7 +209,6 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     ++lookups_.misses;
   }
 
-  const bool warm_started = switch_aware_ && last_best_[model_idx].has_value();
   // Counters are always on with metrics; the clock, the latency
   // histogram and the span only run under tracing, so the default
   // configuration reads no clock per search.
@@ -267,17 +254,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     if (planned.ok() && switch_aware_) {
       static obs::Counter* pruned = obs::DefaultMetrics().GetCounter(
           "planner.resource.cells_pruned");
-      static obs::Counter* replanned = obs::DefaultMetrics().GetCounter(
-          "planner.resource.cells_replanned");
-      static obs::Counter* reused = obs::DefaultMetrics().GetCounter(
-          "planner.resource.plans_reused");
       pruned->Add(planned->cells_pruned);
-      // Cells evaluated beyond the warm-start re-cost — the true
-      // incremental work of this search.
-      const int64_t beyond_warm =
-          planned->configs_explored - (warm_started ? 1 : 0);
-      replanned->Add(beyond_warm > 0 ? beyond_warm : 0);
-      if (planned->warm_start_won) reused->Add(1);
     }
   }
   span.End();

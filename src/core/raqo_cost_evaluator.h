@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "core/plan_cache.h"
@@ -29,11 +28,11 @@ enum class ResourceSearch {
   kHillClimb,
   kAcceleratedHillClimb,
   /// The default: the switch-point-aware incremental grid search,
-  /// bit-identical to kBruteForce but warm-started from the previous
-  /// search's optimum and dominance-pruned through sound cost-model
-  /// lower bounds (core/grid_sweep.h, docs/PERF.md). A model the sweep
-  /// may not prune is searched by kBruteForce (see ModelSearch); one
-  /// whose bounds are not sound (cost::ResourceBoundsSound) also bumps
+  /// bit-identical to kBruteForce but seeded from, and dominance-pruned
+  /// through, sound cost-model lower bounds (core/grid_sweep.h,
+  /// docs/PERF.md). A model the sweep may not prune is searched by
+  /// kBruteForce (see ModelSearch); one whose bounds are not sound
+  /// (cost::ResourceBoundsSound) also bumps
   /// planner.resource.monotonicity_rejected when the evaluator is built.
   kSwitchAwareGrid,
 };
@@ -109,12 +108,9 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
 
   const RaqoEvaluatorOptions& options() const { return options_; }
 
-  /// Marks a query boundary: drops the per-model warm-start memory of
-  /// the switch-aware search so every query plans from a cold incumbent,
-  /// and zeroes the lookup counts of cache_stats(). Warm starts never
-  /// change results — this only keeps the per-query `configs_explored`
-  /// stats independent of which queries this evaluator planned before,
-  /// so a reused planner counts what a fresh one would.
+  /// Marks a query boundary: zeroes the lookup counts of cache_stats().
+  /// A search depends on nothing an earlier one left behind, so a reused
+  /// planner counts what a fresh one would.
   void BeginQuery();
 
   /// How resources are searched for one join implementation's model,
@@ -149,9 +145,8 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   }
 
   /// Plans resources for one join as model_search_ says. The sweep
-  /// prices the model from term arrays filled once per search, and keeps
-  /// its optimum as the model's next warm start; planner_ gets a per-cell
-  /// std::function objective.
+  /// prices the model from term arrays filled once per search; planner_
+  /// gets a per-cell std::function objective.
   Result<ResourcePlanResult> SearchResources(
       size_t model_idx, const cost::OperatorCostModel& model, double ss_gb,
       double ls_gb, const resource::ClusterConditions& grid);
@@ -170,12 +165,10 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   std::unique_ptr<ResourcePlanner> planner_;
   std::unique_ptr<ResourcePlanCache> cache_;
   std::shared_ptr<ResourcePlanCache> shared_cache_;
-  /// Indexed by join implementation (0 = SMJ, 1 = BHJ): how each model is
-  /// searched, and the previous sweep's optimum as the next warm start
-  /// (cleared by BeginQuery and cluster updates).
+  /// How each model is searched, indexed by join implementation (0 = SMJ,
+  /// 1 = BHJ).
   std::array<ModelSearch, 2> model_search_ = {ModelSearch::kPlanner,
                                               ModelSearch::kPlanner};
-  std::array<std::optional<resource::ResourceConfig>, 2> last_best_;
   /// The term arrays each sweep refills.
   cost::SeparableGridSeconds grid_seconds_;
   bool switch_aware_ = false;

@@ -44,7 +44,7 @@ RaqoPlanner::RaqoPlanner(const catalog::Catalog* catalog,
 Result<JointPlan> RaqoPlanner::RunPlanner(
     const std::vector<catalog::TableId>& tables,
     optimizer::PlanCostEvaluator& evaluator) {
-  // Fresh warm-start state and a recycled scratch arena per run: plans
+  // Zeroed lookup counts and a recycled scratch arena per run: plans
   // and per-query counters never depend on what this planner worked on
   // before, so a reused planner answers exactly like a fresh one.
   evaluator_.BeginQuery();

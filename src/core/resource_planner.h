@@ -27,9 +27,6 @@ struct ResourcePlanResult {
   int64_t cells_pruned = 0;
   /// Lower-bound probes of the switch-aware sweep (rows and blocks).
   int64_t bound_probes = 0;
-  /// True when the winning cell is the warm-start cell — no switch point
-  /// was crossed since the previous search.
-  bool warm_start_won = false;
 };
 
 /// Picks the resource configuration for one sub-plan (one join operator),

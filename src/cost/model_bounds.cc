@@ -49,7 +49,6 @@ void SeparableGridSeconds::Fill(const OperatorCostModel& model, double ss,
   const FeatureSet set = model.feature_set();
   const std::vector<FeatureResourceTrend>& trends = FeatureResourceTrends(set);
   const std::vector<double>& weights = model.model().weights;
-  start_ = model.model().has_intercept ? weights.back() : 0.0;
   block_cells_ = 0;
 
   const int64_t rows = grid.GridPoints(resource::kContainerSizeGb);
@@ -112,10 +111,10 @@ void SeparableGridSeconds::Fill(const OperatorCostModel& model, double ss,
     if (terms_[t].kind == Kind::kColumn) four_row_tail_ = false;
   }
 
-  // The column prefix: start_ plus every head term, in index order. The
-  // leading data terms add the same value to every column, so their
-  // running sum is taken once.
-  double lead = start_;
+  // The column prefix: the intercept (0 without one) plus every head
+  // term, in index order. The leading data terms add the same value to
+  // every column, so their running sum is taken once.
+  double lead = model.model().has_intercept ? weights.back() : 0.0;
   size_t t = 0;
   for (; t < head_ && terms_[t].kind == Kind::kData; ++t) {
     lead += products[terms_[t].offset];
@@ -136,12 +135,15 @@ void SeparableGridSeconds::Fill(const OperatorCostModel& model, double ss,
 }
 
 double SeparableGridSeconds::HeadBound(int64_t j0, int64_t jl) const {
-  double sum = start_;
-  for (size_t t = 0; t < head_; ++t) {
-    const double* p = products_.data() + terms_[t].offset;
-    sum += terms_[t].kind == Kind::kData ? p[0] : std::min(p[j0], p[jl]);
+  // Four running minima, so that no compare waits on the one before.
+  const double* p = prefix_.data();
+  double m[4] = {p[j0], p[j0], p[j0], p[j0]};
+  int64_t j = j0;
+  for (; j + 3 <= jl; j += 4) {
+    for (int k = 0; k < 4; ++k) m[k] = std::min(m[k], p[j + k]);
   }
-  return sum;
+  for (; j <= jl; ++j) m[0] = std::min(m[0], p[j]);
+  return std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
 }
 
 void SeparableGridSeconds::WholeRowBounds(double* out) const {

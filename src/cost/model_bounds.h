@@ -39,9 +39,9 @@ bool ResourceBoundsSound(const OperatorCostModel& model);
 /// in the inclusive box [lo, hi], for the fixed data characteristics in
 /// `data` (its resource fields are ignored): the corner-minima sum above.
 /// Sound when ResourceBoundsSound(model). Requires lo <= hi per dimension
-/// and positive resource values. The search prices bounds from term
-/// arrays (SeparableGridSeconds); this is the reference they are tested
-/// against bit for bit.
+/// and positive resource values. The search's box bounds
+/// (SeparableGridSeconds) are tested to be at least this one, and the
+/// evaluator's answer to a bound request is this one over the grid.
 double SecondsLowerBound(const OperatorCostModel& model,
                          const JoinFeatures& data,
                          const resource::ResourceConfig& lo,
@@ -60,10 +60,13 @@ double SecondsLowerBound(const OperatorCostModel& model,
 /// PredictSeconds adds `intercept + term_0 + term_1 + ...` in index
 /// order. A cell's seconds are its column prefix plus the remaining terms
 /// in index order, then max(., kMinSeconds): the same operations on the
-/// same operands, so the same bits. A bound over cells of one row is the
-/// same index-order sum with each per-column term replaced by its minimum
-/// over the box's two end columns: the box's four corners are two
-/// distinct pairs, so this is what SecondsLowerBound computes for it
+/// same operands, so the same bits. A bound over cells of one row starts
+/// from the box's smallest column prefix and adds the remaining terms in
+/// the same order, each per-column one at its minimum over the box's two
+/// end columns, then clamps. Round-to-nearest addition is monotone, so
+/// the bound is at most each cell's seconds, bit for bit, and at least
+/// SecondsLowerBound over the box; with no per-column term after the
+/// prefix, as in kExtended, it is the box's smallest seconds
 /// (docs/PERF.md, "Separable evaluation").
 class SeparableGridSeconds {
  public:
@@ -94,9 +97,8 @@ class SeparableGridSeconds {
   /// Lower bounds of the seconds over the boxes the grid sweep probes,
   /// a batch at a time: into out[i] the whole of each row i, and into
   /// out[b] each block b of row i (columns b * block_cells to (b + 1) *
-  /// block_cells - 1; the last block may be shorter). The bound of cells
-  /// (i, j0), ..., (i, jl) is bit for bit SecondsLowerBound(model, data,
-  /// {cs_i, nc_j0}, {cs_i, nc_jl}). Not thread-safe, like Fill.
+  /// block_cells - 1; the last block may be shorter), each as the class
+  /// comment describes. Not thread-safe, like Fill.
   void WholeRowBounds(double* out) const;
   void BlockBounds(int64_t i, int64_t block_cells, double* out) const;
 
@@ -154,11 +156,9 @@ class SeparableGridSeconds {
     }
   }
 
-  /// The sum of the head terms over the box of columns [j0, jl]: each
-  /// column term at its minimum over the two end columns.
+  /// The smallest column prefix over columns [j0, jl].
   double HeadBound(int64_t j0, int64_t jl) const;
 
-  double start_ = 0.0;      ///< the intercept, or 0 without one
   std::vector<double> cs_;  ///< container size per row
   std::vector<double> nc_;  ///< container count per column
   /// Every term's products w_k * phi_k: the data terms, then each per-row
@@ -171,7 +171,7 @@ class SeparableGridSeconds {
   /// term (SumRow's fast case).
   bool four_row_tail_ = false;
 
-  /// BlockBounds' head sums per block of `block_cells_` columns (0: not
+  /// BlockBounds' head bounds per block of `block_cells_` columns (0: not
   /// taken since the last fill). Every row has the same ones, so they are
   /// taken at a search's first block probe, by the const BlockBounds,
   /// hence mutable (their end-to-end effect: docs/PERF.md).

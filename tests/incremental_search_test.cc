@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -219,7 +218,6 @@ TEST_P(SeededIncrementalSearchTest,
        MatchesBruteForceUnderEveryHintCombination) {
   Rng rng(GetParam() * 977 + 13);
   core::BruteForceResourcePlanner brute;
-  std::optional<resource::ResourceConfig> previous_best;
 
   for (int trial = 0; trial < 25; ++trial) {
     const resource::ClusterConditions grid = RandomGrid(rng);
@@ -233,45 +231,34 @@ TEST_P(SeededIncrementalSearchTest,
     const Result<core::ResourcePlanResult> expected =
         brute.PlanResources(cost, grid);
 
-    // Bounds and warm starts are pure accelerators: every combination
-    // must reproduce the exhaustive result exactly.
+    // Bounds only accelerate: with them, without them (every box
+    // declines, so the seed is the first block), and with some boxes
+    // declining, the sweep must reproduce the exhaustive result exactly,
+    // evaluating no cell twice.
     const core::GridGeometry g(grid);
-    std::optional<resource::ResourceConfig> warm = previous_best;
-    if (rng.Bernoulli(0.3)) {
-      // Off-grid / stale warm starts must be snapped, never trusted.
-      warm = resource::ResourceConfig(rng.Uniform(0.0, 40.0),
-                                      rng.Uniform(0.0, 300.0));
-    }
-    // A bound may also decline ("no bound for this box"): -inf disables
-    // pruning there and must change nothing.
-    const bool declining = rng.Bernoulli(0.2);
     struct Combo {
       const char* name;
       bool bounded;
-      bool warm;
       bool declining;
     };
-    const Combo combos[4] = {{"no hints", false, false, false},
-                             {"bound only", true, false, false},
-                             {"warm only", false, true, false},
-                             {"bound+warm", true, true, declining}};
+    const Combo combos[3] = {{"no bound", false, false},
+                             {"bound", true, false},
+                             {"declining bound", true, true}};
     for (const Combo& c : combos) {
       const SurfaceObjective objective{surface, g, c.bounded, c.declining};
-      const Result<core::ResourcePlanResult> got = core::SweepGrid(
-          objective, g,
-          c.warm ? warm : std::optional<resource::ResourceConfig>(),
-          block_cells);
+      const Result<core::ResourcePlanResult> got =
+          core::SweepGrid(objective, g, block_cells);
       ExpectSameOutcome(expected, got,
                         std::string(c.name) + " @trial " +
                             std::to_string(trial));
       if (expected.ok()) {
-        // The warm-start cell may be re-costed once on top of the sweep
-        // (the honest-counter contract), hence the +1 slack.
-        EXPECT_LE(got->configs_explored, expected->configs_explored + 1)
+        EXPECT_LE(got->configs_explored, expected->configs_explored)
+            << c.name;
+        EXPECT_EQ(got->configs_explored + got->cells_pruned,
+                  expected->configs_explored)
             << c.name;
       }
     }
-    if (expected.ok()) previous_best = expected->config;
   }
 }
 
@@ -595,10 +582,10 @@ TEST(SwitchAwareEvaluatorTest, NonSeparableModelSearchesByBruteForce) {
 
 // ---------------------------------------------------------------------
 // The term-array objective the evaluator sweeps separable models with
-// must price every cell, and bound every box, to the bit of the per-cell
-// expressions it replaced: CostVector{PredictSeconds, pricing.Cost}
-// .Weighted(tw), and the same expression fed with SecondsLowerBound at
-// the box's low corner.
+// must price every cell to the bit of the per-cell expression it
+// replaced, CostVector{PredictSeconds, pricing.Cost}.Weighted(tw), and
+// bound every box between that expression fed with SecondsLowerBound at
+// the box's low corner and the box's cheapest cell.
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
@@ -649,6 +636,7 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
   cost::SeparableGridSeconds seconds;
   int64_t cells = 0;
   int64_t boxes = 0;
+  int64_t exact_boxes = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const cost::OperatorCostModel& model = *models[trial % 3];
     ASSERT_TRUE(cost::FeatureSetSeparable(model.feature_set()));
@@ -695,35 +683,59 @@ TEST_P(SeededIncrementalSearchTest, TermArraysPriceAndBoundBitForBit) {
       if (!sound) continue;
 
       // Every box the sweep probes: the whole row, and its blocks at a
-      // random block size.
+      // random block size. Each box's bound lies at or below every cell
+      // of the box and at or above the corner bound (SecondsLowerBound
+      // priced at the box's low corner). At time weight 1 the extended
+      // models' bounds are the box's smallest objective, bit for bit:
+      // the sweep's seed relies on that.
       cost::JoinFeatures data;
       data.smaller_gb = ss;
       data.larger_gb = ls;
-      auto expected_bound = [&](int64_t j0, int64_t j1) {
+      auto corner_bound = [&](int64_t j0, int64_t j1) {
         const resource::ResourceConfig lo = g.CellAt(i, j0);
         const double s =
             cost::SecondsLowerBound(model, data, lo, g.CellAt(i, j1 - 1));
         return cost::CostVector{s, pricing.Cost(lo, s)}.Weighted(tw);
       };
+      const bool exact =
+          tw == 1.0 && model.feature_set() == cost::FeatureSet::kExtended;
       std::vector<double> row_bounds(static_cast<size_t>(g.cs_points));
       objective.RowBounds(row_bounds.data());
-      ASSERT_EQ(Bits(expected_bound(0, g.nc_points)), Bits(row_bounds[i]))
-          << what << " row " << i;
       const int64_t block_cells = rng.UniformInt(1, 24);
       std::vector<double> block_bounds(
           static_cast<size_t>(seconds.NumBlocks(block_cells)));
       objective.BlockBounds(i, block_cells, block_bounds.data());
+      struct Box {
+        int64_t j0, j1;
+        double bound;
+      };
+      std::vector<Box> probed = {{0, g.nc_points, row_bounds[i]}};
       for (int64_t j0 = 0; j0 < g.nc_points; j0 += block_cells) {
-        const int64_t j1 = std::min(j0 + block_cells, g.nc_points);
-        ASSERT_EQ(Bits(expected_bound(j0, j1)),
-                  Bits(block_bounds[j0 / block_cells]))
-            << what << " row " << i << " block at " << j0;
+        probed.push_back({j0, std::min(j0 + block_cells, g.nc_points),
+                          block_bounds[j0 / block_cells]});
+      }
+      for (const Box& box : probed) {
+        const double lowest =
+            *std::min_element(row.begin() + box.j0, row.begin() + box.j1);
+        ASSERT_LE(box.bound, lowest)
+            << what << " row " << i << " columns " << box.j0 << "-"
+            << box.j1 - 1;
+        ASSERT_GE(box.bound, corner_bound(box.j0, box.j1))
+            << what << " row " << i << " columns " << box.j0 << "-"
+            << box.j1 - 1;
+        if (exact) {
+          ASSERT_EQ(Bits(lowest), Bits(box.bound))
+              << what << " row " << i << " columns " << box.j0 << "-"
+              << box.j1 - 1;
+          ++exact_boxes;
+        }
         ++boxes;
       }
     }
   }
   EXPECT_GT(cells, 10000);
   EXPECT_GT(boxes, 1000);
+  EXPECT_GT(exact_boxes, 100);
 }
 
 // ---------------------------------------------------------------------
@@ -805,6 +817,21 @@ TEST(SwitchAwareEvaluatorTest, TpchPlansIdenticalAndCountersMove) {
     query.tables = *catalog::TpchQueryTables(cat, q);
     workload.push_back(std::move(query));
   }
+  // Random queries of 4 to 9 tables, planned switch-aware only (the
+  // seeded tests above compare random plans with the brute force).
+  catalog::RandomSchemaOptions schema;
+  schema.num_tables = 30;
+  catalog::Catalog random_cat = *catalog::BuildRandomCatalog(schema);
+  Rng rng(7);
+  std::vector<core::WorkloadQuery> random_workload;
+  for (int i = 0; i < 8; ++i) {
+    core::WorkloadQuery query;
+    query.label = "r" + std::to_string(i);
+    query.tables = *catalog::RandomQueryTables(
+        random_cat, static_cast<int>(rng.UniformInt(4, 9)),
+        static_cast<uint64_t>(500 + i));
+    random_workload.push_back(std::move(query));
+  }
 
   core::RaqoPlannerOptions options;
   options.algorithm = core::PlannerAlgorithm::kSelinger;
@@ -819,13 +846,13 @@ TEST(SwitchAwareEvaluatorTest, TpchPlansIdenticalAndCountersMove) {
 
   obs::Counter* pruned =
       obs::DefaultMetrics().GetCounter("planner.resource.cells_pruned");
-  obs::Counter* reused =
-      obs::DefaultMetrics().GetCounter("planner.resource.plans_reused");
-  obs::Counter* replanned =
-      obs::DefaultMetrics().GetCounter("planner.resource.cells_replanned");
+  obs::Counter* searches =
+      obs::DefaultMetrics().GetCounter("planner.resource.searches");
+  obs::Counter* explored =
+      obs::DefaultMetrics().GetCounter("planner.resource.configs_explored");
   const int64_t pruned_before = pruned->Value();
-  const int64_t reused_before = reused->Value();
-  const int64_t replanned_before = replanned->Value();
+  const int64_t searches_before = searches->Value();
+  const int64_t explored_before = explored->Value();
 
   options.evaluator.search = core::ResourceSearch::kSwitchAwareGrid;
   core::RaqoPlanner inc_planner(&cat, HiveModels(), cluster,
@@ -833,6 +860,10 @@ TEST(SwitchAwareEvaluatorTest, TpchPlansIdenticalAndCountersMove) {
   core::WorkloadRunner inc_runner(&inc_planner);
   const Result<core::WorkloadReport> inc = inc_runner.Run(workload);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  core::RaqoPlanner random_planner(&random_cat, HiveModels(), cluster,
+                                   resource::PricingModel(), options);
+  core::WorkloadRunner random_runner(&random_planner);
+  ASSERT_TRUE(random_runner.Run(random_workload).ok());
 
   ASSERT_EQ(brute->queries.size(), inc->queries.size());
   for (size_t i = 0; i < brute->queries.size(); ++i) {
@@ -843,13 +874,16 @@ TEST(SwitchAwareEvaluatorTest, TpchPlansIdenticalAndCountersMove) {
                 inc->queries[i].join_resources);
   }
   // The incremental search must actually be incremental on the paper
-  // workload: most of the grid pruned, most searches settled by the
-  // warm-started plan.
+  // workload: most of the grid pruned, and at time weight 1, where the
+  // bounds are exact, a search evaluates little beyond its seed block.
   EXPECT_LT(inc->total_resource_configs_explored,
             brute->total_resource_configs_explored / 2);
   EXPECT_GT(pruned->Value(), pruned_before);
-  EXPECT_GT(reused->Value(), reused_before);
-  EXPECT_GE(replanned->Value(), replanned_before);
+  const int64_t searched = searches->Value() - searches_before;
+  ASSERT_GT(searched, 0);
+  EXPECT_LE(explored->Value() - explored_before,
+            2 * core::kSweepBlockCells * searched)
+      << searched << " searches";
 }
 
 TEST(SwitchAwareEvaluatorTest, LargeGridPlansMatchBruteForce) {
@@ -881,6 +915,86 @@ TEST(SwitchAwareEvaluatorTest, LargeGridPlansMatchBruteForce) {
     EXPECT_LT(actual->stats.resource_configs_explored,
               expected->stats.resource_configs_explored / 10);
   }
+}
+
+// Data sizes at the ends of the double range overflow the model's terms
+// to inf, and their sums to inf or NaN, in some cells or in all. The
+// sweep must still return the brute force's answer: an infinite or NaN
+// column prefix must never let a bound prune the winner, nor make the
+// seed fail. The search runs on the sizes in GB; the evaluators, as the
+// DP calls them, on the same sizes in bytes, where the three largest
+// overflow to inf.
+TEST(SwitchAwareEvaluatorTest, ExtremeSizesMatchBruteForce) {
+  const double sizes[] = {0.0,  1e-300, 1e-9,  1e6,
+                          1e12, 1e300,  std::numeric_limits<double>::max(),
+                          kInf};
+  const resource::ClusterConditions grid =
+      resource::ClusterConditions::PaperDefault();
+  const core::GridGeometry g(grid);
+  const resource::PricingModel pricing;
+  const core::BruteForceResourcePlanner brute;
+  cost::SeparableGridSeconds seconds;
+  int64_t feasible = 0;
+  int64_t infeasible = 0;
+  for (const double tw : {0.0, 0.5, 1.0}) {
+    core::RaqoEvaluatorOptions options;
+    options.time_weight = tw;
+    core::RaqoCostEvaluator swept(HiveModels(), grid, pricing, options);
+    options.search = core::ResourceSearch::kBruteForce;
+    core::RaqoCostEvaluator exhaustive(HiveModels(), grid, pricing, options);
+    for (const plan::JoinImpl impl : {plan::JoinImpl::kSortMergeJoin,
+                                      plan::JoinImpl::kBroadcastHashJoin}) {
+      const cost::OperatorCostModel& model = HiveModels().ForImpl(impl);
+      for (const double ss : sizes) {
+        for (const double ls : sizes) {
+          if (ls < ss) continue;
+          const std::string what = model.name() + " ss " + std::to_string(ss) +
+                                   " ls " + std::to_string(ls) + " tw " +
+                                   std::to_string(tw);
+          const Result<core::ResourcePlanResult> expected = brute.PlanResources(
+              [&](const resource::ResourceConfig& r) {
+                cost::JoinFeatures f;
+                f.smaller_gb = ss;
+                f.larger_gb = ls;
+                f.container_size_gb = r.container_size_gb();
+                f.num_containers = r.num_containers();
+                const double s = model.PredictSeconds(f);
+                return cost::CostVector{s, pricing.Cost(r, s)}.Weighted(tw);
+              },
+              grid);
+          seconds.Fill(model, ss, ls, grid);
+          const Result<core::ResourcePlanResult> got =
+              core::SweepGrid(core::SeparableObjective(seconds, pricing, tw), g);
+          ASSERT_EQ(expected.status().code(), got.status().code()) << what;
+          if (expected.ok()) {
+            EXPECT_TRUE(expected->config == got->config) << what;
+            EXPECT_EQ(Bits(expected->cost), Bits(got->cost)) << what;
+            ++feasible;
+          } else {
+            ++infeasible;
+          }
+
+          optimizer::JoinContext ctx;
+          ctx.impl = impl;
+          ctx.left_bytes = catalog::GbToBytes(ss);
+          ctx.right_bytes = catalog::GbToBytes(ls);
+          const Result<optimizer::OperatorCost> want = exhaustive.CostJoin(ctx);
+          const Result<optimizer::OperatorCost> have = swept.CostJoin(ctx);
+          ASSERT_EQ(want.status().code(), have.status().code()) << what;
+          if (want.ok()) {
+            EXPECT_EQ(Bits(want->cost.seconds), Bits(have->cost.seconds))
+                << what;
+            EXPECT_EQ(Bits(want->cost.dollars), Bits(have->cost.dollars))
+                << what;
+            EXPECT_EQ(want->resources, have->resources) << what;
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes occur: some sizes leave feasible cells, some none.
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 }  // namespace

@@ -186,8 +186,7 @@ TEST(RaqoEvaluatorTest, BhjFeasibilityBoundary) {
 //     infeasible join answers the bound request with the same error;
 //   - a bound request followed by a cost call leaves the same cost bits,
 //     resources, cache size, lookup counts and configs explored as the
-//     cost call alone: it searches, looks up and inserts nothing, and
-//     leaves the warm start alone.
+//     cost call alone: it searches, looks up and inserts nothing.
 TEST(RaqoEvaluatorTest, IncumbentSkipsOnlyCandidatesThatCannotWin) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const bool cached : {false, true}) {
@@ -273,6 +272,51 @@ TEST(RaqoEvaluatorTest, IncumbentSkipsOnlyCandidatesThatCannotWin) {
     if (cached) {
       EXPECT_GT(plain.cache_stats().hits, 100);
     }
+  }
+}
+
+// A search depends on nothing an earlier search left behind: after a
+// seeded run of other SMJ and BHJ searches, each context gets the cost
+// bits, resources and cells explored that a fresh evaluator gives it, at
+// time weights 1, 0.5 and 0.
+TEST(RaqoEvaluatorTest, SearchIgnoresEarlierSearches) {
+  Rng rng(41);
+  auto random_ctx = [&] {
+    return Ctx(rng.Bernoulli(0.5) ? plan::JoinImpl::kBroadcastHashJoin
+                                  : plan::JoinImpl::kSortMergeJoin,
+               std::pow(10.0, rng.Uniform(-2.0, 3.0)),
+               std::pow(10.0, rng.Uniform(-2.0, 3.5)));
+  };
+  for (const double weight : {1.0, 0.5, 0.0}) {
+    SCOPED_TRACE("weight " + std::to_string(weight));
+    RaqoEvaluatorOptions options;
+    options.time_weight = weight;
+    RaqoCostEvaluator used(SimModels(), ClusterConditions::PaperDefault(),
+                           resource::PricingModel(), options);
+    int64_t compared = 0;
+    for (int i = 0; i < 150; ++i) {
+      for (int64_t k = rng.UniformInt(1, 4); k > 0; --k) {
+        Result<optimizer::OperatorCost> other = used.CostJoin(random_ctx());
+        ASSERT_TRUE(other.ok() || other.status().IsResourceExhausted())
+            << other.status().ToString();
+      }
+      const optimizer::JoinContext ctx = random_ctx();
+      RaqoCostEvaluator fresh(SimModels(), ClusterConditions::PaperDefault(),
+                              resource::PricingModel(), options);
+      const int64_t explored_before = used.resource_configs_explored();
+      Result<optimizer::OperatorCost> again = used.CostJoin(ctx);
+      Result<optimizer::OperatorCost> first = fresh.CostJoin(ctx);
+      ASSERT_EQ(again.ok(), first.ok()) << "context " << i;
+      if (!first.ok()) continue;
+      EXPECT_EQ(again->cost.seconds, first->cost.seconds) << "context " << i;
+      EXPECT_EQ(again->cost.dollars, first->cost.dollars) << "context " << i;
+      EXPECT_EQ(again->resources, first->resources) << "context " << i;
+      EXPECT_EQ(used.resource_configs_explored() - explored_before,
+                fresh.resource_configs_explored())
+          << "context " << i;
+      ++compared;
+    }
+    EXPECT_GT(compared, 100);
   }
 }
 
@@ -552,7 +596,8 @@ TEST(RaqoPlannerTest, CacheReducesResourceIterationsAcrossJoins) {
 TEST(RaqoPlannerTest, ReusedPlannerMatchesFreshPlanner) {
   // A planner that already planned other queries answers each query
   // exactly like a fresh planner, down to the per-query search counters:
-  // RunPlanner drops the previous query's warm starts before planning.
+  // no search depends on an earlier one, and RunPlanner recycles the
+  // DP's arena and zeroes the lookup counts before planning.
   catalog::Catalog cat = catalog::BuildTpchCatalog(100.0);
   RaqoPlanner reused = MakePlanner(&cat);
   for (TpchQuery query : {TpchQuery::kAll, TpchQuery::kQ2, TpchQuery::kQ3,
